@@ -4,13 +4,11 @@ from .bounds import lower_bound, lower_bound_min, upper_bound, upper_bound_min
 from .domain import TaskDomain, bit_list, bits, is_quasi_clique_masked
 from .kernels import KernelExpansionResult, expand_kernel, top_k_quasicliques
 from .maxclique import CliqueSearchStats, is_clique, max_clique, max_clique_size
-from .iterative_bounding import iterative_bounding
 from .miner import MiningResult, mine_maximal_quasicliques, mine_root
 from .naive import enumerate_maximal_quasicliques, enumerate_quasicliques
 from .options import (
     DEFAULT_OPTIONS,
     QUICK_OPTIONS,
-    SET_PATH_OPTIONS,
     MinerOptions,
     MiningJob,
     MiningStats,
@@ -33,7 +31,6 @@ from .density import (
     filter_by_density,
     is_dense_subgraph,
 )
-from .recursive_mine import recursive_mine
 from .query import best_community, mine_containing
 from .resumable import ResumableMiner
 from .temporal import (
@@ -54,7 +51,6 @@ __all__ = [
     "top_k_quasicliques",
     "DEFAULT_OPTIONS",
     "QUICK_OPTIONS",
-    "SET_PATH_OPTIONS",
     "TaskDomain",
     "bit_list",
     "bits",
@@ -71,7 +67,6 @@ __all__ = [
     "enumerate_quasicliques",
     "is_quasi_clique",
     "is_valid_quasi_clique",
-    "iterative_bounding",
     "kcore_threshold",
     "lower_bound",
     "lower_bound_min",
@@ -88,7 +83,6 @@ __all__ = [
     "filter_by_density",
     "is_dense_subgraph",
     "postprocess_results",
-    "recursive_mine",
     "ResumableMiner",
     "TemporalGraph",
     "TemporalPattern",

@@ -12,23 +12,17 @@ the Type I rules (Theorems 3 and 7), so their computation is deferred
 until right before the Type I pass — if a Type II rule fires first, the
 work is saved, exactly as the paper prescribes.
 
-Two result-equivalent constructions exist:
-
-* :func:`compute_degrees` — the classic dict/set scan over adjacency
-  lists, keyed by global vertex IDs;
-* :func:`compute_degrees_masked` — the bitset hot path over a
-  :class:`repro.core.domain.TaskDomain`, keyed by *local* IDs, where
-  each degree is a single ``(adj[v] & mask).bit_count()`` popcount.
-
-The downstream consumers (`repro.core.bounds`, the pruning batteries)
-read only the `DegreeView` interface, so they run on either keying.
+Degrees are computed over a :class:`repro.core.domain.TaskDomain` and
+keyed by its *local* IDs; each one is a single
+``(adj[v] & mask).bit_count()`` popcount. The downstream consumers
+(`repro.core.bounds`, the pruning batteries) read only the
+`DegreeView` interface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graph.adjacency import Graph
 from .domain import TaskDomain, bits
 
 
@@ -71,46 +65,11 @@ class DegreeView:
         return sorted(self.in_s_of_ext.values(), reverse=True)
 
 
-def compute_degrees(graph: Graph, s_set: set[int], ext_set: set[int]) -> DegreeView:
-    """Compute SS/ES/SE degrees in one pass over adjacency lists.
-
-    SE- and ES-degrees are two views of the same crossing edges, so a
-    single scan over ext adjacency increments both sides (paper T2).
-    """
-    view = DegreeView()
-    for v in s_set:
-        view.in_s_of_s[v] = 0
-        view.in_ext_of_s[v] = 0
-    for v in s_set:
-        count_s = 0
-        for u in graph.neighbors(v):
-            if u in s_set:
-                count_s += 1
-        view.in_s_of_s[v] = count_s
-    for u in ext_set:
-        count_s = 0
-        for w in graph.neighbors(u):
-            if w in s_set:
-                count_s += 1
-                view.in_ext_of_s[w] += 1
-        view.in_s_of_ext[u] = count_s
-    return view
-
-
-def compute_ee_degrees(graph: Graph, ext_set: set[int], view: DegreeView) -> dict[int, int]:
-    """EE-degrees d_ext(u), computed lazily before the Type I pass."""
-    ee = {u: graph.degree_in(u, ext_set) for u in ext_set}
-    view.in_ext_of_ext = ee
-    return ee
-
-
 def compute_degrees_masked(domain: TaskDomain, s_mask: int, ext_mask: int) -> DegreeView:
-    """Mask-native SS/ES/SE degrees: one popcount per (vertex, family).
+    """SS/ES/SE degrees: one popcount per (vertex, family).
 
-    The returned view is keyed by *local* domain IDs; it is otherwise
-    interchangeable with :func:`compute_degrees` output — same dict
-    shapes, same aggregate methods — so `repro.core.bounds` and the
-    pruning rules consume either.
+    SE- and ES-degrees are two views of the same crossing edges (paper
+    T2). The returned view is keyed by *local* domain IDs.
     """
     adj = domain.adj
     view = DegreeView()
@@ -129,7 +88,7 @@ def compute_degrees_masked(domain: TaskDomain, s_mask: int, ext_mask: int) -> De
 def compute_ee_degrees_masked(
     domain: TaskDomain, ext_mask: int, view: DegreeView
 ) -> dict[int, int]:
-    """Lazy EE-degrees over a domain, one popcount per ext vertex."""
+    """EE-degrees d_ext(u), computed lazily before the Type I pass."""
     adj = domain.adj
     ee = {u: (adj[u] & ext_mask).bit_count() for u in bits(ext_mask)}
     view.in_ext_of_ext = ee

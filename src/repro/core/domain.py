@@ -17,8 +17,7 @@ operations::
     Γ_ext(v)      = adj[v] & ext_mask                  # one AND
     ext \\ pruned  = ext_mask & ~removed                # one ANDNOT
 
-which replaces the per-element dict/set loops of the classic
-representation (`repro.core.degrees.compute_degrees`). The local→global
+where a dict/set representation would loop per element. The local→global
 table ``verts`` is carried once per domain, so a pickled domain is a
 tuple of ints — far smaller than a ``Graph`` (which pickles a neighbor
 list *and* a neighbor set per vertex), which is what the process-pool

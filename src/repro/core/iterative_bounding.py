@@ -7,29 +7,19 @@ ext(S) (Theorems 3, 5, 7). Each Type I removal changes degrees and may
 enable further pruning, so the loop repeats until ext(S) empties or a
 full pass removes nothing.
 
-Returns True iff the *extensions* of S are pruned; when that happens
+Reports whether the *extensions* of S are pruned; when that happens
 and G(S) itself remains a viable candidate, S is checked and emitted
-here (the paper's fix over Quick). Both ``s_list`` and ``ext_list`` are
-mutated in place: critical moves grow S, Type I pruning shrinks ext —
-the caller continues with the mutated state, matching the reference-
-passing semantics of the paper's pseudocode.
-
-:func:`iterative_bounding_masked` is the bitset twin running on a
-:class:`repro.core.domain.TaskDomain`; masks are immutable ints, so it
-returns the updated ⟨S, ext⟩ instead of mutating arguments.
+here (the paper's fix over Quick). Critical moves grow S and Type I
+pruning shrinks ext; ⟨S, ext(S)⟩ are bitmasks over a
+:class:`repro.core.domain.TaskDomain` — immutable ints — so the updated
+state is returned for the caller to continue with, where the paper's
+pseudocode mutates its reference arguments.
 """
 
 from __future__ import annotations
 
-from ..graph.adjacency import Graph
 from .bounds import lower_bound, upper_bound
-from .degrees import (
-    DegreeView,
-    compute_degrees,
-    compute_degrees_masked,
-    compute_ee_degrees,
-    compute_ee_degrees_masked,
-)
+from .degrees import DegreeView, compute_degrees_masked, compute_ee_degrees_masked
 from .domain import TaskDomain, bits, is_quasi_clique_masked
 from .options import MiningJob
 from .pruning import (
@@ -42,7 +32,6 @@ from .pruning import (
     type2_lower_prunable,
     type2_upper_prunable,
 )
-from .quasiclique import is_quasi_clique
 
 # Sentinel actions from the bound computation.
 _OK = "ok"
@@ -50,17 +39,8 @@ _PRUNE_SILENT = "prune_silent"  # S and extensions die, no candidate check
 _PRUNE_CHECK_S = "prune_check_s"  # extensions die, G(S) still a candidate
 
 
-def check_and_emit(job: MiningJob, s_list: list[int]) -> bool:
-    """Emit S as a candidate iff |S| ≥ τ_size and G(S) is a γ-quasi-clique."""
-    if len(s_list) >= job.min_size and is_quasi_clique(job.graph, s_list, job.gamma):
-        job.sink.emit(s_list)
-        job.stats.candidates_emitted += 1
-        return True
-    return False
-
-
 def check_and_emit_masked(job: MiningJob, domain: TaskDomain, s_mask: int) -> bool:
-    """Mask-native `check_and_emit`: validity via popcounts, emission global."""
+    """Emit S (global IDs) as a candidate iff |S| ≥ τ_size and G(S) is a γ-quasi-clique."""
     if s_mask.bit_count() >= job.min_size and is_quasi_clique_masked(
         domain, s_mask, job.gamma
     ):
@@ -96,130 +76,16 @@ def _compute_bounds(
     return u_s, l_s, _OK
 
 
-def iterative_bounding(job: MiningJob, s_list: list[int], ext_list: list[int]) -> bool:
-    """Paper Algorithm 1. True iff extending S (beyond S itself) is pruned."""
-    if not s_list:
-        raise ValueError("iterative_bounding requires a non-empty S")
-    graph: Graph = job.graph
-    gamma = job.gamma
-    opts = job.options
-    stats = job.stats
-
-    while True:
-        stats.bounding_rounds += 1
-        s_set = set(s_list)
-        ext_set = set(ext_list)
-        stats.mining_ops += len(s_set) + len(ext_set)
-        view = compute_degrees(graph, s_set, ext_set)
-        u_s, l_s, action = _compute_bounds(job, len(s_set), view)
-        if action == _PRUNE_SILENT:
-            stats.type2_pruned += 1
-            return True
-        if action == _PRUNE_CHECK_S:
-            stats.type2_pruned += 1
-            check_and_emit(job, s_list)
-            return True
-
-        # -- Part 1: critical-vertex move (Theorem 9) -------------------
-        if opts.critical_vertex_enabled() and l_s is not None:
-            critical = find_critical_vertex(gamma, len(s_set), view, l_s)
-            if critical is not None:
-                # The paper's fix over Quick: G(S) may be maximal even
-                # though the forced expansion fails, so check S first.
-                if opts.check_before_critical_expand:
-                    check_and_emit(job, s_list)
-                moved = graph.neighbors_in(critical, ext_set)
-                s_list.extend(moved)
-                moved_set = set(moved)
-                ext_list[:] = [u for u in ext_list if u not in moved_set]
-                stats.critical_moves += 1
-                if not ext_list:
-                    break  # paper: skip straight to the ext-empty epilogue
-                s_set = set(s_list)
-                ext_set = set(ext_list)
-                view = compute_degrees(graph, s_set, ext_set)
-                u_s, l_s, action = _compute_bounds(job, len(s_set), view)
-                if action == _PRUNE_SILENT:
-                    stats.type2_pruned += 1
-                    return True
-                if action == _PRUNE_CHECK_S:
-                    stats.type2_pruned += 1
-                    check_and_emit(job, s_list)
-                    return True
-
-        # -- Part 2: Type II battery over S ------------------------------
-        ext_only_fired = False
-        for v in s_list:
-            d_s_v = view.in_s_of_s[v]
-            d_ext_v = view.in_ext_of_s[v]
-            if opts.use_degree_prune:
-                outcome = type2_degree_check(gamma, len(s_set), d_s_v, d_ext_v)
-                if outcome is Type2Outcome.ALL:
-                    stats.type2_pruned += 1
-                    return True
-                if outcome is Type2Outcome.EXT_ONLY:
-                    ext_only_fired = True
-            if (
-                opts.use_upper_bound
-                and u_s is not None
-                and type2_upper_prunable(gamma, len(s_set), d_s_v, u_s)
-            ):
-                stats.type2_pruned += 1
-                return True
-            if (
-                opts.use_lower_bound
-                and l_s is not None
-                and type2_lower_prunable(gamma, len(s_set), d_s_v, d_ext_v, l_s)
-            ):
-                stats.type2_pruned += 1
-                return True
-        if ext_only_fired:
-            # Theorem 4 Condition (i): extensions die but G(S) survives.
-            stats.type2_pruned += 1
-            check_and_emit(job, s_list)
-            return True
-
-        # -- Part 3: Type I battery over ext(S) --------------------------
-        ee = compute_ee_degrees(graph, ext_set, view)
-        stats.mining_ops += len(ext_set)
-        removed: set[int] = set()
-        for u in ext_list:
-            d_s_u = view.in_s_of_ext[u]
-            d_ext_u = ee[u]
-            prune = (
-                opts.use_degree_prune
-                and type1_degree_prunable(gamma, len(s_set), d_s_u, d_ext_u)
-            )
-            if not prune and opts.use_upper_bound and u_s is not None:
-                prune = type1_upper_prunable(gamma, len(s_set), d_s_u, u_s)
-            if not prune and opts.use_lower_bound and l_s is not None:
-                prune = type1_lower_prunable(gamma, len(s_set), d_s_u, d_ext_u, l_s)
-            if prune:
-                removed.add(u)
-        if removed:
-            stats.type1_pruned += len(removed)
-            ext_list[:] = [u for u in ext_list if u not in removed]
-        if not ext_list:
-            break  # C1: nothing left to extend with
-        if not removed:
-            return False  # C2: ext stable and non-empty — caller recurses
-
-    # ext(S) = ∅ — only G(S) itself remains a candidate.
-    check_and_emit(job, s_list)
-    return True
-
-
 def iterative_bounding_masked(
     job: MiningJob, domain: TaskDomain, s_mask: int, ext_mask: int
 ) -> tuple[bool, int, int]:
-    """Mask-native Algorithm 1 over a :class:`TaskDomain`.
+    """Paper Algorithm 1 over a :class:`TaskDomain`.
 
-    Same control flow as :func:`iterative_bounding`, but ⟨S, ext(S)⟩
-    are bitmasks: degree snapshots are popcounts, the critical-vertex
-    bulk move is `adj[v] & ext_mask`, and a Type I pass removes its
-    victims with one AND-NOT. Masks are values, not in-place lists, so
-    the (possibly grown/shrunk) state is returned:
-    ``(extensions_pruned, s_mask, ext_mask)``.
+    Degree snapshots are popcounts, the critical-vertex bulk move is
+    `adj[v] & ext_mask`, and a Type I pass removes its victims with one
+    AND-NOT. Returns ``(extensions_pruned, s_mask, ext_mask)`` — the
+    first is True iff extending S (beyond S itself) is pruned, the
+    masks are the (possibly grown/shrunk) state.
     """
     if not s_mask:
         raise ValueError("iterative_bounding requires a non-empty S")
@@ -246,6 +112,8 @@ def iterative_bounding_masked(
         if opts.critical_vertex_enabled() and l_s is not None:
             critical = find_critical_vertex(gamma, s_size, view, l_s)
             if critical is not None:
+                # The paper's fix over Quick: G(S) may be maximal even
+                # though the forced expansion fails, so check S first.
                 if opts.check_before_critical_expand:
                     check_and_emit_masked(job, domain, s_mask)
                 moved = adj[critical] & ext_mask

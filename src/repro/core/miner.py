@@ -23,11 +23,11 @@ from ..graph.kcore import k_core
 from ..graph.subgraph import candidate_extension, spawn_subgraph
 from ..graph.traversal import two_hop_neighbors
 from .domain import TaskDomain
-from .iterative_bounding import check_and_emit
+from .iterative_bounding import check_and_emit_masked
 from .options import DEFAULT_OPTIONS, MinerOptions, MiningJob, MiningStats, ResultSink
 from .postprocess import postprocess_results
 from .quasiclique import kcore_threshold
-from .recursive_mine import recursive_mine, recursive_mine_masked
+from .recursive_mine import recursive_mine_masked
 
 
 @dataclass
@@ -55,24 +55,18 @@ def mine_root(
     emitted when valid and nothing larger superseded it — relevant only
     for min_size ≤ 1, mirroring how Algorithm 2's caller owns S.
 
-    With ``options.use_bitset_domain`` (the default) the subtree is
-    mined on a compact bitmask domain over {root} ∪ ext — sound because
-    a task never looks outside S ∪ ext(S), and a 2-hop connection
-    through a vertex outside the task's scope can never serve a
-    quasi-clique confined to that scope.
+    The subtree is mined on a compact bitmask domain over
+    {root} ∪ ext — sound because a task never looks outside S ∪ ext(S),
+    and a 2-hop connection through a vertex outside the task's scope
+    can never serve a quasi-clique confined to that scope.
     """
+    domain = TaskDomain.from_graph(job.graph, [root, *ext])
+    root_bit = 1 << domain.index[root]
     found = False
     if ext:
-        if job.options.use_bitset_domain:
-            domain = TaskDomain.from_graph(job.graph, [root, *ext])
-            root_bit = 1 << domain.index[root]
-            found = recursive_mine_masked(
-                job, domain, root_bit, domain.full_mask ^ root_bit
-            )
-        else:
-            found = recursive_mine(job, [root], ext)
+        found = recursive_mine_masked(job, domain, root_bit, domain.full_mask ^ root_bit)
     if not found and job.min_size <= 1:
-        found = check_and_emit(job, [root])
+        found = check_and_emit_masked(job, domain, root_bit)
     return found
 
 

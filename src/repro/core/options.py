@@ -29,11 +29,6 @@ class MinerOptions:
     # both reproduces Quick's documented result misses (Section 4).
     check_before_critical_expand: bool = True
     check_empty_ext_candidate: bool = True
-    #: Run the hot path on compact-ID bitmask domains
-    #: (:mod:`repro.core.domain`) instead of dict/set degree scans.
-    #: Result-equivalent (same maximal quasi-cliques); off = the classic
-    #: representation, kept as the measurable baseline.
-    use_bitset_domain: bool = True
 
     def critical_vertex_enabled(self) -> bool:
         """P6 consumes L_S, so it silently degrades when P5 is off."""
@@ -43,21 +38,13 @@ class MinerOptions:
 #: Full paper algorithm.
 DEFAULT_OPTIONS = MinerOptions()
 
-#: Full paper algorithm on the classic dict/set representation — the
-#: baseline arm of the bitset-domain benchmarks and parity tests.
-SET_PATH_OPTIONS = MinerOptions(use_bitset_domain=False)
-
 #: The original Quick algorithm as characterized by the paper: no k-core
 #: preprocessing (T1 notes Quick "somehow does not use this rule") and
 #: missing the two candidate checks that cause it to miss results.
-#: Pinned to the classic dict/set representation — Quick's documented
-#: misses are traversal-order-dependent, and the baseline reproduces the
-#: *original* code's walk, not the bitset-domain pivot order.
 QUICK_OPTIONS = MinerOptions(
     kcore_preprocess=False,
     check_before_critical_expand=False,
     check_empty_ext_candidate=False,
-    use_bitset_domain=False,
 )
 
 

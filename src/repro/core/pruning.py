@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..graph.adjacency import Graph
 from .degrees import DegreeView
 from .domain import TaskDomain, bits
 from .quasiclique import ceil_gamma
@@ -105,58 +104,8 @@ def find_critical_vertex(
 
 
 @dataclass
-class CoverVertex:
-    """The selected cover vertex and its covered ext subset (Eq. 9)."""
-
-    vertex: int
-    covered: set[int]
-
-
-def cover_set(
-    graph: Graph, s_set: set[int], ext_set: set[int], gamma: float, view: DegreeView
-) -> CoverVertex | None:
-    """Best cover vertex u ∈ ext maximizing |C_S(u)| (Eq. 9).
-
-    C_S(u) = Γ_ext(u) ∩ ⋂_{v∈S, v∉Γ(u)} Γ(v). Applicable only when
-    d_S(u) ≥ ceil(γ|S|) and every S-vertex non-adjacent to u also has
-    d_S(v) ≥ ceil(γ|S|); otherwise Theorems 3/4 subsume the pruning.
-    Any quasi-clique built from S ∪ (subset of C_S(u)) stays valid when
-    u joins, hence is non-maximal and its subtree can be skipped.
-    """
-    if not ext_set:
-        return None
-    threshold = ceil_gamma(gamma, len(s_set))
-    best: CoverVertex | None = None
-    best_size = 0
-    for u in ext_set:
-        if view.in_s_of_ext.get(u, 0) < threshold:
-            continue
-        gamma_ext_u = [w for w in graph.neighbors(u) if w in ext_set]
-        # Paper's short-circuit: |Γ_ext(u)| already below the best found.
-        if len(gamma_ext_u) <= best_size:
-            continue
-        u_nbrs = graph.neighbor_set(u)
-        covered = set(gamma_ext_u)
-        applicable = True
-        for v in s_set:
-            if v in u_nbrs:
-                continue
-            if view.in_s_of_s[v] < threshold:
-                applicable = False
-                break
-            covered &= graph.neighbor_set(v)
-            if len(covered) <= best_size:
-                break
-        if not applicable or len(covered) <= best_size:
-            continue
-        best = CoverVertex(vertex=u, covered=covered)
-        best_size = len(covered)
-    return best
-
-
-@dataclass
 class CoverVertexMask:
-    """Mask-native cover selection: local vertex + covered ext mask (Eq. 9)."""
+    """The selected cover vertex (local ID) and its covered ext mask (Eq. 9)."""
 
     vertex: int
     covered_mask: int
@@ -165,13 +114,15 @@ class CoverVertexMask:
 def cover_set_masked(
     domain: TaskDomain, s_mask: int, ext_mask: int, gamma: float, view: DegreeView
 ) -> CoverVertexMask | None:
-    """Best cover vertex over a bitmask domain (Eq. 9).
+    """Best cover vertex u ∈ ext maximizing |C_S(u)| (Eq. 9).
 
-    Same rule as :func:`cover_set` with set algebra replaced by word
-    operations: Γ_ext(u) is one AND, each ⋂ Γ(v) step one more. The
-    tie-break differs only in iteration order (ascending local ID vs
-    set order), which affects which of several equally-large cover sets
-    wins — never whether one is found, nor its size.
+    C_S(u) = Γ_ext(u) ∩ ⋂_{v∈S, v∉Γ(u)} Γ(v). Applicable only when
+    d_S(u) ≥ ceil(γ|S|) and every S-vertex non-adjacent to u also has
+    d_S(v) ≥ ceil(γ|S|); otherwise Theorems 3/4 subsume the pruning.
+    Any quasi-clique built from S ∪ (subset of C_S(u)) stays valid when
+    u joins, hence is non-maximal and its subtree can be skipped.
+    Γ_ext(u) is one AND, each ⋂ Γ(v) step one more; ties between
+    equally large cover sets go to the lowest local ID.
     """
     if not ext_mask:
         return None
@@ -183,6 +134,7 @@ def cover_set_masked(
         if view.in_s_of_ext.get(u, 0) < threshold:
             continue
         gamma_ext_u = adj[u] & ext_mask
+        # Paper's short-circuit: |Γ_ext(u)| already below the best found.
         if gamma_ext_u.bit_count() <= best_size:
             continue
         covered = gamma_ext_u
@@ -204,24 +156,6 @@ def cover_set_masked(
 # -- P1: diameter pruning ----------------------------------------------------
 
 
-def diameter_filter(graph: Graph, anchor: int, candidates: list[int]) -> list[int]:
-    """Theorem 1 increment: keep candidates within 2 hops of `anchor`.
-
-    Candidate order is preserved — the caller relies on list order for
-    the set-enumeration walk and the cover-set tail placement.
-    """
-    anchor_nbrs = graph.neighbor_set(anchor)
-    two_hop: set[int] = set()
-    for w in anchor_nbrs:
-        two_hop |= graph.neighbor_set(w)
-    return [u for u in candidates if u in anchor_nbrs or u in two_hop]
-
-
 def diameter_filter_masked(domain: TaskDomain, anchor: int, cand_mask: int) -> int:
-    """Theorem 1 increment over a bitmask domain: two ORs and one AND.
-
-    Masks have no element order to preserve — the set-enumeration walk
-    over a mask always pivots in ascending local-ID order, and the
-    cover tail is excluded by mask, not by list position.
-    """
+    """Theorem 1 increment: keep candidates within 2 hops of `anchor`."""
     return cand_mask & domain.two_hop_mask(anchor)

@@ -10,8 +10,8 @@ same corrected machinery, so users get both modes from one library.
 
 Correctness note: a quasi-clique containing the query set Q lives
 entirely inside ⋂_{q∈Q} B̄(q) (each member is within 2 hops of every
-query vertex, γ ≥ 0.5), so the search runs `recursive_mine` with
-S = Q and ext = that intersection. Maximality is judged among the
+query vertex, γ ≥ 0.5), so the search runs the set-enumeration walk
+with S = Q and ext = that intersection. Maximality is judged among the
 returned family — every maximal quasi-clique ⊇ Q is found (the search
 space is complete for supersets of Q), so subset-filtering is exact,
 mirroring the global miner's postprocessing argument.
@@ -23,11 +23,12 @@ from collections.abc import Iterable
 
 from ..graph.adjacency import Graph
 from ..graph.traversal import two_hop_neighbors
-from .iterative_bounding import check_and_emit
+from .domain import TaskDomain
+from .iterative_bounding import check_and_emit_masked
 from .miner import MiningResult
 from .options import DEFAULT_OPTIONS, MinerOptions, MiningJob, MiningStats, ResultSink
 from .postprocess import postprocess_results
-from .recursive_mine import recursive_mine
+from .recursive_mine import recursive_mine_masked
 
 
 def query_candidates(graph: Graph, query: set[int]) -> set[int]:
@@ -70,13 +71,14 @@ def mine_containing(
         options=options,
         stats=stats,
     )
-    ext = sorted(query_candidates(graph, query_set))
-    s_list = sorted(query_set)
+    ext = query_candidates(graph, query_set)
+    domain = TaskDomain.from_graph(graph, query_set | ext)
+    s_mask = domain.mask_of_globals(query_set)
     found = False
     if ext:
-        found = recursive_mine(job, list(s_list), ext)
-    if not found and len(query_set) >= min_size:
-        check_and_emit(job, list(s_list))
+        found = recursive_mine_masked(job, domain, s_mask, domain.full_mask ^ s_mask)
+    if not found:
+        check_and_emit_masked(job, domain, s_mask)
 
     # Candidates may include sets missing part of the query: the
     # critical-vertex move never removes S-members, but the lookahead /

@@ -7,12 +7,12 @@ ext(S′) — (b) and (c) make Quick *miss results*. This module reuses the
 shared machinery with those behaviors switched off, so benchmark
 comparisons isolate exactly the paper's claimed deltas.
 
-The baseline also stays on the classic dict/set hot path
-(``use_bitset_domain=False``): which results Quick misses depends on
-its traversal order, and the bitset domain pivots in ascending
-compact-ID order rather than Quick's cover-tail list order. The
-corrected algorithm is order-insensitive (it finds *all* maximal
-results either way), so it runs on the bitset default.
+The baseline runs on the same set-enumeration walk as the corrected
+algorithm. *Which* results it misses depends on the walk's pivot order
+(ascending compact ID), and because a missed maximal set leaves its
+valid subsets unsuperseded, Quick's output is not a subset of the true
+maximal family: the invariant is only that every output is a valid
+γ-quasi-clique contained in some truly maximal one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def mine_quick_with_kcore(graph: Graph, gamma: float, min_size: int) -> MiningRe
         kcore_preprocess=True,
         check_before_critical_expand=False,
         check_empty_ext_candidate=False,
-        use_bitset_domain=False,
     )
     return mine_maximal_quasicliques(graph, gamma, min_size, options=opts, mode="global")
 

@@ -14,15 +14,13 @@ from .chaos import FaultInjection
 from .clock import AlwaysExpired, NeverExpires, OpBudget, WallClockBudget, make_budget
 from .cluster import ClusterMaster, ClusterWorker, mine_cluster, run_cluster_app
 from .config import EngineConfig
-from .decompose import size_threshold_split, time_delayed_mine
 from .engine import GThinkerEngine, MiningRunResult, mine_parallel
 from .engine_mp import MultiprocessEngine, mine_multiprocess
+from .runtime import Lease, TaskLeaseTable
 from .scheduler import (
-    Lease,
     MachineState,
     QuantumResult,
     SchedulerCore,
-    TaskLeaseTable,
     ThreadSlot,
     build_machines,
     collect_machine_metrics,
@@ -106,6 +104,4 @@ __all__ = [
     "mine_parallel",
     "owner_of",
     "plan_steals",
-    "size_threshold_split",
-    "time_delayed_mine",
 ]

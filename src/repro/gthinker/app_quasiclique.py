@@ -19,20 +19,12 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.domain import TaskDomain
-from ..core.iterative_bounding import check_and_emit, check_and_emit_masked
+from ..core.iterative_bounding import check_and_emit_masked
 from ..core.options import MinerOptions, MiningJob, MiningStats, ResultSink, DEFAULT_OPTIONS
 from ..core.quasiclique import kcore_threshold
-from ..core.recursive_mine import recursive_mine, recursive_mine_masked
-from ..graph.adjacency import Graph
 from ..graph.kcore import peel_adjacency
 from .app_protocol import ComputeContext, gthinker_app
-from .clock import make_budget
-from .decompose import (
-    size_threshold_split,
-    size_threshold_split_masked,
-    time_delayed_mine,
-    time_delayed_mine_masked,
-)
+from .decompose import decomposition_budget, time_delayed_mine_masked
 from .metrics import TaskRecord
 from .task import ComputeOutcome, Task
 
@@ -138,18 +130,9 @@ class QuasiCliqueApp:
         cost += sum(len(nbrs) for nbrs in building.values())
         if v not in building:
             return ComputeOutcome(finished=True, cost_ops=cost)
-        if self.options.use_bitset_domain:
-            # Compact bitmask domain: the pickled task ships two tuples
-            # of ints instead of a dict-of-lists + dict-of-sets Graph.
-            task.domain = TaskDomain.from_adjacency(building)
-        else:
-            graph = Graph()
-            for u in building:
-                graph.add_vertex(u)
-            for u, nbrs in building.items():
-                for w in nbrs:
-                    graph.add_edge(u, w)
-            task.graph = graph
+        # Compact bitmask domain: the pickled task ships two tuples of
+        # ints instead of a dict-of-lists + dict-of-sets Graph.
+        task.domain = TaskDomain.from_adjacency(building)
         task.building = None
         task.one_hop = None
         task.pulls = []
@@ -163,11 +146,10 @@ class QuasiCliqueApp:
     def _iteration_3(self, task: Task, ctx: ComputeContext) -> ComputeOutcome:
         config = ctx.config
         domain = task.domain
-        graph = task.graph
-        assert domain is not None or graph is not None
+        assert domain is not None
         stats = MiningStats()
         job = MiningJob(
-            graph=domain if domain is not None else graph,
+            graph=domain,
             gamma=self.gamma,
             min_size=self.min_size,
             sink=self.sink,
@@ -178,28 +160,7 @@ class QuasiCliqueApp:
         materialize_seconds = 0.0
         materialize_ops = 0
 
-        def spawn_subtask(s_prime: list[int], ext_prime: list[int]) -> None:
-            nonlocal materialize_seconds, materialize_ops
-            t0 = time.perf_counter()
-            members = set(s_prime) | set(ext_prime)
-            sub = graph.subgraph(members)
-            cost = sub.num_vertices + sub.num_edges
-            materialize_seconds += time.perf_counter() - t0
-            materialize_ops += cost
-            stats.mining_ops += cost
-            new_tasks.append(
-                Task(
-                    task_id=ctx.next_task_id(),
-                    root=task.root,
-                    iteration=3,
-                    s=list(s_prime),
-                    ext=list(ext_prime),
-                    graph=sub,
-                    generation=task.generation + 1,
-                )
-            )
-
-        def spawn_subtask_masked(s_mask: int, ext_mask: int) -> None:
+        def spawn_subtask(s_mask: int, ext_mask: int) -> None:
             nonlocal materialize_seconds, materialize_ops
             t0 = time.perf_counter()
             sub = domain.restrict(s_mask | ext_mask)
@@ -220,53 +181,26 @@ class QuasiCliqueApp:
             )
 
         t_start = time.perf_counter()
-        if domain is not None:
-            s_mask = domain.mask_of_globals(task.s)
-            ext_mask = domain.mask_of_globals(task.ext)
-            if not ext_mask:
-                # Nothing to extend with; the subgraph collapsed to S.
-                if len(task.s) > 1 or self.min_size <= 1:
-                    check_and_emit_masked(job, domain, s_mask)
-            elif config.decompose == "none":
-                recursive_mine_masked(job, domain, s_mask, ext_mask)
-            elif config.decompose == "size":
-                if len(task.ext) <= config.tau_split:
-                    recursive_mine_masked(job, domain, s_mask, ext_mask)
-                else:
-                    size_threshold_split_masked(
-                        job, domain, s_mask, ext_mask, spawn_subtask_masked
-                    )
-            else:  # 'timed' (Algorithm 9/10)
-                budget = make_budget(config.time_unit, config.tau_time, stats)
-                time_delayed_mine_masked(
-                    job, domain, s_mask, ext_mask, budget, spawn_subtask_masked
-                )
-        elif not task.ext:
+        s_mask = domain.mask_of_globals(task.s)
+        ext_mask = domain.mask_of_globals(task.ext)
+        if not ext_mask:
             # Nothing to extend with; the subgraph collapsed to S.
             if len(task.s) > 1 or self.min_size <= 1:
-                check_and_emit(job, list(task.s))
-        elif config.decompose == "none":
-            recursive_mine(job, list(task.s), list(task.ext))
-        elif config.decompose == "size":
-            if len(task.ext) <= config.tau_split:
-                recursive_mine(job, list(task.s), list(task.ext))
-            else:
-                size_threshold_split(job, list(task.s), list(task.ext), spawn_subtask)
-        else:  # 'timed' (Algorithm 9/10)
-            budget = make_budget(config.time_unit, config.tau_time, stats)
-            time_delayed_mine(job, list(task.s), list(task.ext), budget, spawn_subtask)
+                check_and_emit_masked(job, domain, s_mask)
+        else:
+            budget = decomposition_budget(config, stats, len(task.ext))
+            time_delayed_mine_masked(job, domain, s_mask, ext_mask, budget, spawn_subtask)
         elapsed = time.perf_counter() - t_start
 
         self.stats.merge(stats)
         if ctx.record is not None:
-            sub_source = domain if domain is not None else graph
             ctx.record(
                 TaskRecord(
                     task_id=task.task_id,
                     root=task.root,
                     generation=task.generation,
-                    subgraph_vertices=sub_source.num_vertices,
-                    subgraph_edges=sub_source.num_edges,
+                    subgraph_vertices=domain.num_vertices,
+                    subgraph_edges=domain.num_edges,
                     mining_seconds=max(0.0, elapsed - materialize_seconds),
                     mining_ops=stats.mining_ops - materialize_ops,
                     materialize_seconds=materialize_seconds,

@@ -13,15 +13,9 @@ needs.
 from __future__ import annotations
 
 import time
-from typing import Protocol
 
 from ..core.options import MiningStats
-
-
-class Budget(Protocol):
-    """A τ_time budget consulted by time-delayed decomposition."""
-
-    def expired(self) -> bool: ...
+from ..core.recursive_mine import Budget, NeverExpires
 
 
 class WallClockBudget:
@@ -53,17 +47,8 @@ class OpBudget:
         return self._stats.mining_ops > self._limit
 
 
-class NeverExpires:
-    """Budget for decompose='none': tasks always mine to completion."""
-
-    __slots__ = ()
-
-    def expired(self) -> bool:
-        return False
-
-
 class AlwaysExpired:
-    """Budget that splits at every opportunity (stress-testing aid)."""
+    """Budget that splits at every opportunity: Algorithm 8's one-level split."""
 
     __slots__ = ()
 

@@ -1,262 +1,35 @@
-"""Task decomposition strategies (paper Algorithms 8 and 10).
+"""Task decomposition policy (paper Algorithms 8 and 10).
 
-Two ways to split a big mining task into subtasks:
-
-* **Size-threshold** (Algorithm 8) — if |ext(S)| > τ_split, do not mine:
-  walk one level of the set-enumeration tree and wrap every surviving
-  child ⟨S′, ext(S′)⟩ as a new iteration-3 task. Recursive splitting of
-  the children continues when they are scheduled. The paper shows this
-  under-partitions some tasks and over-partitions others.
-* **Time-delayed** (Algorithm 10, the paper's headline technique) — mine
-  by ordinary backtracking until a τ_time budget expires, then wrap the
-  *remaining* search-tree nodes as subtasks on the way out. Cheap tasks
-  finish before the timeout and never pay decomposition overhead;
-  expensive tasks are split exactly where the time went (Figure 9).
-
-Both emit candidates that may be non-maximal — the parent loses sight
-of a wrapped subtask's results, so G(S′) is checked eagerly (Alg. 8
-line 15 / Alg. 10 lines 23–24) and postprocessing prunes the excess.
-
-Each strategy exists in two result-equivalent forms: the classic
-list/dict walk and a ``_masked`` twin over a bitmask
-:class:`~repro.core.domain.TaskDomain`, whose spawn callback receives
-⟨s_mask, ext_mask⟩ so subtasks ship re-compacted domains.
+The set-enumeration walk exists once, in
+:mod:`repro.core.recursive_mine`; how a task is split is decided solely
+by the :class:`~repro.gthinker.clock.Budget` the walk is handed.
+:func:`decomposition_budget` maps the engine's `decompose` setting to
+that budget. The walk is bound here as ``time_delayed_mine_masked`` —
+with a budget that can expire it *is* Algorithm 10.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from ..core.options import MiningStats
+from ..core.recursive_mine import recursive_mine_masked as time_delayed_mine_masked
+from .clock import AlwaysExpired, Budget, NeverExpires, make_budget
+from .config import EngineConfig
 
-from ..core.domain import TaskDomain, is_quasi_clique_masked
-from ..core.iterative_bounding import (
-    check_and_emit,
-    check_and_emit_masked,
-    iterative_bounding,
-    iterative_bounding_masked,
-)
-from ..core.options import MiningJob
-from ..core.pruning import diameter_filter, diameter_filter_masked
-from ..core.quasiclique import is_quasi_clique
-from ..core.recursive_mine import (
-    order_with_cover_tail,
-    select_cover_tail,
-    select_cover_tail_masked,
-)
-from .clock import Budget
-
-#: Callback materializing ⟨S′, ext(S′)⟩ into a new iteration-3 task.
-SpawnSubtask = Callable[[list[int], list[int]], None]
-
-#: Mask-native spawn callback: ⟨s_mask, ext_mask⟩ in the parent domain's
-#: local IDs — the receiver restricts the domain to s|ext and re-compacts.
-SpawnSubtaskMask = Callable[[int, int], None]
+__all__ = ["decomposition_budget", "time_delayed_mine_masked"]
 
 
-def size_threshold_split(
-    job: MiningJob, s_list: list[int], ext_list: list[int], spawn_subtask: SpawnSubtask
-) -> None:
-    """Paper Algorithm 8, lines 3–23: one-level split of a big task."""
-    graph = job.graph
-    gamma = job.gamma
-    min_size = job.min_size
-    opts = job.options
-    job.stats.nodes_expanded += 1
-    job.stats.mining_ops += 1 + len(ext_list)
+def decomposition_budget(config: EngineConfig, stats: MiningStats, ext_size: int) -> Budget:
+    """The budget one iteration-3 task mines under.
 
-    order, num_pivots = order_with_cover_tail(
-        ext_list, select_cover_tail(job, s_list, ext_list)
-    )
-    for i in range(num_pivots):
-        v = order[i]
-        remaining = order[i:]
-        if len(s_list) + len(remaining) < min_size:
-            return
-        if opts.use_lookahead and is_quasi_clique(graph, set(s_list) | set(remaining), gamma):
-            job.sink.emit(s_list + remaining)
-            job.stats.candidates_emitted += 1
-            job.stats.lookahead_hits += 1
-            return
-        s_prime = s_list + [v]
-        ext_base = order[i + 1 :]
-        if opts.use_diameter_prune:
-            ext_prime = diameter_filter(graph, v, ext_base)
-        else:
-            ext_prime = list(ext_base)
-        # Alg. 8 line 15: the parent will never see the subtask's
-        # results, so G(S′) must be checked for validity right now.
-        check_and_emit(job, s_prime)
-        if not ext_prime:
-            continue
-        pruned = iterative_bounding(job, s_prime, ext_prime)
-        if not pruned and len(s_prime) + len(ext_prime) >= min_size:
-            spawn_subtask(s_prime, ext_prime)
-
-
-def time_delayed_mine(
-    job: MiningJob,
-    s_list: list[int],
-    ext_list: list[int],
-    budget: Budget,
-    spawn_subtask: SpawnSubtask,
-) -> bool:
-    """Paper Algorithm 10: backtracking mining with timeout-driven splits.
-
-    Identical to Algorithm 2's walk until the budget expires; from then
-    on every surviving child becomes a subtask instead of a recursive
-    call. Returns True iff some valid quasi-clique ⊃ S was emitted *by
-    this in-process walk* (wrapped subtasks don't report back, which is
-    why G(S′) is checked eagerly on the timeout path).
+    * ``'none'`` — never expires (Algorithm 2).
+    * ``'size'`` — Algorithm 8: a task with |ext(S)| ≤ τ_split is mined
+      whole; a bigger one is already expired, so the walk stops after
+      one level and wraps every surviving child as a subtask.
+    * ``'timed'`` — Algorithms 9/10: τ_time of wall clock or of the
+      task's own `stats.mining_ops`, per `config.time_unit`.
     """
-    graph = job.graph
-    gamma = job.gamma
-    min_size = job.min_size
-    opts = job.options
-    found = False
-    job.stats.nodes_expanded += 1
-    job.stats.mining_ops += 1 + len(ext_list)
-
-    order, num_pivots = order_with_cover_tail(
-        ext_list, select_cover_tail(job, s_list, ext_list)
-    )
-    for i in range(num_pivots):
-        v = order[i]
-        remaining = order[i:]
-        if len(s_list) + len(remaining) < min_size:
-            return found
-        if opts.use_lookahead and is_quasi_clique(graph, set(s_list) | set(remaining), gamma):
-            job.sink.emit(s_list + remaining)
-            job.stats.candidates_emitted += 1
-            job.stats.lookahead_hits += 1
-            return True
-
-        s_prime = s_list + [v]
-        ext_base = order[i + 1 :]
-        if opts.use_diameter_prune:
-            ext_prime = diameter_filter(graph, v, ext_base)
-        else:
-            ext_prime = list(ext_base)
-
-        if not ext_prime:
-            if opts.check_empty_ext_candidate and check_and_emit(job, s_prime):
-                found = True
-            continue
-
-        pruned = iterative_bounding(job, s_prime, ext_prime)
-        if budget.expired():
-            # Timeout: wrap the remaining workload of this child as a
-            # task and keep backtracking (Alg. 10 lines 18–24).
-            if not pruned and len(s_prime) + len(ext_prime) >= min_size:
-                spawn_subtask(s_prime, ext_prime)
-                check_and_emit(job, s_prime)
-        elif not pruned and len(s_prime) + len(ext_prime) >= min_size:
-            sub_found = time_delayed_mine(job, s_prime, ext_prime, budget, spawn_subtask)
-            found = found or sub_found
-            if not sub_found and check_and_emit(job, s_prime):
-                found = True
-    return found
-
-
-def size_threshold_split_masked(
-    job: MiningJob,
-    domain: TaskDomain,
-    s_mask: int,
-    ext_mask: int,
-    spawn_subtask: SpawnSubtaskMask,
-) -> None:
-    """Mask-native Algorithm 8: one-level split over a bitmask domain."""
-    gamma = job.gamma
-    min_size = job.min_size
-    opts = job.options
-    job.stats.nodes_expanded += 1
-    job.stats.mining_ops += 1 + ext_mask.bit_count()
-
-    covered = select_cover_tail_masked(job, domain, s_mask, ext_mask)
-    pending = ext_mask & ~covered
-    s_size = s_mask.bit_count()
-    while pending:
-        low = pending & -pending
-        v = low.bit_length() - 1
-        remaining = pending | covered
-        if s_size + remaining.bit_count() < min_size:
-            return
-        if opts.use_lookahead and is_quasi_clique_masked(domain, s_mask | remaining, gamma):
-            job.sink.emit(domain.globals_of(s_mask | remaining))
-            job.stats.candidates_emitted += 1
-            job.stats.lookahead_hits += 1
-            return
-        pending ^= low
-        s_prime = s_mask | low
-        ext_base = pending | covered
-        if opts.use_diameter_prune:
-            ext_prime = diameter_filter_masked(domain, v, ext_base)
-        else:
-            ext_prime = ext_base
-        # Alg. 8 line 15: the parent will never see the subtask's
-        # results, so G(S′) must be checked for validity right now.
-        check_and_emit_masked(job, domain, s_prime)
-        if not ext_prime:
-            continue
-        pruned, s_prime, ext_prime = iterative_bounding_masked(job, domain, s_prime, ext_prime)
-        if not pruned and s_prime.bit_count() + ext_prime.bit_count() >= min_size:
-            spawn_subtask(s_prime, ext_prime)
-
-
-def time_delayed_mine_masked(
-    job: MiningJob,
-    domain: TaskDomain,
-    s_mask: int,
-    ext_mask: int,
-    budget: Budget,
-    spawn_subtask: SpawnSubtaskMask,
-) -> bool:
-    """Mask-native Algorithm 10: timed backtracking with mask-split wraps."""
-    gamma = job.gamma
-    min_size = job.min_size
-    opts = job.options
-    found = False
-    job.stats.nodes_expanded += 1
-    job.stats.mining_ops += 1 + ext_mask.bit_count()
-
-    covered = select_cover_tail_masked(job, domain, s_mask, ext_mask)
-    pending = ext_mask & ~covered
-    s_size = s_mask.bit_count()
-    while pending:
-        low = pending & -pending
-        v = low.bit_length() - 1
-        remaining = pending | covered
-        if s_size + remaining.bit_count() < min_size:
-            return found
-        if opts.use_lookahead and is_quasi_clique_masked(domain, s_mask | remaining, gamma):
-            job.sink.emit(domain.globals_of(s_mask | remaining))
-            job.stats.candidates_emitted += 1
-            job.stats.lookahead_hits += 1
-            return True
-
-        pending ^= low
-        s_prime = s_mask | low
-        ext_base = pending | covered
-        if opts.use_diameter_prune:
-            ext_prime = diameter_filter_masked(domain, v, ext_base)
-        else:
-            ext_prime = ext_base
-
-        if not ext_prime:
-            if opts.check_empty_ext_candidate and check_and_emit_masked(job, domain, s_prime):
-                found = True
-            continue
-
-        pruned, s_prime, ext_prime = iterative_bounding_masked(job, domain, s_prime, ext_prime)
-        if budget.expired():
-            # Timeout: wrap the remaining workload of this child as a
-            # task and keep backtracking (Alg. 10 lines 18–24).
-            if not pruned and s_prime.bit_count() + ext_prime.bit_count() >= min_size:
-                spawn_subtask(s_prime, ext_prime)
-                check_and_emit_masked(job, domain, s_prime)
-        elif not pruned and s_prime.bit_count() + ext_prime.bit_count() >= min_size:
-            sub_found = time_delayed_mine_masked(
-                job, domain, s_prime, ext_prime, budget, spawn_subtask
-            )
-            found = found or sub_found
-            if not sub_found and check_and_emit_masked(job, domain, s_prime):
-                found = True
-    return found
+    if config.decompose == "none":
+        return NeverExpires()
+    if config.decompose == "size":
+        return AlwaysExpired() if ext_size > config.tau_split else NeverExpires()
+    return make_budget(config.time_unit, config.tau_time, stats)

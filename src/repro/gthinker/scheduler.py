@@ -486,11 +486,3 @@ class SchedulerCore:
             )
         return moved
 
-
-# -- fault tolerance: the task-lease table ---------------------------------
-#
-# The lease/retry/quarantine bookkeeping lives in the shared
-# coordination control plane now; these names are re-exported because
-# the task-batch ledger grew up here and the process backend's public
-# surface (``engine.leases``) is a TaskLeaseTable.
-from .runtime.ledger import Lease, TaskLeaseTable, WorkLedger  # noqa: E402,F401

@@ -12,12 +12,12 @@ Tasks must survive disk spilling and (in the real system) network
 shipping for work stealing, so they are plain picklable records.
 
 Iteration-3 mining tasks carry their subgraph as a compact bitmask
-:class:`~repro.core.domain.TaskDomain` by default: two tuples of ints
-(the local→global ID table once per task, plus one adjacency mask per
+:class:`~repro.core.domain.TaskDomain`: two tuples of ints (the
+local→global ID table once per task, plus one adjacency mask per
 vertex), which pickles far smaller than a ``Graph`` — the blobs shipped
 by the process-pool batches and the cluster wire protocol shrink
-accordingly. The ``graph`` field remains for the classic dict/set
-mining path and for apps that need mutable adjacency.
+accordingly. The ``graph`` field remains for apps that need mutable
+adjacency (the maximum-clique app).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.domain import TaskDomain
 from repro.graph.adjacency import Graph
 
 #: γ values used across parameterized tests — all in the paper's γ ≥ 0.5
@@ -21,6 +22,17 @@ def make_random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p
     ]
     return Graph.from_edges(edges, vertices=range(n))
+
+
+def masked(graph: Graph, *vertex_sets):
+    """(domain, mask, ...): `graph` compacted whole, one mask per vertex set.
+
+    The shared graphs here number their vertices 0..n-1, so a domain
+    over the whole graph has local ID == global ID and degree views
+    (keyed by local ID) can be compared to per-vertex expectations.
+    """
+    domain = TaskDomain.from_graph(graph)
+    return (domain, *(domain.mask_of_globals(vs) for vs in vertex_sets))
 
 
 @pytest.fixture

@@ -19,10 +19,10 @@ from repro.core.bounds import (
     upper_bound,
     upper_bound_min,
 )
-from repro.core.degrees import compute_degrees
+from repro.core.degrees import compute_degrees_masked
 from repro.core.quasiclique import is_quasi_clique
 
-from conftest import GAMMAS, make_random_graph
+from conftest import GAMMAS, make_random_graph, masked
 
 
 def achievable_extension_sizes(g, s_set, ext_set, gamma):
@@ -72,7 +72,7 @@ class TestBoundSoundness:
         s_size = rng.randint(1, min(4, len(vertices) - 1))
         s_set = set(vertices[:s_size])
         ext_set = set(vertices[s_size:])
-        view = compute_degrees(g, s_set, ext_set)
+        view = compute_degrees_masked(*masked(g, s_set, ext_set))
         u_s = upper_bound(gamma, len(s_set), view)
         l_s = lower_bound(gamma, len(s_set), view)
         sizes = achievable_extension_sizes(g, s_set, ext_set, gamma)
@@ -95,12 +95,12 @@ class TestBoundSoundness:
             s_set = set(list(g.vertices())[:3])
             ext_set = set(g.vertices()) - s_set
             for gamma in (0.6, 0.9, 1.0):
-                view = compute_degrees(g, s_set, ext_set)
+                view = compute_degrees_masked(*masked(g, s_set, ext_set))
                 if lower_bound(gamma, len(s_set), view) is None:
                     assert not is_quasi_clique(g, s_set, gamma, require_connected=False)
 
     def test_empty_s_raises(self, triangle_graph):
-        view = compute_degrees(triangle_graph, set(), {0, 1, 2})
+        view = compute_degrees_masked(*masked(triangle_graph, set(), {0, 1, 2}))
         with pytest.raises(ValueError):
             upper_bound(0.5, 0, view)
         with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ class TestPaperExample:
         # S = {a}, ext = Γ(a) ∪ B(a) restricted: use {b, c, d, e}.
         s_set = {0}
         ext_set = {1, 2, 3, 4}
-        view = compute_degrees(figure4_graph, s_set, ext_set)
+        view = compute_degrees_masked(*masked(figure4_graph, s_set, ext_set))
         # a connects to all 4 candidates: d_min = 4, γ=0.6 →
         # U_min = floor(4/0.6)+1−1 = 6, capped by feasibility checks.
         u_s = upper_bound(0.6, 1, view)

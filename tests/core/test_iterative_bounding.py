@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from repro.core.iterative_bounding import check_and_emit, iterative_bounding
+from repro.core.iterative_bounding import check_and_emit_masked, iterative_bounding_masked
 from repro.core.options import DEFAULT_OPTIONS, MinerOptions, MiningJob, ResultSink
 from repro.core.quasiclique import is_quasi_clique
 
-from conftest import GAMMAS, make_random_graph
+from conftest import GAMMAS, make_random_graph, masked
 
 
 def make_job(graph, gamma, min_size, options=DEFAULT_OPTIONS):
@@ -28,30 +28,34 @@ def oracle_has_proper_extension(g, s_set, ext_set, gamma, min_size):
     return False
 
 
+def bound_root(job, g, root=0):
+    """Run Alg. 1 on S={root}, ext = the higher IDs; return global sets."""
+    domain, s_mask, ext_mask = masked(g, [root], [v for v in g.vertices() if v > root])
+    pruned, s_mask, ext_mask = iterative_bounding_masked(job, domain, s_mask, ext_mask)
+    return pruned, set(domain.globals_of(s_mask)), set(domain.globals_of(ext_mask))
+
+
 class TestContract:
     def test_false_implies_nonempty_ext(self):
         for seed in range(10):
             rng = random.Random(seed)
             g = make_random_graph(9, 0.6, seed=seed)
             job = make_job(g, rng.choice(GAMMAS), rng.randint(1, 4))
-            s = [0]
-            ext = sorted(v for v in g.vertices() if v > 0)
-            if not iterative_bounding(job, s, ext):
+            pruned, _, ext = bound_root(job, g)
+            if not pruned:
                 assert ext, "returned False with empty ext(S)"
 
     def test_requires_nonempty_s(self, triangle_graph):
         job = make_job(triangle_graph, 0.5, 2)
         with pytest.raises(ValueError):
-            iterative_bounding(job, [], [0, 1])
+            iterative_bounding_masked(job, *masked(triangle_graph, [], [0, 1]))
 
     def test_emitted_candidates_are_valid(self):
         for seed in range(10):
             g = make_random_graph(9, 0.6, seed=seed + 50)
             gamma = GAMMAS[seed % len(GAMMAS)]
             job = make_job(g, gamma, 2)
-            s = [0]
-            ext = sorted(v for v in g.vertices() if v > 0)
-            iterative_bounding(job, s, ext)
+            bound_root(job, g)
             for cand in job.sink.results():
                 assert len(cand) >= 2
                 assert is_quasi_clique(g, cand, gamma)
@@ -62,7 +66,7 @@ class TestPruningSoundness:
     def test_true_means_no_unexplored_extension(self, seed):
         """If Alg. 1 prunes extensions, the oracle agrees none exist.
 
-        The subprocedure may mutate S (critical moves), so soundness is
+        The subprocedure may grow S (critical moves), so soundness is
         judged against the *final* S: no valid quasi-clique strictly
         extends the final S within final S ∪ ext.
         """
@@ -71,17 +75,14 @@ class TestPruningSoundness:
         gamma = rng.choice(GAMMAS)
         min_size = rng.randint(1, 4)
         job = make_job(g, gamma, min_size)
-        s = [min(g.vertices())]
-        ext = sorted(v for v in g.vertices() if v > s[0])
-        original_s = list(s)
-        pruned = iterative_bounding(job, s, ext)
+        original_s = [min(g.vertices())]
+        pruned, final_s, _ = bound_root(job, g, original_s[0])
         if pruned:
             # Any quasi-clique extending the ORIGINAL S via the ORIGINAL
             # candidates must be: (a) nonexistent, or (b) already emitted,
             # or (c) not larger than the final S (covered by caller).
             full_ext = set(v for v in g.vertices() if v > original_s[0])
             emitted = job.sink.results()
-            final_s = set(s)
             for r in range(1, len(full_ext) + 1):
                 for combo in itertools.combinations(sorted(full_ext), r):
                     q = set(original_s) | set(combo)
@@ -113,9 +114,12 @@ class TestPruningSoundness:
 class TestCheckAndEmit:
     def test_emits_only_valid(self, figure4_graph):
         job = make_job(figure4_graph, 0.6, 4)
-        assert check_and_emit(job, [0, 1, 2, 3])  # S1 is a 0.6-QC
-        assert not check_and_emit(job, [0, 1, 2])  # below min_size
-        assert not check_and_emit(job, [0, 5, 7, 8])  # not a QC
+        domain, s1, small, not_qc = masked(
+            figure4_graph, [0, 1, 2, 3], [0, 1, 2], [0, 5, 7, 8]
+        )
+        assert check_and_emit_masked(job, domain, s1)  # S1 is a 0.6-QC
+        assert not check_and_emit_masked(job, domain, small)  # below min_size
+        assert not check_and_emit_masked(job, domain, not_qc)  # not a QC
         assert job.sink.results() == {frozenset({0, 1, 2, 3})}
 
 
@@ -129,8 +133,6 @@ class TestOptionToggles:
         for seed in range(6):
             g = make_random_graph(8, 0.6, seed=seed + 77)
             job = make_job(g, 0.75, 3, options=opts)
-            s = [0]
-            ext = sorted(v for v in g.vertices() if v > 0)
-            iterative_bounding(job, s, ext)
+            bound_root(job, g)
             for cand in job.sink.results():
                 assert is_quasi_clique(g, cand, 0.75)

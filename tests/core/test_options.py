@@ -1,5 +1,9 @@
 """Tests for miner options, stats, and result sinks."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -30,6 +34,31 @@ class TestMinerOptions:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_OPTIONS.use_lookahead = False  # type: ignore[misc]
+
+    def test_no_representation_switch(self):
+        # One kernel: ten algorithmic switches, none selecting a second
+        # hot-path representation.
+        assert [f.name for f in dataclasses.fields(MinerOptions)] == [
+            "kcore_preprocess", "use_diameter_prune", "use_degree_prune",
+            "use_upper_bound", "use_lower_bound", "use_critical_vertex",
+            "use_cover_vertex", "use_lookahead",
+            "check_before_critical_expand", "check_empty_ext_candidate",
+        ]
+
+
+def test_core_does_not_import_gthinker():
+    """Layering: the walk lives in core; gthinker depends on it, never the reverse."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.core; "
+         "print([m for m in sys.modules if m.startswith('repro.gthinker')])"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestMiningJobValidation:

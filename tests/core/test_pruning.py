@@ -11,12 +11,12 @@ import random
 
 import pytest
 
-from repro.core.degrees import compute_degrees, compute_ee_degrees
+from repro.core.degrees import compute_degrees_masked, compute_ee_degrees_masked
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.pruning import (
     Type2Outcome,
-    cover_set,
-    diameter_filter,
+    cover_set_masked,
+    diameter_filter_masked,
     find_critical_vertex,
     type1_degree_prunable,
     type1_lower_prunable,
@@ -28,7 +28,7 @@ from repro.core.pruning import (
 from repro.core.quasiclique import ceil_gamma, is_quasi_clique
 from repro.graph.adjacency import Graph
 
-from conftest import GAMMAS, make_random_graph
+from conftest import GAMMAS, make_random_graph, masked
 
 
 def random_state(seed):
@@ -58,8 +58,9 @@ class TestType1Soundness:
     @pytest.mark.parametrize("seed", range(15))
     def test_pruned_ext_vertex_in_no_extension(self, seed):
         g, s_set, ext_set, gamma = random_state(seed)
-        view = compute_degrees(g, s_set, ext_set)
-        ee = compute_ee_degrees(g, ext_set, view)
+        domain, s_mask, ext_mask = masked(g, s_set, ext_set)
+        view = compute_degrees_masked(domain, s_mask, ext_mask)
+        ee = compute_ee_degrees_masked(domain, ext_mask, view)
         u_s = upper_bound(gamma, len(s_set), view)
         l_s = lower_bound(gamma, len(s_set), view)
         for u in ext_set:
@@ -78,7 +79,7 @@ class TestType2Soundness:
     @pytest.mark.parametrize("seed", range(15))
     def test_type2_kills_only_barren_subtrees(self, seed):
         g, s_set, ext_set, gamma = random_state(seed)
-        view = compute_degrees(g, s_set, ext_set)
+        view = compute_degrees_masked(*masked(g, s_set, ext_set))
         u_s = upper_bound(gamma, len(s_set), view)
         l_s = lower_bound(gamma, len(s_set), view)
         fired_all = False
@@ -107,7 +108,7 @@ class TestCriticalVertex:
     @pytest.mark.parametrize("seed", range(15))
     def test_extensions_contain_all_critical_neighbors(self, seed):
         g, s_set, ext_set, gamma = random_state(seed)
-        view = compute_degrees(g, s_set, ext_set)
+        view = compute_degrees_masked(*masked(g, s_set, ext_set))
         l_s = lower_bound(gamma, len(s_set), view)
         if l_s is None:
             return
@@ -125,7 +126,7 @@ class TestCriticalVertex:
     def test_definition(self, figure4_graph):
         # Directed check of Definition 4 on a hand state.
         s_set, ext_set = {0, 1}, {2, 3, 4}
-        view = compute_degrees(figure4_graph, s_set, ext_set)
+        view = compute_degrees_masked(*masked(figure4_graph, s_set, ext_set))
         l_s = lower_bound(0.9, len(s_set), view)
         if l_s is not None:
             target = ceil_gamma(0.9, len(s_set) + l_s - 1)
@@ -138,11 +139,12 @@ class TestCoverVertex:
     @pytest.mark.parametrize("seed", range(15))
     def test_covered_extensions_stay_quasicliques_with_u(self, seed):
         g, s_set, ext_set, gamma = random_state(seed)
-        view = compute_degrees(g, s_set, ext_set)
-        cv = cover_set(g, s_set, ext_set, gamma, view)
+        domain, s_mask, ext_mask = masked(g, s_set, ext_set)
+        view = compute_degrees_masked(domain, s_mask, ext_mask)
+        cv = cover_set_masked(domain, s_mask, ext_mask, gamma, view)
         if cv is None:
             return
-        u, covered = cv.vertex, cv.covered
+        u, covered = domain.verts[cv.vertex], set(domain.globals_of(cv.covered_mask))
         assert covered <= ext_set and u not in covered
         # Eq. 9 guarantee: extending S with any subset of C_S(u) into a
         # quasi-clique Q keeps Q ∪ {u} a quasi-clique (so Q non-maximal).
@@ -162,31 +164,34 @@ class TestCoverVertex:
             [(0, 1), (0, 5), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
         )
         s_set, ext_set = {0, 1, 5}, {2, 3, 4}
-        view = compute_degrees(g, s_set, ext_set)
+        domain, s_mask, ext_mask = masked(g, s_set, ext_set)
+        view = compute_degrees_masked(domain, s_mask, ext_mask)
         assert view.in_s_of_ext[2] == 2  # u=2 itself qualifies
-        cv = cover_set(g, s_set, ext_set, 0.5, view)
+        cv = cover_set_masked(domain, s_mask, ext_mask, 0.5, view)
         assert cv is None
+
+
+def two_hop_filter(g, anchor, candidates):
+    """`diameter_filter_masked` on global IDs: the kept candidates."""
+    domain, cand_mask = masked(g, candidates)
+    return domain.globals_of(diameter_filter_masked(domain, domain.index[anchor], cand_mask))
 
 
 class TestDiameterFilter:
     def test_keeps_two_hop_only(self, figure4_graph):
         # Anchor e: candidates within 2 hops are all 8 other vertices.
-        kept = diameter_filter(figure4_graph, 4, [0, 1, 2, 3, 5, 6, 7, 8])
+        kept = two_hop_filter(figure4_graph, 4, [0, 1, 2, 3, 5, 6, 7, 8])
         assert kept == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_drops_three_hop(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert diameter_filter(g, 0, [1, 2, 3, 4]) == [1, 2]
-
-    def test_preserves_order(self):
-        g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-        assert diameter_filter(g, 0, [3, 1, 2]) == [3, 1, 2]
+        assert two_hop_filter(g, 0, [1, 2, 3, 4]) == [1, 2]
 
     def test_soundness_no_valid_extension_uses_dropped(self):
         for seed in range(10):
             g, s_set, ext_set, gamma = random_state(seed)
             anchor = min(s_set)
-            kept = set(diameter_filter(g, anchor, sorted(ext_set)))
+            kept = set(two_hop_filter(g, anchor, sorted(ext_set)))
             dropped = ext_set - kept
             for u in dropped:
                 assert extensions_containing(g, s_set, ext_set, gamma, {u}) == []

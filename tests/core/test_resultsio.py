@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.core.miner import mine_maximal_quasicliques
+from repro.core.miner import mine_maximal_quasicliques, mine_root
 from repro.core.options import MiningJob
 from repro.core.resultsio import (
     FileResultSink,
@@ -12,7 +12,6 @@ from repro.core.resultsio import (
     read_results,
     write_results,
 )
-from repro.core.recursive_mine import recursive_mine
 
 from conftest import make_random_graph
 
@@ -126,8 +125,7 @@ class TestFileSink:
             job = MiningJob(graph=g, gamma=0.75, min_size=3, sink=sink)
             for root in sorted(g.vertices()):
                 ext = sorted(v for v in g.vertices() if v > root)
-                if ext:
-                    recursive_mine(job, [root], ext)
+                mine_root(job, root, ext)
         on_disk = read_results(path)
         assert on_disk == sink.results()
         # The persisted candidates postprocess to the exact answer.

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.gthinker.runtime import WorkLedger
-from repro.gthinker.scheduler import TaskLeaseTable
+from repro.gthinker.runtime.ledger import TaskLeaseTable
 from repro.gthinker.spill import SpillableQueue, SpillFileList
 from repro.gthinker.task import Task
 from repro.gthinker.vertex_store import RemoteVertexCache

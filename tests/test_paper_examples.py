@@ -158,12 +158,13 @@ class TestLemma2:
     def test_soundness_against_oracle(self, figure4_graph):
         # If the Lemma 2 condition fails for (S, k), no k-subset Z of
         # ext makes S ∪ Z a quasi-clique.
-        from repro.core.degrees import compute_degrees
+        from repro.core.degrees import compute_degrees_masked
+        from conftest import masked
 
         gamma = 0.75
         s_set = {A, B}
         ext_set = {C, D, E, F}
-        view = compute_degrees(figure4_graph, s_set, ext_set)
+        view = compute_degrees_masked(*masked(figure4_graph, s_set, ext_set))
         sums = prefix_sums_desc(view.ext_degrees_sorted())
         sum_s = view.sum_s_degrees()
         for k in range(1, len(ext_set) + 1):
