@@ -9,7 +9,12 @@ Implements Eqs. (1)–(8) of the paper:
   before its minimum degree clears the γ floor, from Eq. (7) tightened
   to Eq. (8).
 
-Both functions return ``None`` when no feasible t exists, which the
+Every threshold is read from a :func:`repro.core.quasiclique.ceil_table`
+``ceil`` (``ceil[x] == ceil_gamma(γ, x)``), and both bounds share one
+prefix-sum array over the SE-degrees sorted non-increasing
+(:func:`prefix_sums_desc`), so a bounding round sorts once.
+
+The bound functions return ``None`` when no feasible t exists, which the
 caller must treat as a Type II prune. The distinction the paper draws:
 a U_S failure still leaves G(S) itself as a candidate, whereas an L_S
 failure (including L_min failure) certifies S is not a quasi-clique.
@@ -17,30 +22,30 @@ failure (including L_min failure) certifies S is not a quasi-clique.
 
 from __future__ import annotations
 
-from .degrees import DegreeView
-from .quasiclique import ceil_gamma, floor_div_gamma
+from collections.abc import Iterable, Sequence
+from itertools import accumulate
+
+from .quasiclique import floor_div_gamma
 
 
-def lemma2_feasible(
-    gamma: float, s_size: int, sum_s_degrees: int, prefix_sums: list[int], t: int
-) -> bool:
-    """Lemma 2 sum condition for adding t best ext vertices to S.
+def prefix_sums_desc(ext_degrees: Iterable[int]) -> list[int]:
+    """sums[t] = Σ_{i≤t} d_S(u_i) with u_i sorted by d_S non-increasing; sums[0] = 0."""
+    return list(accumulate(sorted(ext_degrees, reverse=True), initial=0))
 
-    True iff Σ_S d_S(v) + Σ_{i≤t} d_S(u_i) ≥ |S|·ceil(γ(|S|+t−1)),
-    where u_i are sorted by d_S non-increasing and ``prefix_sums[t]``
-    holds Σ_{i≤t}.
+
+def lemma2_first_feasible(
+    ceil: Sequence[int], s_size: int, sum_s_degrees: int, sums: list[int], ts: Iterable[int]
+) -> int | None:
+    """The first t of `ts` passing the Lemma 2 sum condition, else None.
+
+    Adding the t best ext vertices to S is feasible iff
+    Σ_S d_S(v) + Σ_{i≤t} d_S(u_i) ≥ |S|·ceil(γ(|S|+t−1)), where
+    ``sums[t]`` holds Σ_{i≤t}.
     """
-    return sum_s_degrees + prefix_sums[t] >= s_size * ceil_gamma(gamma, s_size + t - 1)
-
-
-def prefix_sums_desc(ext_degrees_sorted: list[int]) -> list[int]:
-    """prefix_sums[t] = Σ_{i≤t} d_S(u_i); prefix_sums[0] = 0."""
-    sums = [0]
-    acc = 0
-    for d in ext_degrees_sorted:
-        acc += d
-        sums.append(acc)
-    return sums
+    for t in ts:
+        if sum_s_degrees + sums[t] >= s_size * ceil[s_size + t - 1]:
+            return t
+    return None
 
 
 def upper_bound_min(gamma: float, s_size: int, d_min: int) -> int:
@@ -48,62 +53,46 @@ def upper_bound_min(gamma: float, s_size: int, d_min: int) -> int:
     return floor_div_gamma(d_min, gamma) + 1 - s_size
 
 
-def upper_bound(gamma: float, s_size: int, view: DegreeView) -> int | None:
-    """U_S per Eq. (4): the largest feasible t in [1, U_S^min].
+def upper_bound(
+    ceil: Sequence[int], gamma: float, s_size: int, d_min: int, sum_s_degrees: int,
+    sums: list[int],
+) -> int | None:
+    """U_S per Eq. (4): the largest t in [1, U_S^min] passing Lemma 2.
 
     Returns None when no t qualifies — extensions of S are pruned, but
     G(S) itself must still be examined by the caller.
     """
-    if not view.in_s_of_s:
+    if s_size < 1:
         raise ValueError("upper_bound undefined for empty S")
-    d_min = view.min_total_degree_in_s()
-    u_min = upper_bound_min(gamma, s_size, d_min)
-    ext_sorted = view.ext_degrees_sorted()
-    n = len(ext_sorted)
-    hi = min(u_min, n)
+    hi = min(upper_bound_min(gamma, s_size, d_min), len(sums) - 1)
     if hi < 1:
         return None
-    sums = prefix_sums_desc(ext_sorted)
-    sum_s = view.sum_s_degrees()
-    for t in range(hi, 0, -1):
-        if lemma2_feasible(gamma, s_size, sum_s, sums, t):
-            return t
-    return None
+    return lemma2_first_feasible(ceil, s_size, sum_s_degrees, sums, range(hi, 0, -1))
 
 
-def lower_bound_min(gamma: float, s_size: int, d_s_min: int, n_ext: int) -> int | None:
+def lower_bound_min(
+    ceil: Sequence[int], s_size: int, d_s_min: int, n_ext: int
+) -> int | None:
     """L_S^min per Eq. (7): smallest t ≥ 0 with d_S^min + t ≥ ceil(γ(|S|+t−1)).
 
     Checks t = 0..n_ext; None means S and all extensions are pruned.
+    Needs only the SS-degrees, so a round evaluates it first.
     """
-    for t in range(0, n_ext + 1):
-        if d_s_min + t >= ceil_gamma(gamma, s_size + t - 1):
+    if s_size < 1:
+        raise ValueError("lower_bound_min undefined for empty S")
+    for t in range(n_ext + 1):
+        if d_s_min + t >= ceil[s_size + t - 1]:
             return t
     return None
 
 
-def lower_bound(gamma: float, s_size: int, view: DegreeView) -> int | None:
-    """L_S per Eq. (8): smallest t in [L_S^min, n] passing Lemma 2.
+def lower_bound(
+    ceil: Sequence[int], s_size: int, sum_s_degrees: int, sums: list[int], l_min: int
+) -> int | None:
+    """L_S per Eq. (8): smallest t in [L_S^min, |ext|] passing Lemma 2.
 
     Returns None when infeasible — a Type II prune of S *and* its
     extensions (an L_S failure certifies S itself misses the degree
     floor, see module docstring).
     """
-    if not view.in_s_of_s:
-        raise ValueError("lower_bound undefined for empty S")
-    ext_sorted = view.ext_degrees_sorted()
-    n = len(ext_sorted)
-    l_min = lower_bound_min(gamma, s_size, view.min_s_degree(), n)
-    if l_min is None:
-        return None
-    sums = prefix_sums_desc(ext_sorted)
-    sum_s = view.sum_s_degrees()
-    for t in range(l_min, n + 1):
-        if lemma2_feasible(gamma, s_size, sum_s, sums, t):
-            return t
-    return None
-
-
-def bounds_or_prune(gamma: float, s_size: int, view: DegreeView) -> tuple[int | None, int | None]:
-    """(U_S, L_S) convenience wrapper; either may be None (Type II prune)."""
-    return upper_bound(gamma, s_size, view), lower_bound(gamma, s_size, view)
+    return lemma2_first_feasible(ceil, s_size, sum_s_degrees, sums, range(l_min, len(sums)))

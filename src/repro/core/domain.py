@@ -51,7 +51,13 @@ def bits(mask: int) -> Iterator[int]:
 
 def bit_list(mask: int) -> list[int]:
     """Set bit positions of `mask` as an ascending list."""
-    return list(bits(mask))
+    out = []
+    append = out.append
+    while mask:
+        low = mask & -mask
+        append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class TaskDomain:
@@ -60,14 +66,18 @@ class TaskDomain:
     ``verts[i]`` is the global ID of local vertex ``i`` (ascending), and
     ``adj[i]`` is the bitmask of its neighbors *within the domain*.
     Instances are immutable and cheaply picklable (two tuples of ints).
+    Two lazily filled caches — the global→local index and the two-hop
+    masks — are derived from those tuples; pickling, ``==`` and ``hash``
+    ignore them.
     """
 
-    __slots__ = ("verts", "adj", "_index")
+    __slots__ = ("verts", "adj", "_index", "_two_hop")
 
     def __init__(self, verts: tuple[int, ...], adj: tuple[int, ...]):
         self.verts = verts
         self.adj = adj
         self._index: dict[int, int] | None = None
+        self._two_hop: dict[int, int] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -143,7 +153,7 @@ class TaskDomain:
         return domain
 
     def __reduce__(self):
-        # Pickle only the two tuples; the index is rebuilt lazily.
+        # Pickle only the two tuples; the caches are rebuilt lazily.
         return (TaskDomain, (self.verts, self.adj))
 
     # -- basic queries ----------------------------------------------------
@@ -252,16 +262,25 @@ class TaskDomain:
         return reached == mask
 
     def two_hop_mask(self, v: int) -> int:
-        """Vertices within two hops of local `v` (neighbors ∪ their neighbors)."""
-        adj = self.adj
-        one = adj[v]
-        two = 0
-        m = one
-        while m:
-            low = m & -m
-            two |= adj[low.bit_length() - 1]
-            m ^= low
-        return one | two
+        """Vertices within two hops of local `v` (neighbors ∪ their neighbors).
+
+        Memoised per vertex: the walk asks for the same anchors again
+        and again, and the domain never changes.
+        """
+        memo = self._two_hop
+        if memo is None:
+            memo = self._two_hop = {}
+        hop = memo.get(v)
+        if hop is None:
+            adj = self.adj
+            hop = adj[v]
+            m = hop
+            while m:
+                low = m & -m
+                hop |= adj[low.bit_length() - 1]
+                m ^= low
+            memo[v] = hop
+        return hop
 
     # -- dunder sugar -------------------------------------------------------
 

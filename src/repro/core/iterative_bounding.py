@@ -7,6 +7,12 @@ ext(S) (Theorems 3, 5, 7). Each Type I removal changes degrees and may
 enable further pruning, so the loop repeats until ext(S) empties or a
 full pass removes nothing.
 
+A round is integer comparisons against one threshold table
+(:func:`repro.core.quasiclique.ceil_table`) built per γ and domain size.
+It computes the SS-degrees first and evaluates Eq. 7 (L_S^min) on them
+alone: when that prunes S, the round ends before any ES/SE popcount or
+sort.
+
 Reports whether the *extensions* of S are pruned; when that happens
 and G(S) itself remains a viable candidate, S is checked and emitted
 here (the paper's fix over Quick). Critical moves grow S and Type I
@@ -18,20 +24,19 @@ pseudocode mutates its reference arguments.
 
 from __future__ import annotations
 
-from .bounds import lower_bound, upper_bound
-from .degrees import DegreeView, compute_degrees_masked, compute_ee_degrees_masked
-from .domain import TaskDomain, bits, is_quasi_clique_masked
-from .options import MiningJob
-from .pruning import (
-    Type2Outcome,
-    find_critical_vertex,
-    type1_degree_prunable,
-    type1_lower_prunable,
-    type1_upper_prunable,
-    type2_degree_check,
-    type2_lower_prunable,
-    type2_upper_prunable,
+from collections.abc import Sequence
+
+from .bounds import lower_bound, lower_bound_min, prefix_sums_desc, upper_bound
+from .degrees import (
+    DegreeView,
+    add_crossing_degrees,
+    compute_ee_degrees_masked,
+    ss_degrees,
 )
+from .domain import TaskDomain, is_quasi_clique_masked
+from .options import MiningJob
+from .pruning import Type2Outcome, find_critical_vertex, type1_victims, type2_outcome
+from .quasiclique import ceil_table
 
 # Sentinel actions from the bound computation.
 _OK = "ok"
@@ -50,30 +55,52 @@ def check_and_emit_masked(job: MiningJob, domain: TaskDomain, s_mask: int) -> bo
     return False
 
 
-def _compute_bounds(
-    job: MiningJob, s_size: int, view: DegreeView
-) -> tuple[int | None, int | None, str]:
-    """(U_S, L_S, action) with the paper's Type II semantics on failure.
+def _bound_round(
+    job: MiningJob,
+    ceil: Sequence[int],
+    domain: TaskDomain,
+    s_mask: int,
+    ext_mask: int,
+    s_size: int,
+    n_ext: int,
+) -> tuple[str, DegreeView, int, int, int, int]:
+    """Degrees, (U_S, L_S) and the rule cutoffs of one (S, ext) state.
 
-    An L_S failure (Eq. 7 or Eq. 8 infeasible) certifies S itself misses
-    the degree floor → silent prune. A U_S failure (Eq. 4 infeasible)
-    prunes extensions but G(S) must still be examined. U_S < L_S prunes
-    silently (L_S ≥ 1 holds whenever that comparison can trigger).
+    Returns ``(action, view, d_s_min, d_min, upper_cut, lower_cut)``
+    (see :mod:`repro.core.pruning` for the cutoffs) with the paper's
+    Type II semantics on failure. An L_S failure (Eq. 7 or Eq. 8
+    infeasible) certifies S itself misses the degree floor → silent
+    prune. A U_S failure (Eq. 4 infeasible) prunes extensions but G(S)
+    must still be examined. U_S < L_S prunes silently (L_S ≥ 1 holds
+    whenever that comparison can trigger). A pruned state's view may
+    lack ES/SE and its other fields are not meaningful.
     """
     opts = job.options
-    l_s: int | None = None
-    u_s: int | None = None
+    view = ss_degrees(domain, s_mask)
+    d_s_min = view.min_s_degree()
     if opts.use_lower_bound:
-        l_s = lower_bound(job.gamma, s_size, view)
+        l_min = lower_bound_min(ceil, s_size, d_s_min, n_ext)
+        if l_min is None:
+            return _PRUNE_SILENT, view, d_s_min, 0, -1, 0
+    add_crossing_degrees(domain, view, s_mask, ext_mask)
+    d_min = view.min_total_degree_in_s()
+    upper_cut, lower_cut = -1, 0
+    if opts.use_lower_bound or opts.use_upper_bound:
+        sum_ss = sum(view.ss)
+        sums = prefix_sums_desc(view.se)
+    if opts.use_lower_bound:
+        l_s = lower_bound(ceil, s_size, sum_ss, sums, l_min)
         if l_s is None:
-            return None, None, _PRUNE_SILENT
+            return _PRUNE_SILENT, view, d_s_min, d_min, upper_cut, lower_cut
+        lower_cut = ceil[s_size + l_s - 1]
     if opts.use_upper_bound:
-        u_s = upper_bound(job.gamma, s_size, view)
+        u_s = upper_bound(ceil, job.gamma, s_size, d_min, sum_ss, sums)
         if u_s is None:
-            return None, None, _PRUNE_CHECK_S
-    if u_s is not None and l_s is not None and u_s < l_s:
-        return u_s, l_s, _PRUNE_SILENT
-    return u_s, l_s, _OK
+            return _PRUNE_CHECK_S, view, d_s_min, d_min, upper_cut, lower_cut
+        upper_cut = ceil[s_size + u_s - 1] - u_s
+        if opts.use_lower_bound and u_s < l_s:
+            return _PRUNE_SILENT, view, d_s_min, d_min, upper_cut, lower_cut
+    return _OK, view, d_s_min, d_min, upper_cut, lower_cut
 
 
 def iterative_bounding_masked(
@@ -89,28 +116,24 @@ def iterative_bounding_masked(
     """
     if not s_mask:
         raise ValueError("iterative_bounding requires a non-empty S")
-    gamma = job.gamma
     opts = job.options
     stats = job.stats
     adj = domain.adj
+    ceil = ceil_table(job.gamma, len(adj) + 1)
+    critical_enabled = opts.critical_vertex_enabled()
 
     while True:
         stats.bounding_rounds += 1
         s_size = s_mask.bit_count()
-        stats.mining_ops += s_size + ext_mask.bit_count()
-        view = compute_degrees_masked(domain, s_mask, ext_mask)
-        u_s, l_s, action = _compute_bounds(job, s_size, view)
-        if action == _PRUNE_SILENT:
-            stats.type2_pruned += 1
-            return True, s_mask, ext_mask
-        if action == _PRUNE_CHECK_S:
-            stats.type2_pruned += 1
-            check_and_emit_masked(job, domain, s_mask)
-            return True, s_mask, ext_mask
+        n_ext = ext_mask.bit_count()
+        stats.mining_ops += s_size + n_ext
+        action, view, d_s_min, d_min, upper_cut, lower_cut = _bound_round(
+            job, ceil, domain, s_mask, ext_mask, s_size, n_ext
+        )
 
         # -- Part 1: critical-vertex move (Theorem 9) -------------------
-        if opts.critical_vertex_enabled() and l_s is not None:
-            critical = find_critical_vertex(gamma, s_size, view, l_s)
+        if critical_enabled and action is _OK:
+            critical = find_critical_vertex(view, lower_cut)
             if critical is not None:
                 # The paper's fix over Quick: G(S) may be maximal even
                 # though the forced expansion fails, so check S first.
@@ -123,65 +146,36 @@ def iterative_bounding_masked(
                 if not ext_mask:
                     break  # paper: skip straight to the ext-empty epilogue
                 s_size = s_mask.bit_count()
-                view = compute_degrees_masked(domain, s_mask, ext_mask)
-                u_s, l_s, action = _compute_bounds(job, s_size, view)
-                if action == _PRUNE_SILENT:
-                    stats.type2_pruned += 1
-                    return True, s_mask, ext_mask
-                if action == _PRUNE_CHECK_S:
-                    stats.type2_pruned += 1
-                    check_and_emit_masked(job, domain, s_mask)
-                    return True, s_mask, ext_mask
+                n_ext = ext_mask.bit_count()
+                action, view, d_s_min, d_min, upper_cut, lower_cut = _bound_round(
+                    job, ceil, domain, s_mask, ext_mask, s_size, n_ext
+                )
+
+        if action is _PRUNE_SILENT:
+            stats.type2_pruned += 1
+            return True, s_mask, ext_mask
+        if action is _PRUNE_CHECK_S:
+            stats.type2_pruned += 1
+            check_and_emit_masked(job, domain, s_mask)
+            return True, s_mask, ext_mask
 
         # -- Part 2: Type II battery over S ------------------------------
-        ext_only_fired = False
-        for v in bits(s_mask):
-            d_s_v = view.in_s_of_s[v]
-            d_ext_v = view.in_ext_of_s[v]
-            if opts.use_degree_prune:
-                outcome = type2_degree_check(gamma, s_size, d_s_v, d_ext_v)
-                if outcome is Type2Outcome.ALL:
-                    stats.type2_pruned += 1
-                    return True, s_mask, ext_mask
-                if outcome is Type2Outcome.EXT_ONLY:
-                    ext_only_fired = True
-            if (
-                opts.use_upper_bound
-                and u_s is not None
-                and type2_upper_prunable(gamma, s_size, d_s_v, u_s)
-            ):
-                stats.type2_pruned += 1
-                return True, s_mask, ext_mask
-            if (
-                opts.use_lower_bound
-                and l_s is not None
-                and type2_lower_prunable(gamma, s_size, d_s_v, d_ext_v, l_s)
-            ):
-                stats.type2_pruned += 1
-                return True, s_mask, ext_mask
-        if ext_only_fired:
+        outcome = type2_outcome(
+            ceil, s_size, view, d_s_min, d_min, upper_cut, lower_cut, opts.use_degree_prune
+        )
+        if outcome is Type2Outcome.ALL:
+            stats.type2_pruned += 1
+            return True, s_mask, ext_mask
+        if outcome is Type2Outcome.EXT_ONLY:
             # Theorem 4 Condition (i): extensions die but G(S) survives.
             stats.type2_pruned += 1
             check_and_emit_masked(job, domain, s_mask)
             return True, s_mask, ext_mask
 
         # -- Part 3: Type I battery over ext(S) --------------------------
-        ee = compute_ee_degrees_masked(domain, ext_mask, view)
-        stats.mining_ops += ext_mask.bit_count()
-        removed = 0
-        for u in bits(ext_mask):
-            d_s_u = view.in_s_of_ext[u]
-            d_ext_u = ee[u]
-            prune = (
-                opts.use_degree_prune
-                and type1_degree_prunable(gamma, s_size, d_s_u, d_ext_u)
-            )
-            if not prune and opts.use_upper_bound and u_s is not None:
-                prune = type1_upper_prunable(gamma, s_size, d_s_u, u_s)
-            if not prune and opts.use_lower_bound and l_s is not None:
-                prune = type1_lower_prunable(gamma, s_size, d_s_u, d_ext_u, l_s)
-            if prune:
-                removed |= 1 << u
+        compute_ee_degrees_masked(domain, ext_mask, view)
+        stats.mining_ops += n_ext
+        removed = type1_victims(ceil, s_size, view, upper_cut, lower_cut, opts.use_degree_prune)
         if removed:
             stats.type1_pruned += removed.bit_count()
             ext_mask &= ~removed

@@ -8,13 +8,17 @@ a *maximal* γ-quasi-clique: no strict superset S′ ⊃ S induces one.
 All γ-arithmetic throughout the library goes through :func:`ceil_gamma`
 and :func:`floor_div_gamma`, which guard against float representation
 error (e.g. ``0.6 * 5 == 3.0000000000000004``) so that a γ given as
-2/3 behaves like the rational it stands for.
+2/3 behaves like the rational it stands for. The pruning rules read
+their thresholds from :func:`ceil_table`, whose entries are
+:func:`ceil_gamma` values, so a table lookup and a direct call agree bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import lru_cache
 
 from ..graph.adjacency import Graph
 from ..graph.traversal import is_connected_subset
@@ -26,6 +30,22 @@ GAMMA_EPS = 1e-9
 def ceil_gamma(gamma: float, x: int) -> int:
     """ceil(γ·x), robust to float error; the degree floor everywhere."""
     return math.ceil(gamma * x - GAMMA_EPS)
+
+
+def ceil_table(gamma: float, n: int) -> tuple[int, ...]:
+    """``table[x] == ceil_gamma(gamma, x)`` for every x in 0..n (at least).
+
+    One table serves a whole task domain: every threshold a bounding
+    round compares against is ceil(γ·x) for some x ≤ |domain|. Lengths
+    are rounded up to a power of two so domains of similar size share
+    one cached table.
+    """
+    return _ceil_table(gamma, n.bit_length())
+
+
+@lru_cache(maxsize=128)
+def _ceil_table(gamma: float, length_bits: int) -> tuple[int, ...]:
+    return tuple(ceil_gamma(gamma, x) for x in range(1 << length_bits))
 
 
 def floor_div_gamma(value: float, gamma: float) -> int:

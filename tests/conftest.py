@@ -6,13 +6,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
+from repro.core.bounds import lower_bound, lower_bound_min, prefix_sums_desc, upper_bound
 from repro.core.domain import TaskDomain
+from repro.core.quasiclique import ceil_table
 from repro.graph.adjacency import Graph
 
 #: γ values used across parameterized tests — all in the paper's γ ≥ 0.5
 #: regime, including a non-dyadic rational to exercise float guards.
 GAMMAS = [0.5, 0.6, 2 / 3, 0.75, 0.8, 0.9, 1.0]
+
+#: A larger budget for the properties that guard the mining kernel
+#: (``--hypothesis-profile=kernel-parity``); tests that leave
+#: ``max_examples`` unset run 100 examples by default.
+settings.register_profile("kernel-parity", max_examples=2000, deadline=None)
 
 
 def make_random_graph(n: int, p: float, seed: int) -> Graph:
@@ -33,6 +41,22 @@ def masked(graph: Graph, *vertex_sets):
     """
     domain = TaskDomain.from_graph(graph)
     return (domain, *(domain.mask_of_globals(vs) for vs in vertex_sets))
+
+
+def bounds_of(view, gamma: float) -> tuple[int | None, int | None]:
+    """(U_S, L_S) of a full degree view, each None when infeasible.
+
+    L_S is Eq. 7 then Eq. 8, U_S is Eq. 4, over one shared prefix-sum
+    array — what a bounding round computes with both bounds switched on.
+    """
+    s_size = len(view.ss)
+    ceil = ceil_table(gamma, s_size + len(view.se) + 1)
+    sum_ss = sum(view.ss)
+    sums = prefix_sums_desc(view.se)
+    u_s = upper_bound(ceil, gamma, s_size, view.min_total_degree_in_s(), sum_ss, sums)
+    l_min = lower_bound_min(ceil, s_size, view.min_s_degree(), len(view.se))
+    l_s = None if l_min is None else lower_bound(ceil, s_size, sum_ss, sums, l_min)
+    return u_s, l_s
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core.bounds import (
-    lemma2_feasible,
+    lemma2_first_feasible,
     lower_bound,
     lower_bound_min,
     prefix_sums_desc,
@@ -20,9 +20,9 @@ from repro.core.bounds import (
     upper_bound_min,
 )
 from repro.core.degrees import compute_degrees_masked
-from repro.core.quasiclique import is_quasi_clique
+from repro.core.quasiclique import ceil_table, is_quasi_clique
 
-from conftest import GAMMAS, make_random_graph, masked
+from conftest import GAMMAS, bounds_of, make_random_graph, masked
 
 
 def achievable_extension_sizes(g, s_set, ext_set, gamma):
@@ -39,14 +39,19 @@ def achievable_extension_sizes(g, s_set, ext_set, gamma):
 class TestHelpers:
     def test_prefix_sums(self):
         assert prefix_sums_desc([5, 3, 1]) == [0, 5, 8, 9]
+        # The one shared sort: any order in, non-increasing prefix out.
+        assert prefix_sums_desc([1, 5, 3]) == [0, 5, 8, 9]
         assert prefix_sums_desc([]) == [0]
 
     def test_lemma2_feasible(self):
         # |S|=2, Σ_S d_S = 2, ext degrees [2, 1], γ=1: t=1 needs
         # 2 + 2 ≥ 2·ceil(1·2) = 4 → feasible; t=2 needs 2+3 ≥ 2·3 → no.
+        ceil = ceil_table(1.0, 4)
         sums = prefix_sums_desc([2, 1])
-        assert lemma2_feasible(1.0, 2, 2, sums, 1)
-        assert not lemma2_feasible(1.0, 2, 2, sums, 2)
+        assert lemma2_first_feasible(ceil, 2, 2, sums, [1]) == 1
+        assert lemma2_first_feasible(ceil, 2, 2, sums, [2]) is None
+        # The first feasible t in the given order.
+        assert lemma2_first_feasible(ceil, 2, 2, sums, [2, 1]) == 1
 
     def test_upper_bound_min(self):
         # Eq. 3: floor(d_min/γ) + 1 − |S|.
@@ -55,11 +60,23 @@ class TestHelpers:
 
     def test_lower_bound_min(self):
         # d_S^min=1, |S|=3, γ=0.9: need 1+t ≥ ceil(0.9(2+t)).
-        assert lower_bound_min(0.9, 3, 1, 10) == 8
+        assert lower_bound_min(ceil_table(0.9, 14), 3, 1, 10) == 8
         # Already satisfied at t=0.
-        assert lower_bound_min(0.5, 3, 1, 10) == 0
+        assert lower_bound_min(ceil_table(0.5, 14), 3, 1, 10) == 0
         # Infeasible within ext budget.
-        assert lower_bound_min(1.0, 5, 0, 2) is None
+        assert lower_bound_min(ceil_table(1.0, 8), 5, 0, 2) is None
+
+    def test_upper_and_lower_share_one_prefix_array(self):
+        # |S|=2, Σ_S d_S = 2, ext degrees [2, 1, 0], d_min = 3, γ = 0.75:
+        # U_S^min = floor(3/0.75)+1−2 = 3. Lemma 2 holds at t = 0
+        # (2+0 ≥ 2·ceil(0.75)) and t = 1 (2+2 ≥ 2·ceil(1.5)) and fails
+        # at t = 2 (2+3 < 2·ceil(2.25)) and t = 3 (2+3 < 2·ceil(3)).
+        ceil = ceil_table(0.75, 6)
+        sums = prefix_sums_desc([0, 2, 1])
+        assert sums == [0, 2, 3, 3]
+        assert upper_bound(ceil, 0.75, 2, 3, 2, sums) == 1
+        assert lower_bound(ceil, 2, 2, sums, 0) == 0
+        assert lower_bound(ceil, 2, 2, sums, 2) is None
 
 
 class TestBoundSoundness:
@@ -73,8 +90,7 @@ class TestBoundSoundness:
         s_set = set(vertices[:s_size])
         ext_set = set(vertices[s_size:])
         view = compute_degrees_masked(*masked(g, s_set, ext_set))
-        u_s = upper_bound(gamma, len(s_set), view)
-        l_s = lower_bound(gamma, len(s_set), view)
+        u_s, l_s = bounds_of(view, gamma)
         sizes = achievable_extension_sizes(g, s_set, ext_set, gamma)
         positive = {t for t in sizes if t >= 1}
         if positive:
@@ -96,15 +112,15 @@ class TestBoundSoundness:
             ext_set = set(g.vertices()) - s_set
             for gamma in (0.6, 0.9, 1.0):
                 view = compute_degrees_masked(*masked(g, s_set, ext_set))
-                if lower_bound(gamma, len(s_set), view) is None:
+                if bounds_of(view, gamma)[1] is None:
                     assert not is_quasi_clique(g, s_set, gamma, require_connected=False)
 
     def test_empty_s_raises(self, triangle_graph):
-        view = compute_degrees_masked(*masked(triangle_graph, set(), {0, 1, 2}))
+        ceil = ceil_table(0.5, 4)
         with pytest.raises(ValueError):
-            upper_bound(0.5, 0, view)
+            upper_bound(ceil, 0.5, 0, 0, 0, [0, 0, 0, 0])
         with pytest.raises(ValueError):
-            lower_bound(0.5, 0, view)
+            lower_bound_min(ceil, 0, 0, 3)
 
 
 class TestPaperExample:
@@ -115,7 +131,6 @@ class TestPaperExample:
         view = compute_degrees_masked(*masked(figure4_graph, s_set, ext_set))
         # a connects to all 4 candidates: d_min = 4, γ=0.6 →
         # U_min = floor(4/0.6)+1−1 = 6, capped by feasibility checks.
-        u_s = upper_bound(0.6, 1, view)
-        l_s = lower_bound(0.6, 1, view)
+        u_s, l_s = bounds_of(view, 0.6)
         assert u_s == 4  # all four can join: S2 = {a,b,c,d,e} is a QC
         assert l_s == 0  # {a} alone already satisfies the degree floor

@@ -122,3 +122,41 @@ class TestMaskAlgebra:
                 assert is_quasi_clique_masked(
                     d, d.mask_of_globals(subset), gamma
                 ) == is_quasi_clique(g, set(subset), gamma)
+
+
+class TestTwoHopMemo:
+    """The memo is a cache: invisible on the wire, to ==, hash and children.
+
+    Pickled domains are what the process pool and the cluster ship per
+    task, so a filled memo must not add a byte to them.
+    """
+
+    def filled(self, seed=11):
+        d = TaskDomain.from_graph(make_random_graph(20, 0.3, seed=seed))
+        before = pickle.dumps(d)
+        for v in range(len(d)):
+            d.two_hop_mask(v)
+        d.two_hop_mask(0)  # a hit, not a recomputation
+        return d, before
+
+    def test_pickle_bytes_unchanged(self):
+        d, before = self.filled()
+        assert pickle.dumps(d) == before
+        assert pickle.loads(before)._two_hop is None
+
+    def test_eq_and_hash_ignore_memo(self):
+        d, _ = self.filled()
+        fresh = TaskDomain(d.verts, d.adj)
+        assert d == fresh and hash(d) == hash(fresh)
+
+    def test_memo_matches_fresh_computation(self):
+        d, _ = self.filled()
+        for v in range(len(d)):
+            assert d.two_hop_mask(v) == TaskDomain(d.verts, d.adj).two_hop_mask(v)
+
+    def test_restrict_children_start_empty(self):
+        d, _ = self.filled()
+        child = d.restrict(d.mask_of_globals(range(0, 20, 2)))
+        assert child._two_hop is None
+        for v in range(len(child)):
+            assert child.two_hop_mask(v) == TaskDomain(child.verts, child.adj).two_hop_mask(v)

@@ -12,23 +12,18 @@ import random
 import pytest
 
 from repro.core.degrees import compute_degrees_masked, compute_ee_degrees_masked
-from repro.core.bounds import lower_bound, upper_bound
 from repro.core.pruning import (
     Type2Outcome,
     cover_set_masked,
     diameter_filter_masked,
     find_critical_vertex,
-    type1_degree_prunable,
-    type1_lower_prunable,
-    type1_upper_prunable,
-    type2_degree_check,
-    type2_lower_prunable,
-    type2_upper_prunable,
+    type1_victims,
+    type2_outcome,
 )
-from repro.core.quasiclique import ceil_gamma, is_quasi_clique
+from repro.core.quasiclique import ceil_gamma, ceil_table, is_quasi_clique
 from repro.graph.adjacency import Graph
 
-from conftest import GAMMAS, make_random_graph, masked
+from conftest import GAMMAS, bounds_of, make_random_graph, masked
 
 
 def random_state(seed):
@@ -40,6 +35,15 @@ def random_state(seed):
     ext_set = set(vertices[s_size:])
     gamma = rng.choice(GAMMAS)
     return g, s_set, ext_set, gamma
+
+
+def round_cutoffs(gamma, s_size, view):
+    """(ceil, upper_cut, lower_cut) of a state, each bound rule on iff its bound exists."""
+    ceil = ceil_table(gamma, s_size + len(view.se) + 1)
+    u_s, l_s = bounds_of(view, gamma)
+    upper_cut = -1 if u_s is None else ceil[s_size + u_s - 1] - u_s
+    lower_cut = 0 if l_s is None else ceil[s_size + l_s - 1]
+    return ceil, upper_cut, lower_cut
 
 
 def extensions_containing(g, s_set, ext_set, gamma, must_contain):
@@ -60,19 +64,12 @@ class TestType1Soundness:
         g, s_set, ext_set, gamma = random_state(seed)
         domain, s_mask, ext_mask = masked(g, s_set, ext_set)
         view = compute_degrees_masked(domain, s_mask, ext_mask)
-        ee = compute_ee_degrees_masked(domain, ext_mask, view)
-        u_s = upper_bound(gamma, len(s_set), view)
-        l_s = lower_bound(gamma, len(s_set), view)
-        for u in ext_set:
-            d_s_u, d_ext_u = view.in_s_of_ext[u], ee[u]
-            pruned = type1_degree_prunable(gamma, len(s_set), d_s_u, d_ext_u)
-            if not pruned and u_s is not None:
-                pruned = type1_upper_prunable(gamma, len(s_set), d_s_u, u_s)
-            if not pruned and l_s is not None:
-                pruned = type1_lower_prunable(gamma, len(s_set), d_s_u, d_ext_u, l_s)
-            if pruned:
-                exts = extensions_containing(g, s_set, ext_set, gamma, {u})
-                assert exts == [], f"Type I wrongly pruned {u}: {exts[:3]}"
+        compute_ee_degrees_masked(domain, ext_mask, view)
+        ceil, upper_cut, lower_cut = round_cutoffs(gamma, len(s_set), view)
+        removed = type1_victims(ceil, len(s_set), view, upper_cut, lower_cut, True)
+        for u in domain.globals_of(removed):
+            exts = extensions_containing(g, s_set, ext_set, gamma, {u})
+            assert exts == [], f"Type I wrongly pruned {u}: {exts[:3]}"
 
 
 class TestType2Soundness:
@@ -80,24 +77,12 @@ class TestType2Soundness:
     def test_type2_kills_only_barren_subtrees(self, seed):
         g, s_set, ext_set, gamma = random_state(seed)
         view = compute_degrees_masked(*masked(g, s_set, ext_set))
-        u_s = upper_bound(gamma, len(s_set), view)
-        l_s = lower_bound(gamma, len(s_set), view)
-        fired_all = False
-        fired_ext_only = False
-        for v in s_set:
-            d_s_v, d_ext_v = view.in_s_of_s[v], view.in_ext_of_s[v]
-            outcome = type2_degree_check(gamma, len(s_set), d_s_v, d_ext_v)
-            if outcome is Type2Outcome.ALL:
-                fired_all = True
-            elif outcome is Type2Outcome.EXT_ONLY:
-                fired_ext_only = True
-            if u_s is not None and type2_upper_prunable(gamma, len(s_set), d_s_v, u_s):
-                fired_all = True
-            if l_s is not None and type2_lower_prunable(
-                gamma, len(s_set), d_s_v, d_ext_v, l_s
-            ):
-                fired_all = True
-        if fired_all or fired_ext_only:
+        ceil, upper_cut, lower_cut = round_cutoffs(gamma, len(s_set), view)
+        outcome = type2_outcome(
+            ceil, len(s_set), view, view.min_s_degree(), view.min_total_degree_in_s(),
+            upper_cut, lower_cut, True,
+        )
+        if outcome is not Type2Outcome.NONE:
             # No valid quasi-clique strictly extends S within S ∪ ext.
             exts = extensions_containing(g, s_set, ext_set, gamma, set())
             proper = [e for e in exts if e > s_set]
@@ -109,10 +94,10 @@ class TestCriticalVertex:
     def test_extensions_contain_all_critical_neighbors(self, seed):
         g, s_set, ext_set, gamma = random_state(seed)
         view = compute_degrees_masked(*masked(g, s_set, ext_set))
-        l_s = lower_bound(gamma, len(s_set), view)
+        _, l_s = bounds_of(view, gamma)
         if l_s is None:
             return
-        v = find_critical_vertex(gamma, len(s_set), view, l_s)
+        v = find_critical_vertex(view, ceil_gamma(gamma, len(s_set) + l_s - 1))
         if v is None:
             return
         forced = set(g.neighbors_in(v, ext_set))
@@ -127,12 +112,13 @@ class TestCriticalVertex:
         # Directed check of Definition 4 on a hand state.
         s_set, ext_set = {0, 1}, {2, 3, 4}
         view = compute_degrees_masked(*masked(figure4_graph, s_set, ext_set))
-        l_s = lower_bound(0.9, len(s_set), view)
+        _, l_s = bounds_of(view, 0.9)
         if l_s is not None:
             target = ceil_gamma(0.9, len(s_set) + l_s - 1)
-            v = find_critical_vertex(0.9, len(s_set), view, l_s)
+            v = find_critical_vertex(view, target)
             if v is not None:
-                assert view.in_s_of_s[v] + view.in_ext_of_s[v] == target
+                i = view.s_ids.index(v)
+                assert view.es[i] > 0 and view.ss[i] + view.es[i] == target
 
 
 class TestCoverVertex:
@@ -166,7 +152,7 @@ class TestCoverVertex:
         s_set, ext_set = {0, 1, 5}, {2, 3, 4}
         domain, s_mask, ext_mask = masked(g, s_set, ext_set)
         view = compute_degrees_masked(domain, s_mask, ext_mask)
-        assert view.in_s_of_ext[2] == 2  # u=2 itself qualifies
+        assert dict(zip(view.ext_ids, view.se))[2] == 2  # u=2 itself qualifies
         cv = cover_set_masked(domain, s_mask, ext_mask, 0.5, view)
         assert cv is None
 

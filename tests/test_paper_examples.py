@@ -17,9 +17,9 @@ import itertools
 
 import pytest
 
-from repro.core.bounds import lemma2_feasible, prefix_sums_desc
+from repro.core.bounds import lemma2_first_feasible, prefix_sums_desc
 from repro.core.naive import enumerate_maximal_quasicliques
-from repro.core.quasiclique import ceil_gamma, is_quasi_clique, kcore_threshold
+from repro.core.quasiclique import ceil_gamma, ceil_table, is_quasi_clique, kcore_threshold
 from repro.graph.traversal import diameter, two_hop_neighbors
 from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
@@ -151,9 +151,9 @@ class TestLemma2:
         # |S| = 2, Σ_S d_S(v) = 2, ext degrees (sorted desc) = [1, 1, 0]:
         # adding t=2 vertices under γ=0.9 demands 2·ceil(0.9·3) = 6 > 2+2.
         sums = prefix_sums_desc([1, 1, 0])
-        assert not lemma2_feasible(0.9, 2, 2, sums, 2)
+        assert lemma2_first_feasible(ceil_table(0.9, 5), 2, 2, sums, [2]) is None
         # Under γ=0.5 it demands 2·ceil(0.5·3) = 4 ≤ 4 → feasible.
-        assert lemma2_feasible(0.5, 2, 2, sums, 2)
+        assert lemma2_first_feasible(ceil_table(0.5, 5), 2, 2, sums, [2]) == 2
 
     def test_soundness_against_oracle(self, figure4_graph):
         # If the Lemma 2 condition fails for (S, k), no k-subset Z of
@@ -165,10 +165,11 @@ class TestLemma2:
         s_set = {A, B}
         ext_set = {C, D, E, F}
         view = compute_degrees_masked(*masked(figure4_graph, s_set, ext_set))
-        sums = prefix_sums_desc(view.ext_degrees_sorted())
-        sum_s = view.sum_s_degrees()
+        sums = prefix_sums_desc(view.se)
+        sum_s = sum(view.ss)
+        ceil = ceil_table(gamma, len(s_set) + len(ext_set))
         for k in range(1, len(ext_set) + 1):
-            if not lemma2_feasible(gamma, len(s_set), sum_s, sums, k):
+            if lemma2_first_feasible(ceil, len(s_set), sum_s, sums, [k]) is None:
                 for z in itertools.combinations(sorted(ext_set), k):
                     assert not is_quasi_clique(
                         figure4_graph, s_set | set(z), gamma,
