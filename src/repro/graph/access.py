@@ -3,25 +3,25 @@
 Every layer that reads adjacency — task spawning, pull resolution,
 :class:`~repro.core.domain.TaskDomain` construction — goes through the
 :class:`GraphAccess` protocol instead of a concrete graph container.
-Three implementations cover the executor spectrum:
+Two implementations cover the executor spectrum:
 
 * :class:`InMemoryGraphAccess` (here) — wraps a whole
   :class:`~repro.graph.adjacency.Graph` / :class:`~repro.graph.csr.
-  CSRGraph`; the serial and threaded executors, where every vertex is
-  one dict/array lookup away.
-* :class:`~repro.gthinker.vertex_store.SharedGraphAccess` — the
-  process pool's fork- or shared-memory-inherited replica; same
-  synchronous semantics, tagged with how the replica was shipped.
-* :class:`~repro.gthinker.vertex_store.RemoteGraphAccess` — the
-  cluster worker's partition: a local vertex table plus a bounded
-  remote cache, where non-owned vertices must first be fetched over
-  the wire (``unresolved`` → VertexRequest → ``admit``).
+  CSRGraph`; the process pool's workers, each holding a fork- or
+  shared-memory-shipped replica, where every vertex is one dict/array
+  lookup away.
+* :class:`~repro.gthinker.vertex_store.RemoteGraphAccess` — one
+  machine's vertex store: its partition of the vertex table plus a
+  bounded remote cache. The serial, threaded and simulated executors
+  serve a cache miss synchronously from the owner's table; the cluster
+  worker fetches it over the wire first (``unresolved`` →
+  VertexRequest → ``admit``).
 
 The protocol is deliberately pull-shaped, mirroring G-thinker's
 data-service UDF surface: `resolve` serves a task's batched pulls,
 `unresolved` tells the caller which of those need an asynchronous
-fetch first (always none for the in-memory implementations), and
-`prefetch` is a hint that costs nothing to ignore.
+fetch first (always none in-process), and `prefetch` is a hint that
+costs nothing to ignore.
 """
 
 from __future__ import annotations
@@ -29,7 +29,19 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Protocol, runtime_checkable
 
-__all__ = ["GraphAccess", "InMemoryGraphAccess"]
+__all__ = ["GraphAccess", "InMemoryGraphAccess", "neighbor_mask"]
+
+
+def neighbor_mask(neighbors: Iterable[int], members: Sequence[int]) -> int:
+    """Bitmask of `neighbors` within the ordered `members` (bit *i* set
+    iff ``members[i]`` is a neighbour) — the one body behind every
+    :meth:`GraphAccess.adjacency_mask`."""
+    nbr_set = neighbors if isinstance(neighbors, (set, frozenset)) else set(neighbors)
+    mask = 0
+    for i, m in enumerate(members):
+        if m in nbr_set:
+            mask |= 1 << i
+    return mask
 
 
 @runtime_checkable
@@ -114,13 +126,7 @@ class InMemoryGraphAccess:
         pass  # everything is already resident
 
     def adjacency_mask(self, vertex: int, members: Sequence[int]) -> int:
-        nbrs = self.neighbors(vertex)
-        nbr_set = set(nbrs) if not isinstance(nbrs, (set, frozenset)) else nbrs
-        mask = 0
-        for i, m in enumerate(members):
-            if m in nbr_set:
-                mask |= 1 << i
-        return mask
+        return neighbor_mask(self.neighbors(vertex), members)
 
     def adjacency_masks(self):
         """Whole-graph bitmask export, forwarded from the wrapped graph."""

@@ -33,11 +33,9 @@ from .partition import Partitioner, make_partitioner
 from .task import ComputeOutcome, Task
 from .tracing import NullTracer, TraceEvent, Tracer
 from .vertex_store import (
-    DataService,
     LocalVertexTable,
     RemoteGraphAccess,
     RemoteVertexCache,
-    SharedGraphAccess,
     owner_of,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "ClusterWorker",
     "mine_cluster",
     "run_cluster_app",
-    "DataService",
     "EngineConfig",
     "EngineMetrics",
     "FaultInjection",
@@ -87,7 +84,6 @@ __all__ = [
     "QuasiCliqueApp",
     "RemoteGraphAccess",
     "RemoteVertexCache",
-    "SharedGraphAccess",
     "SpillFileList",
     "SpillableQueue",
     "StealMove",

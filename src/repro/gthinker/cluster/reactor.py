@@ -65,7 +65,12 @@ from ..scheduler import (
 from ..stealing import plan_steals
 from ..task import Task
 from ..tracing import NullTracer, Tracer
-from ..vertex_store import LocalVertexTable, RemoteGraphAccess, RemoteVertexCache
+from ..vertex_store import (
+    LocalVertexTable,
+    RemoteGraphAccess,
+    RemoteVertexCache,
+    owner_function,
+)
 from .protocol import (
     Goodbye,
     Heartbeat,
@@ -836,16 +841,16 @@ class WorkerReactor:
                 welcome.num_partitions,
                 pickle.loads(welcome.table_blob),
             )
+            # Under hash partitioning the worker can recompute ownership
+            # (the absent-vertex shortcut); other strategies' maps stay
+            # with the master.
             self.access = RemoteGraphAccess(
                 table,
                 RemoteVertexCache(local_config.cache_capacity),
-                partition_id=welcome.partition_id,
-                num_partitions=welcome.num_partitions,
-                hash_partitioned=welcome.partition_strategy == "hash",
+                owner=owner_function(welcome.num_partitions)
+                if welcome.partition_strategy == "hash" else None,
             )
-            self.machine = MachineState(
-                0, [table], local_config, data=self.access
-            )
+            self.machine = MachineState(0, self.access, local_config)
         # Spawning is master-driven (SpawnRange leases); the local spawn
         # cursor must never race it.
         self.machine.spawn_order = []

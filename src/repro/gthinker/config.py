@@ -96,6 +96,10 @@ class EngineConfig:
             raise ValueError(f"unknown decompose mode {self.decompose!r}")
         if self.time_unit not in ("wall", "ops"):
             raise ValueError(f"unknown time_unit {self.time_unit!r}")
+        if self.batch_size < 1 or self.queue_capacity < self.batch_size:
+            raise ValueError("need queue_capacity >= batch_size >= 1")
+        if self.cache_capacity < 1:
+            raise ValueError("cache_capacity must be >= 1")
         if self.tau_split < 0:
             raise ValueError("tau_split must be non-negative")
         if self.partition not in ("hash", "range", "balanced_degree"):

@@ -13,10 +13,12 @@ simulated cluster. This module is only the *executor*: the serial fast
 path and the real-thread driver, plus job lifecycle (active-task
 accounting, worker failure propagation, metrics collection).
 
-Pull resolution is synchronous in-process (the data-serving module's
-latency collapses to zero) but ownership, caching, and message counts
-are preserved, so the *scheduling* behaviour — what the paper's reforge
-is about — is faithful.
+Each machine reads through the same vertex store as a cluster worker
+(:class:`~repro.gthinker.vertex_store.RemoteGraphAccess`); only its
+cache misses are served synchronously from the owner's table, so the
+data-serving latency collapses to zero while ownership, caching, and
+message counts are the cluster's. The *scheduling* behaviour — what
+the paper's reforge is about — is faithful.
 """
 
 from __future__ import annotations

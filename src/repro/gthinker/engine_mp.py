@@ -57,7 +57,7 @@ leases, and the rest of the pool never notices.
 
 Because each worker owns a whole-graph replica, pull resolution is
 always local: `remote_messages` stays 0 and the vertex cache is idle on
-this backend (the partitioned data service is a distribution model, not
+this backend (the partitioned vertex store is a distribution model, not
 a parallelism mechanism). Everything the paper's reforge is about —
 routing, pick order, spilling, spawn batching, stealing — still runs,
 in the parent.
@@ -81,6 +81,7 @@ from multiprocessing import connection as mp_connection
 
 from ..core.options import ResultSink
 from ..core.postprocess import postprocess_results
+from ..graph.access import InMemoryGraphAccess
 from ..graph.adjacency import Graph
 from .app_protocol import ComputeContext, GThinkerApp, ensure_app
 from .app_quasiclique import QuasiCliqueApp
@@ -102,7 +103,6 @@ from .runtime import (
 from .scheduler import SchedulerCore, build_machines, collect_machine_metrics
 from .task import Task
 from .tracing import NullTracer, Tracer
-from .vertex_store import SharedGraphAccess
 
 __all__ = ["FaultInjection", "MultiprocessEngine", "mine_multiprocess"]
 
@@ -176,14 +176,14 @@ def _graph_from_shm(name: str, nbytes: int) -> Graph:
     return Graph.from_edges(edges, vertices=vertices)
 
 
-def _resolve_graph(graph_payload) -> SharedGraphAccess:
-    """Build the worker's whole-graph replica access, tagged with how
-    the replica reached this process (fork inheritance vs shm rebuild)."""
+def _resolve_graph(graph_payload) -> InMemoryGraphAccess:
+    """Build the worker's access over its whole-graph replica, which
+    reached this process by fork inheritance or a shm rebuild."""
     kind = graph_payload[0]
     if kind == "direct":  # fork: the object itself rode through the fork
-        return SharedGraphAccess(graph_payload[1], origin="fork")
+        return InMemoryGraphAccess(graph_payload[1])
     _, name, nbytes = graph_payload  # spawn/forkserver: rebuild from shm
-    return SharedGraphAccess(_graph_from_shm(name, nbytes), origin="shm")
+    return InMemoryGraphAccess(_graph_from_shm(name, nbytes))
 
 
 # -- the worker process ----------------------------------------------------
@@ -192,10 +192,10 @@ def _resolve_graph(graph_payload) -> SharedGraphAccess:
 def _run_task(app, config, access, task, next_task_id, metrics, events):
     """Run one task's compute iterations to completion; returns children.
 
-    Pulls resolve through the worker's :class:`SharedGraphAccess`
+    Pulls resolve through the worker's :class:`InMemoryGraphAccess`
     (whole-graph replica — `unresolved` is always empty), so a task
     never suspends here — the suspend/re-buffer path belongs to the
-    executors whose data service is partitioned.
+    executors whose vertex store is partitioned.
     """
     ctx = ComputeContext(
         config=config, next_task_id=next_task_id, record=metrics.record_task

@@ -36,7 +36,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..graph.access import GraphAccess
 from ..graph.adjacency import Graph
 from .app_protocol import ComputeContext, GThinkerApp, ensure_app
 from .config import EngineConfig
@@ -46,7 +45,7 @@ from .spill import SpillableQueue, SpillFileList
 from .stealing import plan_steals
 from .task import Task
 from .tracing import NullTracer, Tracer
-from .vertex_store import DataService, LocalVertexTable, RemoteVertexCache
+from .vertex_store import LocalVertexTable, RemoteGraphAccess, in_process_stores
 
 
 class ThreadSlot:
@@ -60,39 +59,22 @@ class ThreadSlot:
 
 
 class MachineState:
-    """One machine: vertex table slice, caches, queues, spawn cursor.
+    """One machine: vertex store, queues, spawn cursor.
 
     The same state object backs the real engine (where its locks are
-    contended) and the simulated cluster (single-threaded; the locks
-    are uncontended but harmless), so the simulator exercises the
-    identical queue/spill structures as the threaded runtime.
+    contended), the simulated cluster (single-threaded; the locks are
+    uncontended but harmless) and the cluster worker, so the simulator
+    exercises the identical store and queue/spill structures as the
+    threaded runtime and the wire.
     """
 
-    def __init__(
-        self,
-        machine_id: int,
-        tables: list[LocalVertexTable],
-        config: EngineConfig,
-        *,
-        data: GraphAccess | None = None,
-    ):
+    def __init__(self, machine_id: int, data: RemoteGraphAccess, config: EngineConfig):
         self.machine_id = machine_id
         self.config = config
-        self.table = tables[machine_id]
-        if data is not None:
-            # Executor-provided GraphAccess (the cluster worker passes a
-            # RemoteGraphAccess over its shipped partition); reuse its
-            # cache so the metrics fold sees one set of counters.
-            self.data = data
-            self.cache = getattr(
-                data, "cache", RemoteVertexCache(config.cache_capacity)
-            )
-        else:
-            self.cache = RemoteVertexCache(config.cache_capacity)
-            self.data = DataService(
-                machine_id, tables, self.cache,
-                partitioner=getattr(tables[machine_id], "partitioner", None),
-            )
+        #: The machine's vertex store: its table, remote cache and
+        #: message count (see :class:`RemoteGraphAccess`).
+        self.data = data
+        self.table = data.table
         self.lsmall = SpillFileList(config.spill_dir, f"m{machine_id}-small")
         self.lbig = SpillFileList(config.spill_dir, f"m{machine_id}-big")
         self.qglobal = SpillableQueue(config.queue_capacity, config.batch_size, self.lbig)
@@ -146,18 +128,18 @@ def build_machines(graph: Graph, config: EngineConfig) -> list[MachineState]:
     tables = LocalVertexTable.partition(
         graph, config.num_machines, partitioner=partitioner
     )
-    return [MachineState(m, tables, config) for m in range(config.num_machines)]
+    stores = in_process_stores(tables, config.cache_capacity, partitioner)
+    return [MachineState(m, store, config) for m, store in enumerate(stores)]
 
 
 def collect_machine_metrics(metrics: EngineMetrics, machines: list[MachineState]) -> None:
-    """Fold per-machine data-service, cache, and spill counters into `metrics`."""
+    """Fold per-machine vertex-store and spill counters into `metrics`."""
     for machine in machines:
-        # DataService/RemoteGraphAccess count wire pulls; other
-        # GraphAccess implementations have nothing remote to count.
-        metrics.remote_messages += getattr(machine.data, "remote_messages", 0)
-        metrics.remote_vertex_hits += machine.cache.hits
-        metrics.remote_vertex_misses += machine.cache.misses
-        metrics.remote_vertex_evictions += machine.cache.evictions
+        cache = machine.data.cache
+        metrics.remote_messages += machine.data.remote_messages
+        metrics.remote_vertex_hits += cache.hits
+        metrics.remote_vertex_misses += cache.misses
+        metrics.remote_vertex_evictions += cache.evictions
         for spill in (machine.lsmall, machine.lbig):
             metrics.spill_batches += spill.batches_spilled
             metrics.spill_bytes += spill.bytes_written
@@ -379,8 +361,8 @@ class SchedulerCore:
     ) -> QuantumResult:
         """Run compute iterations until the task finishes or suspends.
 
-        Pull resolution is synchronous through the machine's data
-        service; the quantum's abstract cost (compute ops plus
+        Pull resolution goes through the machine's vertex store
+        (synchronous in-process); the quantum's abstract cost (compute ops plus
         `sim_message_cost` per remote message) feeds the simulator's
         virtual clock and is computed identically — for free — on the
         real engine.

@@ -7,31 +7,27 @@ A task may request any vertex; remote hits are served by the owner and
 memoized in the requester's bounded *remote vertex cache* so concurrent
 tasks share fetched lists.
 
-Two :class:`~repro.graph.access.GraphAccess` implementations live
-here, one per distribution regime:
+Every machine of every partitioned executor reads through one store,
+:class:`RemoteGraphAccess`: its table, its cache, the absent-vertex
+shortcut, pins standing in for the paper's in-flight-task refcounts,
+and the message count. Only where a cache miss is served differs:
 
-* :class:`SharedGraphAccess` — a whole-graph replica (the process
-  pool's fork/shared-memory shipping); every read is local.
-* :class:`RemoteGraphAccess` — one partition's table plus the bounded
-  cache; non-owned vertices must be *admitted* from the wire first
-  (``unresolved`` → VertexRequest → :meth:`RemoteGraphAccess.admit`),
-  with pin counts standing in for the paper's in-flight-task refcounts
-  so a parked task's fetched entries can never be evicted under it.
-
-:class:`DataService` is the in-process resolver over all tables at
-once (serial/threaded/simulated executors); it satisfies the same
-protocol, resolving "remote" reads synchronously while preserving
-ownership, caching, and message counting so the communication
-behaviour of a run is observable.
+* in-process machines (serial/threaded/simulated executors, the process
+  pool's parent) pass a synchronous ``fetch`` that reads the owner's
+  table — all partitions share one address space;
+* the cluster worker passes none: a non-owned, uncached vertex is
+  *unresolved* and must be admitted off the wire first
+  (``unresolved`` → VertexRequest → :meth:`RemoteGraphAccess.admit`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import partial
 
-from ..graph.access import InMemoryGraphAccess
+from ..graph.access import neighbor_mask
 from ..graph.adjacency import Graph
 
 
@@ -40,13 +36,20 @@ def owner_of(vertex: int, num_machines: int) -> int:
     return vertex % num_machines
 
 
+def owner_function(num_machines: int, partitioner=None) -> Callable[[int], int]:
+    """The owner map of a partitioning: `partitioner.owner`, or the
+    paper's hash scheme when `partitioner` is None."""
+    if partitioner is None:
+        return partial(owner_of, num_machines=num_machines)
+    return partitioner.owner
+
+
 class LocalVertexTable:
     """Adjacency lists of the vertices one machine owns."""
 
     def __init__(self, machine_id: int, num_machines: int):
         self.machine_id = machine_id
         self.num_machines = num_machines
-        self.partitioner = None  # set by partition(); None = hash scheme
         self._table: dict[int, Sequence[int]] = {}
 
     @classmethod
@@ -62,15 +65,10 @@ class LocalVertexTable:
         the graph's adjacency memory — only the per-vertex references.
         """
         tables = [cls(m, num_machines) for m in range(num_machines)]
-        if partitioner is None:
-            owner = lambda v: owner_of(v, num_machines)  # noqa: E731
-        else:
-            owner = partitioner.owner
+        owner = owner_function(num_machines, partitioner)
         view = getattr(graph, "neighbors_view", graph.neighbors)
         for v in graph.vertices():
             tables[owner(v)]._table[v] = view(v)
-        for t in tables:
-            t.partitioner = partitioner
         return tables
 
     @classmethod
@@ -110,8 +108,8 @@ class RemoteVertexCache:
     The paper evicts entries once no in-flight task references them; an
     LRU bound is the classic refcount-free approximation and keeps the
     same property that matters — bounded memory with cross-task reuse.
-    (The cluster's :class:`RemoteGraphAccess` layers the refcounts back
-    on top as pins for entries a parked task is waiting on.)
+    (:class:`RemoteGraphAccess` layers the refcounts back on top as
+    pins for entries a parked task is waiting on.)
     """
 
     def __init__(self, capacity: int):
@@ -151,33 +149,21 @@ class RemoteVertexCache:
             return len(self._entries)
 
 
-class SharedGraphAccess(InMemoryGraphAccess):
-    """Whole-graph replica access (the process pool's workers).
-
-    Semantically identical to :class:`~repro.graph.access.
-    InMemoryGraphAccess`; `origin` records how the replica reached this
-    process ('fork' inheritance or 'shm' shared-memory attach), which
-    is observability-only.
-    """
-
-    def __init__(self, graph, origin: str = "fork"):
-        super().__init__(graph)
-        self.origin = origin
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedGraphAccess(origin={self.origin!r}, {self.graph!r})"
-
-
 class RemoteGraphAccess:
     """:class:`GraphAccess` over one partition plus the remote cache.
 
-    The cluster worker's view of the graph: reads hit the local vertex
-    table first, then pinned entries, then the bounded cache. A vertex
-    in none of those is *unresolved* — the worker must fetch it
-    (VertexRequest → the master → :meth:`admit`) before any task that
-    pulls it can run. Under hash partitioning, a vertex this partition
-    owns but never loaded provably does not exist and resolves to an
-    empty adjacency locally, saving the round trip.
+    One machine's vertex store: reads hit the local vertex table first,
+    then pinned entries, then the bounded cache. A vertex the partition
+    owns (per `owner`) but never loaded provably does not exist and
+    resolves to an empty adjacency without a fetch; with `owner` None
+    (a partitioning the holder cannot recompute) there is no such
+    shortcut.
+
+    A cache miss goes to `fetch` when one is given — a synchronous read
+    of the owner's table, counted as one remote message and cached. The
+    cluster worker gives none: the vertex is then *unresolved*, and the
+    worker must fetch it (VertexRequest → the master → :meth:`admit`)
+    before any task that pulls it can run.
 
     Pins are the paper's in-flight refcounts: entries a parked task is
     waiting on are held outside the LRU bound until :meth:`unpin`, so
@@ -189,32 +175,30 @@ class RemoteGraphAccess:
         table: LocalVertexTable,
         cache: RemoteVertexCache,
         *,
-        partition_id: int = 0,
-        num_partitions: int = 1,
-        hash_partitioned: bool = True,
+        owner: Callable[[int], int] | None = None,
+        fetch: Callable[[int], Sequence[int] | None] | None = None,
     ):
-        self._table = table
+        self.table = table
         self.cache = cache
-        self.partition_id = partition_id
-        self.num_partitions = num_partitions
-        self._hash = hash_partitioned
+        self._owner = owner
+        self._fetch = fetch
         self._pinned: dict[int, Sequence[int]] = {}
         self._pin_refs: dict[int, int] = {}
-        #: Adjacency entries admitted off the wire (the cluster analog
-        #: of DataService.remote_messages).
+        #: Adjacency entries served from another partition (fetched or
+        #: admitted off the wire).
         self.remote_messages = 0
         self.local_reads = 0
 
     # -- availability ------------------------------------------------------
 
     def known_absent(self, vertex: int) -> bool:
-        """True when the vertex provably does not exist: under hash
-        partitioning, a vertex this partition owns but never loaded was
-        never in the graph (destination-only ID), so no fetch is needed."""
+        """True when the vertex provably does not exist: a vertex this
+        partition owns but never loaded was never in the graph
+        (destination-only ID), so no fetch is needed."""
         return (
-            self._hash
-            and owner_of(vertex, self.num_partitions) == self.partition_id
-            and not self._table.owns(vertex)
+            self._owner is not None
+            and self._owner(vertex) == self.table.machine_id
+            and not self.table.owns(vertex)
         )
 
     def cached(self, vertex: int) -> Sequence[int] | None:
@@ -226,27 +210,36 @@ class RemoteGraphAccess:
         return self.cache.get(vertex)
 
     def _lookup(self, vertex: int) -> Sequence[int] | None:
-        local = self._table.get(vertex)
+        local = self.table.get(vertex)
         if local is not None:
             self.local_reads += 1
             return local
-        pinned = self._pinned.get(vertex)
-        if pinned is not None:
-            return pinned
+        return self._not_owned(vertex)
+
+    def _not_owned(self, vertex: int) -> Sequence[int] | None:
+        """Adjacency of a vertex the table does not hold: pinned, provably
+        absent, cached, or fetched; None when it must come off the wire."""
         if self.known_absent(vertex):
-            # We are the owner and never loaded it: the vertex does not
-            # exist in the graph (destination-only ID).
             return ()
-        return self.cache.get(vertex)
+        adj = self.cached(vertex)
+        if adj is None and self._fetch is not None:
+            adj = self._fetch(vertex)
+            if adj is None:
+                adj = ()  # the owner never loaded it either
+            self.remote_messages += 1
+            self.cache.put(vertex, adj)
+        return adj
 
     def unresolved(self, vertex_ids: Iterable[int]) -> list[int]:
+        if self._fetch is not None:
+            return []  # every miss is served synchronously
         missing: list[int] = []
         seen: set[int] = set()
         for v in vertex_ids:
             if v in seen:
                 continue
             seen.add(v)
-            if self._table.owns(v) or v in self._pinned or self.known_absent(v):
+            if self.table.owns(v) or v in self._pinned or self.known_absent(v):
                 continue
             # A counted get, not a peek: a cached entry here is an
             # avoided fetch (hit, refreshed to MRU since a read follows)
@@ -262,7 +255,7 @@ class RemoteGraphAccess:
         if adj is None:
             raise KeyError(
                 f"vertex {vertex} is not resolvable on partition "
-                f"{self.partition_id}; fetch it first (unresolved/admit)"
+                f"{self.table.machine_id}; fetch it first (unresolved/admit)"
             )
         return adj
 
@@ -271,13 +264,18 @@ class RemoteGraphAccess:
 
     def resolve(self, vertex_ids: Iterable[int]) -> dict[int, Sequence[int]]:
         frontier: dict[int, Sequence[int]] = {}
+        local_get = self.table.get  # the hot path: most pulls are owned
         for v in vertex_ids:
-            adj = self._lookup(v)
-            if adj is None:
-                raise RuntimeError(
-                    f"unresolved remote vertex {v} in a pull batch; the "
-                    f"worker must park the task and fetch before resolving"
-                )
+            adj = local_get(v)
+            if adj is not None:
+                self.local_reads += 1
+            else:
+                adj = self._not_owned(v)
+                if adj is None:
+                    raise RuntimeError(
+                        f"unresolved remote vertex {v} in a pull batch; the "
+                        f"worker must park the task and fetch before resolving"
+                    )
             frontier[v] = adj
         return frontier
 
@@ -285,12 +283,7 @@ class RemoteGraphAccess:
         """Hint only: the worker reactor batches real fetches itself."""
 
     def adjacency_mask(self, vertex: int, members: Sequence[int]) -> int:
-        nbr_set = set(self.neighbors(vertex))
-        mask = 0
-        for i, m in enumerate(members):
-            if m in nbr_set:
-                mask |= 1 << i
-        return mask
+        return neighbor_mask(self.neighbors(vertex), members)
 
     # -- wire admission + pinning ------------------------------------------
 
@@ -304,7 +297,7 @@ class RemoteGraphAccess:
         also pinned (one reference) for the task that requested it."""
         admitted = 0
         for v, adj in entries:
-            if self._table.owns(v):
+            if self.table.owns(v):
                 continue  # raced with nothing: we already own it
             adj = tuple(adj)
             self.remote_messages += 1
@@ -319,7 +312,7 @@ class RemoteGraphAccess:
         """Take one reference on each currently-cached entry so it
         survives until :meth:`unpin` (parked-task protection)."""
         for v in vertex_ids:
-            if self._table.owns(v) or self.known_absent(v):
+            if self.table.owns(v) or self.known_absent(v):
                 continue
             entry = self._pinned.get(v)
             if entry is None:
@@ -352,85 +345,23 @@ class RemoteGraphAccess:
         pinned_only = sum(
             1 for v in self._pinned if self.cache.peek(v) is None
         )
-        return len(self._table) + len(self.cache) + pinned_only
+        return len(self.table) + len(self.cache) + pinned_only
 
 
-class DataService:
-    """Per-machine pull resolver over the distributed vertex tables.
+def in_process_stores(
+    tables: Sequence[LocalVertexTable], cache_capacity: int, partitioner=None
+) -> list[RemoteGraphAccess]:
+    """One store per table of `partitioner`'s partitioning, all in one
+    address space: each serves a cache miss synchronously from the
+    owner's table (the serial/threaded/simulated executors' machines)."""
+    owner = owner_function(len(tables), partitioner)
 
-    The in-process :class:`GraphAccess`: all partitions share one
-    address space (serial/threaded/simulated executors), so "remote"
-    reads are synchronous dictionary hops that preserve the ownership,
-    caching, and message accounting of the real distributed store.
-    """
+    def fetch(vertex: int) -> Sequence[int] | None:
+        return tables[owner(vertex)].get(vertex)
 
-    def __init__(
-        self,
-        machine_id: int,
-        tables: list[LocalVertexTable],
-        cache: RemoteVertexCache,
-        partitioner=None,
-    ):
-        self.machine_id = machine_id
-        self._tables = tables
-        self._local = tables[machine_id]
-        self._cache = cache
-        self._partitioner = partitioner
-        self.remote_messages = 0
-        self.local_reads = 0
-
-    def _owner_of(self, vertex: int) -> int:
-        if self._partitioner is not None:
-            return self._partitioner.owner(vertex)
-        return owner_of(vertex, len(self._tables))
-
-    def neighbors(self, vertex: int) -> Sequence[int]:
-        return self.resolve([vertex])[vertex]
-
-    def degree(self, vertex: int) -> int:
-        return len(self.neighbors(vertex))
-
-    def unresolved(self, vertex_ids: Iterable[int]) -> list[int]:
-        return []  # every table is one dictionary hop away
-
-    def prefetch(self, vertex_ids: Iterable[int]) -> None:
-        pass
-
-    def adjacency_mask(self, vertex: int, members: Sequence[int]) -> int:
-        nbr_set = set(self.neighbors(vertex))
-        mask = 0
-        for i, m in enumerate(members):
-            if m in nbr_set:
-                mask |= 1 << i
-        return mask
-
-    def resolve(self, vertex_ids: Iterable[int]) -> dict[int, Sequence[int]]:
-        """Serve a task's pull batch; returns {vertex: adjacency list}.
-
-        Vertices absent from the graph resolve to empty lists (a task
-        may name a destination-only vertex that was never loaded).
-        """
-        frontier: dict[int, Sequence[int]] = {}
-        for v in vertex_ids:
-            local = self._local.get(v)
-            if local is not None:
-                self.local_reads += 1
-                frontier[v] = local
-                continue
-            owner_id = self._owner_of(v)
-            if owner_id == self.machine_id:
-                # We are the owner and don't have it: the vertex simply
-                # does not exist in the graph (destination-only ID).
-                frontier[v] = []
-                continue
-            cached = self._cache.get(v)
-            if cached is not None:
-                frontier[v] = cached
-                continue
-            self.remote_messages += 1
-            adjacency = self._tables[owner_id].get(v)
-            if adjacency is None:
-                adjacency = []
-            self._cache.put(v, adjacency)
-            frontier[v] = adjacency
-        return frontier
+    return [
+        RemoteGraphAccess(
+            table, RemoteVertexCache(cache_capacity), owner=owner, fetch=fetch
+        )
+        for table in tables
+    ]

@@ -54,6 +54,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="cluster_chunk_size"):
             EngineConfig(cluster_chunk_size=-1)
 
+    @pytest.mark.parametrize("knobs,match", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"queue_capacity": 4, "batch_size": 8}, "queue_capacity"),
+        ({"cache_capacity": 0}, "cache_capacity"),
+        ({"cache_capacity": -1}, "cache_capacity"),
+    ])
+    def test_queue_and_cache_knob_validation(self, knobs, match):
+        # Rejected at construction, so service admission (from_payload)
+        # refuses them instead of the engine failing at start.
+        with pytest.raises(ValueError, match=match):
+            EngineConfig.from_payload(knobs)
+        EngineConfig.from_payload({"queue_capacity": 4, "batch_size": 4,
+                                   "cache_capacity": 1})
+
     def test_num_procs_validation(self):
         with pytest.raises(ValueError, match="num_procs"):
             EngineConfig(num_procs=-1)

@@ -25,11 +25,11 @@ from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.gthinker.partition import make_partitioner
 from repro.gthinker.vertex_store import (
-    DataService,
     LocalVertexTable,
     RemoteGraphAccess,
     RemoteVertexCache,
-    SharedGraphAccess,
+    in_process_stores,
+    owner_function,
     owner_of,
 )
 
@@ -45,10 +45,8 @@ class TestProtocolConformance:
         impls = [
             InMemoryGraphAccess(g),
             InMemoryGraphAccess(CSRGraph.from_graph(g)),
-            SharedGraphAccess(g, origin="shm"),
             RemoteGraphAccess(tables[0], RemoteVertexCache(4),
-                              partition_id=0, num_partitions=2),
-            DataService(0, tables, RemoteVertexCache(4)),
+                              owner=owner_function(2)),
         ]
         for impl in impls:
             assert isinstance(impl, GraphAccess), type(impl).__name__
@@ -136,7 +134,7 @@ class TestAccessEquivalence:
         tables = LocalVertexTable.partition(graph, workers)
         access = RemoteGraphAccess(
             tables[pid], RemoteVertexCache(capacity),
-            partition_id=pid, num_partitions=workers,
+            owner=owner_function(workers),
         )
         members = sorted(graph.vertices())
         # Fault-free fetch, with the worker's park discipline: pin the
@@ -165,10 +163,12 @@ class TestAccessEquivalence:
     @given(graph_and_partitioning())
     @settings(max_examples=30, deadline=None)
     def test_data_service_equals_in_memory(self, case):
+        """Each in-process machine's store (its data service) answers a
+        whole-graph pull batch exactly like the whole graph."""
         graph, workers, pid, capacity = case
         reference = InMemoryGraphAccess(graph)
         tables = LocalVertexTable.partition(graph, workers)
-        svc = DataService(pid, tables, RemoteVertexCache(capacity))
+        svc = in_process_stores(tables, capacity)[pid]
         out = svc.resolve(sorted(graph.vertices()))
         assert {v: tuple(adj) for v, adj in out.items()} == {
             v: tuple(reference.neighbors(v)) for v in graph.vertices()

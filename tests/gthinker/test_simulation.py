@@ -98,6 +98,52 @@ class TestScalabilityShape:
         assert four.maximal == one.maximal
 
 
+class TestVertexStorePin:
+    """The simulated machines' vertex store is pinned: ownership, the
+    absent-vertex shortcut, LRU caching and message counting must give
+    these exact counters, and a message cost makes the virtual makespan
+    depend on them too. A change to the store that is meant to move
+    them (another cache or partition policy) updates the numbers and
+    says why."""
+
+    #: (partition, cache_capacity) → (remote_messages, remote_vertex_hits,
+    #: remote_vertex_misses, remote_vertex_evictions, virtual_makespan).
+    PINNED = {
+        ("hash", 1 << 16): (2743, 2135, 2743, 0, 13272.0),
+        ("hash", 4): (4869, 9, 4869, 4857, 14227.0),
+        ("range", 1 << 16): (1261, 2980, 1261, 0, 28505.0),
+        ("range", 4): (4236, 5, 4236, 4228, 31371.0),
+        ("balanced_degree", 1 << 16): (2824, 2058, 2824, 0, 11215.0),
+        ("balanced_degree", 4): (4876, 6, 4876, 4864, 12040.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.core.miner import mine_maximal_quasicliques
+        from repro.datasets import get_dataset
+
+        spec = get_dataset("ca_grqc")
+        graph = spec.build().graph
+        oracle = mine_maximal_quasicliques(graph, spec.gamma, spec.min_size).maximal
+        return spec, graph, oracle
+
+    @pytest.mark.parametrize("partition,capacity", sorted(PINNED))
+    def test_store_counters_and_makespan(self, instance, partition, capacity):
+        spec, graph, oracle = instance
+        config = sim_config(
+            num_machines=3, threads_per_machine=2, tau_time=200, tau_split=8,
+            partition=partition, cache_capacity=capacity, sim_message_cost=2.0,
+        )
+        out = simulate_cluster(graph, spec.gamma, spec.min_size, config)
+        m = out.metrics
+        assert (
+            m.remote_messages, m.remote_vertex_hits, m.remote_vertex_misses,
+            m.remote_vertex_evictions, m.virtual_makespan,
+        ) == self.PINNED[(partition, capacity)]
+        assert len(out.maximal) == 12
+        assert out.maximal == oracle
+
+
 class TestGuards:
     def test_wall_clock_rejected(self):
         g = make_random_graph(6, 0.5, seed=1)

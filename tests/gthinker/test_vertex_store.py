@@ -7,10 +7,11 @@ import pytest
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.gthinker.vertex_store import (
-    DataService,
     LocalVertexTable,
     RemoteGraphAccess,
     RemoteVertexCache,
+    in_process_stores,
+    owner_function,
     owner_of,
 )
 
@@ -98,12 +99,14 @@ class TestCache:
         assert len(cache) == 1  # clamped to 1
 
 
-class TestDataService:
+class TestInProcessFetch:
+    """A machine's store with the in-process fetch: a miss is served
+    synchronously from the owner's table, counted and cached."""
+
     def test_local_reads_free(self):
         g = make_random_graph(10, 0.4, seed=5)
         tables = LocalVertexTable.partition(g, 2)
-        cache = RemoteVertexCache(16)
-        svc = DataService(0, tables, cache)
+        svc = in_process_stores(tables, 16)[0]
         local_vs = tables[0].vertices_sorted()
         out = svc.resolve(local_vs)
         assert svc.remote_messages == 0
@@ -114,8 +117,9 @@ class TestDataService:
     def test_remote_fetch_counts_and_caches(self):
         g = make_random_graph(10, 0.4, seed=6)
         tables = LocalVertexTable.partition(g, 2)
-        svc = DataService(0, tables, RemoteVertexCache(16))
+        svc = in_process_stores(tables, 16)[0]
         remote_vs = tables[1].vertices_sorted()
+        assert svc.unresolved(remote_vs) == []  # never a wire fetch
         svc.resolve(remote_vs)
         assert svc.remote_messages == len(remote_vs)
         svc.resolve(remote_vs)  # second round served from cache
@@ -124,8 +128,8 @@ class TestDataService:
     def test_unknown_vertex_resolves_empty(self):
         g = Graph.from_edges([(0, 1)])
         tables = LocalVertexTable.partition(g, 1)
-        svc = DataService(0, tables, RemoteVertexCache(4))
-        assert svc.resolve([99]) == {99: []}
+        svc = in_process_stores(tables, 4)[0]
+        assert svc.resolve([99]) == {99: ()}
 
 
 class TestCustomPartitioner:
@@ -150,9 +154,7 @@ class TestCustomPartitioner:
         g = make_random_graph(12, 0.4, seed=10)
         part = range_partitioner(g, 2)
         tables = LocalVertexTable.partition(g, 2, partitioner=part)
-        svc = DataService(
-            0, tables, RemoteVertexCache(8), partitioner=part
-        )
+        svc = in_process_stores(tables, 8, partitioner=part)[0]
         out = svc.resolve(sorted(g.vertices()))
         for v in g.vertices():
             assert out[v] == g.neighbors(v)
@@ -165,8 +167,7 @@ class TestRemoteGraphAccess:
         g = make_random_graph(12, 0.4, seed=seed)
         tables = LocalVertexTable.partition(g, 2)
         access = RemoteGraphAccess(
-            tables[0], RemoteVertexCache(capacity),
-            partition_id=0, num_partitions=2,
+            tables[0], RemoteVertexCache(capacity), owner=owner_function(2),
         )
         return g, tables, access
 
@@ -219,10 +220,7 @@ class TestRemoteGraphAccess:
     def test_no_absence_shortcut_for_non_hash_partitioning(self):
         g = make_random_graph(12, 0.4, seed=8)
         tables = LocalVertexTable.partition(g, 2)
-        access = RemoteGraphAccess(
-            tables[0], RemoteVertexCache(4),
-            partition_id=0, num_partitions=2, hash_partitioned=False,
-        )
+        access = RemoteGraphAccess(tables[0], RemoteVertexCache(4))  # no owner map
         assert not access.known_absent(98)
         assert access.unresolved([98]) == [98]
 
@@ -263,9 +261,9 @@ class TestRemoteMisses:
     def test_remote_unknown_vertex_resolves_empty_and_is_cached(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
         tables = LocalVertexTable.partition(g, 2)
-        svc = DataService(0, tables, RemoteVertexCache(8))
+        svc = in_process_stores(tables, 8)[0]
         # 99 is odd → owned by machine 1, which never loaded it.
-        assert svc.resolve([99]) == {99: []}
+        assert svc.resolve([99]) == {99: ()}
         assert svc.remote_messages == 1
         svc.resolve([99])  # second lookup must hit the cache
         assert svc.remote_messages == 1

@@ -81,6 +81,12 @@ class TestJobSpecValidation:
           "engine": {"no_such_knob": 1}}, "bad engine config"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]], "chunk_roots": 0},
          "chunk_roots must be"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"batch_size": 0}}, "bad engine config"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"queue_capacity": 2, "batch_size": 4}}, "bad engine config"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"cache_capacity": 0}}, "bad engine config"),
     ]
 
     @pytest.mark.parametrize("payload,match", BAD)

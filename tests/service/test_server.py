@@ -159,6 +159,20 @@ class TestErrors:
         assert envelope["error"]["status"] == 400
         assert "bad JSON body" in envelope["error"]["message"]
 
+    @pytest.mark.parametrize("engine", [
+        {"batch_size": 0},
+        {"queue_capacity": 2, "batch_size": 4},
+        {"cache_capacity": 0},
+    ])
+    def test_unrunnable_engine_knobs_400(self, live, engine):
+        _, client = live
+        _, spec = svc_common.small_job(seed=1)
+        with pytest.raises(ServiceError) as err:
+            client.submit({**spec, "engine": engine})
+        assert err.value.status == 400
+        assert "bad engine config" in err.value.message
+        assert client.jobs() == []  # refused at admission, never queued
+
     def test_bad_query_param_400(self, live):
         _, client = live
         job_id = submit_and_wait(client, svc_common.small_job(seed=4)[1])["id"]
