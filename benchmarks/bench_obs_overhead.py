@@ -16,7 +16,8 @@ regression (an unguarded clock read or an emit on the pick fast path)
 shows up as 2-10x, not single digits.
 
 Artifacts: benchmarks/out/obs_overhead.txt and
-benchmarks/out/obs_overhead.json (backend_scaling report shape).
+benchmarks/out/obs_overhead.json (``instance``, ``cpu_count``, one
+``rows`` entry per case, ``target_overhead``, ``target_met``).
 """
 
 import json

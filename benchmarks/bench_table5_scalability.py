@@ -8,23 +8,12 @@ Measured analog: the same sweeps on the discrete-event simulated
 cluster over the enron analog. Virtual makespans are deterministic and
 the task set is identical across configurations, so the speedup curve
 is pure scheduling.
-
-With ``--real-cluster`` the horizontal sweep additionally runs on the
-real TCP master/worker runtime (localhost worker processes) and emits
-honest wall-clock numbers in the same JSON report schema as
-benchmarks/out/backend_scaling.json.
 """
-
-import json
-import os
-import time
 
 import pytest
 
 from repro.bench import report
-from repro.gthinker import EngineConfig
-from repro.gthinker.engine import mine_parallel
-from conftest import cluster_run, sim_run
+from conftest import sim_run
 
 # The paper sweeps 16 machines x {4..32} threads and {2..16} machines x 32
 # threads; the analog workload is ~1/100 scale, so the sweep is scaled
@@ -95,94 +84,3 @@ def test_table5_report(benchmark, dataset):
     assert solo.makespan / _vertical[VERTICAL[-1]] > 4.0, (
         "the codesign must show substantial parallel speedup"
     )
-
-
-# Worker counts for the --real-cluster sweep: real processes are far
-# more expensive per point than virtual machines, so the sweep is short.
-REAL_CLUSTER_WORKERS = [1, 2, 4]
-
-
-def test_table5c_real_cluster(benchmark, dataset, real_cluster):
-    """Table 5(b)'s horizontal sweep on the real TCP cluster runtime.
-
-    Opt-in (``--real-cluster``): spawns 1/2/4 localhost worker
-    processes per point and reports honest wall-clock seconds next to a
-    serial baseline, cross-checked for result equality. Emits
-    benchmarks/out/table5c_real_cluster.json in the same schema as
-    backend_scaling.json (rows of backend/workers/wall_seconds/
-    speedup_vs_serial/results/tasks_executed).
-    """
-    if not real_cluster:
-        pytest.skip("real-cluster sweep is opt-in: pass --real-cluster")
-    spec, pg = dataset("enron")
-
-    def _sweep():
-        t0 = time.perf_counter()
-        serial = mine_parallel(
-            pg.graph, spec.gamma, spec.min_size,
-            EngineConfig(
-                decompose="timed", tau_time=spec.tau_time_ops,
-                time_unit="ops", tau_split=spec.tau_split,
-            ),
-        )
-        serial_seconds = time.perf_counter() - t0
-        points = []
-        for workers in REAL_CLUSTER_WORKERS:
-            t0 = time.perf_counter()
-            out = cluster_run(pg.graph, spec, workers=workers)
-            wall = time.perf_counter() - t0
-            assert out.maximal == serial.maximal, (
-                f"real cluster at {workers} workers diverges from serial"
-            )
-            points.append((workers, wall, out))
-        return serial, serial_seconds, points
-
-    serial, serial_seconds, points = benchmark.pedantic(
-        _sweep, rounds=1, iterations=1
-    )
-
-    rows = [["serial", 1, f"{serial_seconds:.3f}", "1.0x", "-", "-"]]
-    for workers, wall, out in points:
-        rows.append([
-            "cluster", workers, f"{wall:.3f}",
-            f"{serial_seconds / wall:.2f}x",
-            out.metrics.tasks_executed, out.metrics.stolen_tasks,
-        ])
-    report(
-        "Table 5(c) — horizontal scalability on the real TCP cluster "
-        "(localhost workers, enron analog)",
-        ["backend", "workers", "seconds", "speedup vs serial",
-         "tasks", "stolen"],
-        rows,
-        notes=(
-            "Wall clock includes worker spawn + graph shipping; the "
-            "virtual sweeps above isolate pure scheduling."
-        ),
-        out_name="table5c_real_cluster",
-    )
-
-    out_dir = os.environ.get("REPRO_BENCH_OUT", "benchmarks/out")
-    os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "instance": {
-            "dataset": "enron", "gamma": spec.gamma,
-            "min_size": spec.min_size, "tau_split": spec.tau_split,
-            "tau_time_ops": spec.tau_time_ops,
-        },
-        "cpu_count": os.cpu_count(),
-        "serial_seconds": serial_seconds,
-        "rows": [
-            {
-                "backend": "cluster",
-                "workers": workers,
-                "wall_seconds": wall,
-                "speedup_vs_serial": serial_seconds / wall,
-                "results": out.metrics.results,
-                "stolen_tasks": out.metrics.stolen_tasks,
-                "tasks_executed": out.metrics.tasks_executed,
-            }
-            for workers, wall, out in points
-        ],
-    }
-    with open(os.path.join(out_dir, "table5c_real_cluster.json"), "w") as f:
-        json.dump(payload, f, indent=2)

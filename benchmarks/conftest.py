@@ -15,24 +15,7 @@ import pytest
 
 from repro.datasets import build_dataset, get_dataset
 from repro.gthinker import EngineConfig
-from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.simulation import simulate_cluster
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--real-cluster",
-        action="store_true",
-        default=False,
-        help="also run the scalability sweeps on the real TCP "
-        "master/worker cluster backend (localhost worker processes; "
-        "wall-clock numbers next to the virtual makespans)",
-    )
-
-
-@pytest.fixture(scope="session")
-def real_cluster(request) -> bool:
-    return request.config.getoption("--real-cluster")
 
 
 @pytest.fixture(scope="session")
@@ -58,22 +41,3 @@ def sim_run(graph, spec, machines=1, threads=1, **overrides):
     params.update(overrides)
     config = EngineConfig(**params)
     return simulate_cluster(graph, spec.gamma, spec.min_size, config)
-
-
-def cluster_run(graph, spec, workers=2, **overrides):
-    """One real TCP-cluster run with a dataset's registered parameters."""
-    params = dict(
-        backend="cluster",
-        num_procs=workers,
-        tau_split=spec.tau_split,
-        tau_time=spec.tau_time_ops,
-        time_unit="ops",
-        decompose="timed",
-        heartbeat_period=0.05,
-        heartbeat_timeout=30.0,
-    )
-    params.update(overrides)
-    config = EngineConfig(**params)
-    return mine_cluster(
-        graph, spec.gamma, spec.min_size, config=config, timeout=600.0
-    )

@@ -1,25 +1,5 @@
-"""Benchmark-harness helpers (table rendering, experiment plumbing)."""
+"""Plain-text table rendering for the paper-reproduction benches."""
 
-from .harness import (
-    BackendComparison,
-    BackendPoint,
-    backend_comparison,
-    config_for,
-    hyperparameter_grid,
-    run_dataset,
-    scalability_sweep,
-)
 from .reporting import format_table, ratio, report
 
-__all__ = [
-    "BackendComparison",
-    "BackendPoint",
-    "backend_comparison",
-    "config_for",
-    "format_table",
-    "hyperparameter_grid",
-    "ratio",
-    "report",
-    "run_dataset",
-    "scalability_sweep",
-]
+__all__ = ["format_table", "ratio", "report"]

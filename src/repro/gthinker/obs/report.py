@@ -20,9 +20,10 @@ into:
   payloads carry (the distributed vertex store's wire traffic);
 * a **top-K slowest tasks** table from per-task ``batch_mine`` time.
 
-``--json`` emits the same report in the ``backend_scaling`` JSON shape
-(``instance`` / ``cpu_count`` / ``rows`` + extra sections) so
-benchmarks and CI can consume it.
+``--json`` emits the same report as one JSON object: ``instance``
+(trace path, event and kind counts), ``cpu_count``, one ``rows`` entry
+per worker, and ``phases`` / ``faults`` / ``fetches`` /
+``slowest_tasks`` sections, so scripts and CI can consume it.
 
 The report is computed from the trace alone — no metrics file, no
 source run — which is the point: the acceptance bar for this module is
@@ -361,7 +362,9 @@ def format_report(report: TraceReport) -> str:
 
 
 def report_to_json(report: TraceReport) -> dict:
-    """The ``--json`` payload, in the ``backend_scaling`` report shape."""
+    """The ``--json`` payload: ``instance``, ``cpu_count``, per-worker
+    ``rows``, then ``phases`` / ``faults`` / ``fetches`` /
+    ``slowest_tasks``."""
     return {
         "instance": {
             "trace": report.path,
@@ -422,8 +425,10 @@ def report_cli(argv: list[str] | None = None) -> int:
                         help="slowest-tasks rows to show (default: 10)")
     parser.add_argument("--json", nargs="?", const="-", default=None,
                         metavar="FILE",
-                        help="emit the report as backend_scaling-schema JSON "
-                        "to FILE ('-' or no value = stdout) instead of text")
+                        help="emit the report as JSON (instance, cpu_count, "
+                        "per-worker rows, phases, faults, fetches, "
+                        "slowest_tasks) to FILE ('-' or no value = stdout) "
+                        "instead of text")
     args = parser.parse_args(argv)
     try:
         events = load_trace(args.trace)

@@ -110,8 +110,10 @@ class JobSpec:
             min_size = int(payload["min_size"])
         except (TypeError, ValueError) as exc:
             raise ServiceError(400, f"bad gamma/min_size: {exc}") from exc
-        if not 0.0 < gamma <= 1.0:
-            raise ServiceError(400, f"gamma must be in (0, 1], got {gamma}")
+        # MiningJob refuses γ < 0.5 (the diameter-2 regime); refuse it
+        # here too rather than queue a job that can only fail.
+        if not 0.5 <= gamma <= 1.0:
+            raise ServiceError(400, f"gamma must be in [0.5, 1], got {gamma}")
         if min_size < 1:
             raise ServiceError(400, f"min_size must be >= 1, got {min_size}")
 
@@ -149,10 +151,13 @@ class JobSpec:
             raise ServiceError(400, f"bad engine config: {exc}") from exc
 
         chunk_roots = payload.get("chunk_roots")
-        if chunk_roots is not None:
-            chunk_roots = int(chunk_roots)
-            if chunk_roots < 1:
-                raise ServiceError(400, "chunk_roots must be >= 1")
+        if chunk_roots is not None and (
+            not isinstance(chunk_roots, int) or isinstance(chunk_roots, bool)
+            or chunk_roots < 1
+        ):
+            raise ServiceError(
+                400, f"chunk_roots must be an integer >= 1, got {chunk_roots!r}"
+            )
 
         return cls(
             gamma=gamma,

@@ -246,6 +246,11 @@ class TestMemoryBounded:
         out = result["out"]
         assert out.maximal == serial.maximal
         assert out.candidates == serial.candidates
+        # Each worker is shipped only its own partition: the two tables
+        # are disjoint and together cover V.
+        tables = [set(w.reactor.machine.table.vertices_sorted()) for w in workers]
+        assert tables[0].isdisjoint(tables[1])
+        assert tables[0] | tables[1] == set(graph.vertices())
         for w in workers:
             access = w.reactor.access
             assert access is not None, "worker fell back to a full graph"

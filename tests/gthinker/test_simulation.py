@@ -22,14 +22,24 @@ def sim_config(**kw):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("machines,threads", [(1, 1), (1, 4), (2, 2), (4, 2)])
-    def test_matches_oracle(self, machines, threads):
+    # τ_split only reroutes big tasks (0: every task to Q_global, 50:
+    # none), so it moves the schedule but never the result family.
+    @pytest.mark.parametrize(
+        "machines,threads,tau_split",
+        [(1, 1, 4), (1, 4, 4), (2, 2, 4), (4, 2, 4), (2, 2, 0), (2, 2, 50)],
+        ids=["1-1", "1-4", "2-2", "4-2", "2-2-split0", "2-2-split50"],
+    )
+    def test_matches_oracle(self, machines, threads, tau_split):
         rng = random.Random(machines * 7 + threads)
         g = make_random_graph(11, 0.55, seed=machines * 3 + threads)
         gamma = rng.choice(GAMMAS)
         min_size = rng.randint(2, 4)
         out = simulate_cluster(
-            g, gamma, min_size, sim_config(num_machines=machines, threads_per_machine=threads)
+            g, gamma, min_size,
+            sim_config(
+                num_machines=machines, threads_per_machine=threads,
+                tau_split=tau_split,
+            ),
         )
         assert out.maximal == enumerate_maximal_quasicliques(g, gamma, min_size)
 

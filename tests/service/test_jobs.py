@@ -87,6 +87,13 @@ class TestJobSpecValidation:
           "engine": {"queue_capacity": 2, "batch_size": 4}}, "bad engine config"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
           "engine": {"cache_capacity": 0}}, "bad engine config"),
+        ({"gamma": 0.3, "min_size": 3, "edges": [[0, 1]]}, "gamma must be in"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]], "chunk_roots": "abc"},
+         "chunk_roots must be"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]], "chunk_roots": [2]},
+         "chunk_roots must be"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]], "chunk_roots": 2.7},
+         "chunk_roots must be"),
     ]
 
     @pytest.mark.parametrize("payload,match", BAD)

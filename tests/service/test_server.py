@@ -173,6 +173,20 @@ class TestErrors:
         assert "bad engine config" in err.value.message
         assert client.jobs() == []  # refused at admission, never queued
 
+    @pytest.mark.parametrize("fields", [
+        {"chunk_roots": "abc"},
+        {"chunk_roots": [2]},
+        {"chunk_roots": 2.7},
+        {"gamma": 0.3},
+    ])
+    def test_bad_chunk_roots_or_gamma_400(self, live, fields):
+        _, client = live
+        _, spec = svc_common.small_job(seed=1)
+        with pytest.raises(ServiceError) as err:
+            client.submit({**spec, **fields})
+        assert err.value.status == 400
+        assert client.jobs() == []  # refused at admission, never queued
+
     def test_bad_query_param_400(self, live):
         _, client = live
         job_id = submit_and_wait(client, svc_common.small_job(seed=4)[1])["id"]

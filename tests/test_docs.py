@@ -13,6 +13,9 @@ Two enforcement layers:
    checked **bidirectionally** against ``tracing.KINDS`` and
    ``obs.spans.SPAN_NAMES``: a kind added to either the code or the doc
    without the other fails here.
+
+Committed benchmark artifacts are held to the same rule: every file
+under ``benchmarks/out/`` must still have a producer.
 """
 
 import os
@@ -85,6 +88,25 @@ def test_doc_python_blocks_execute(rel_path, tmp_path):
         f"(exit {proc.returncode})\n--- stdout ---\n{proc.stdout}"
         f"\n--- stderr ---\n{proc.stderr}"
     )
+
+
+def test_every_bench_artifact_has_a_producer():
+    """Every file under ``benchmarks/out/`` is written by a surviving
+    ``benchmarks/bench_*.py``: its stem appears there as an
+    ``out_name`` or a JSON filename. Deleting a bench must delete its
+    artifacts too, or the committed numbers outlive their producer."""
+    bench_dir = os.path.join(REPO_ROOT, "benchmarks")
+    written = set()
+    for name in os.listdir(bench_dir):
+        if name.startswith("bench_") and name.endswith(".py"):
+            text = _read_doc(os.path.join("benchmarks", name))
+            written.update(re.findall(r'out_name="(\w+)"', text))
+            written.update(re.findall(r'"(\w+)\.json"', text))
+    orphans = sorted(
+        name for name in os.listdir(os.path.join(bench_dir, "out"))
+        if os.path.splitext(name)[0] not in written
+    )
+    assert not orphans, f"benchmarks/out/ files no bench writes: {orphans}"
 
 
 def _table_kinds(section_heading):
