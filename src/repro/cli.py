@@ -22,6 +22,8 @@ Examples::
     quasiclique-mine communities --url http://localhost:7477 job-000001 \
         --vertex 42 --top 5
     quasiclique-mine graph.txt --gamma 0.9 --min-size 10 --query 42
+    quasiclique-mine graph.txt --gamma 0.9 --min-size 10 \
+        --backend process --num-procs 4 --checkpoint-dir ckpt/
     quasiclique-mine --postprocess raw.txt maximal.txt
     quasiclique-mine graph.txt --stats
 """
@@ -36,7 +38,6 @@ import time
 from .core.miner import mine_maximal_quasicliques
 from .core.query import mine_containing
 from .core.resultsio import postprocess_file
-from .core.resumable import ResumableMiner
 from .datasets.registry import build_dataset, dataset_names, get_dataset
 from .graph.io import read_edge_list
 from .gthinker.config import EngineConfig
@@ -173,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mine only quasi-cliques containing vertex V "
                         "(repeatable)")
     parser.add_argument("--checkpoint-dir", default=None,
-                        help="run resumably, checkpointing per root into "
-                        "this directory")
+                        help="run resumably on any --backend, checkpointing "
+                        "each chunk of spawn roots into this directory; "
+                        "rerun with the same directory to resume")
     parser.add_argument("--stats", action="store_true",
                         help="print graph statistics and exit")
     return parser
@@ -240,10 +242,14 @@ def main(argv: list[str] | None = None) -> int:
                   f"--backend {backend}", file=sys.stderr)
             return 2
         backend = "simulated"
-    if backend is not None and (args.serial or args.query or args.checkpoint_dir):
+    if backend is not None and (args.serial or args.query):
         print("error: --backend selects an engine executor; it cannot be "
-              "combined with --serial, --query, or --checkpoint-dir",
-              file=sys.stderr)
+              "combined with --serial or --query", file=sys.stderr)
+        return 2
+    if args.checkpoint_dir and (args.serial or args.query or args.mp_start_method):
+        print("error: --checkpoint-dir runs the engine chunk by chunk; it "
+              "cannot be combined with --serial, --query, or "
+              "--mp-start-method", file=sys.stderr)
         return 2
     if backend == "serial" and args.machines * args.threads != 1:
         print("error: --backend serial runs one machine x one thread; "
@@ -265,9 +271,10 @@ def main(argv: list[str] | None = None) -> int:
         retry_backoff=args.retry_backoff,
     )
 
-    if args.metrics_json and (args.serial or args.query or args.checkpoint_dir):
+    if args.metrics_json and (args.serial or args.query):
         print("error: --metrics-json requires an engine mode "
-              "(default or --simulate)", file=sys.stderr)
+              "(default, --backend, --simulate or --checkpoint-dir)",
+              file=sys.stderr)
         return 2
 
     on_progress = None
@@ -302,10 +309,14 @@ def main(argv: list[str] | None = None) -> int:
         maximal = result.maximal
         extra = f" query={sorted(set(args.query))}"
     elif args.checkpoint_dir:
-        miner = ResumableMiner(graph, gamma, min_size, args.checkpoint_dir)
-        result = miner.run()
-        maximal = result.maximal
-        extra = f" checkpoint={args.checkpoint_dir}"
+        from .service.runner import run_checkpointed
+
+        out = run_checkpointed(graph, gamma, min_size, config,
+                               work_dir=args.checkpoint_dir,
+                               on_progress=on_progress)
+        maximal = out.maximal
+        extra = (f" checkpoint={args.checkpoint_dir} "
+                 f"recovered={out.roots_recovered}/{out.roots_total}")
     elif args.serial:
         result = mine_maximal_quasicliques(graph, gamma, min_size)
         maximal = result.maximal

@@ -11,8 +11,8 @@ Format: one vertex set per line, space-separated sorted IDs; `#` lines
 are comments. Stable across runs, diff-friendly, and identical to the
 CLI's --output format.
 
-Crash-safety contract (the mining service and ResumableMiner rely on
-it):
+Crash-safety contract (the checkpoint runner,
+:func:`repro.service.runner.run_checkpointed`, relies on it):
 
 * :func:`write_results` is atomic — it writes a temp file in the same
   directory, fsyncs, then ``os.replace``s it over the destination, so
@@ -25,6 +25,10 @@ it):
   spill files apply to batches torn by a dying worker — and append
   mode drops such a torn tail before writing, so a resumed run never
   splices new candidates onto half of an old line.
+
+A checkpoint directory pairs such a result file (``candidates.txt``)
+with a journal of finished spawn roots (``roots.journal``, one ID per
+line); :func:`load_checkpoint` reads both back.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import os
 import threading
 import warnings
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .postprocess import remove_non_maximal
 
@@ -104,6 +109,31 @@ def postprocess_file(
     kept = remove_non_maximal(candidates)
     write_results(kept, dst, header=f"postprocessed from {os.fspath(src)}")
     return len(candidates), len(kept)
+
+
+@dataclass
+class CheckpointState:
+    """What a restart learns from disk."""
+
+    completed_roots: set[int] = field(default_factory=set)
+    candidates: set[frozenset[int]] = field(default_factory=set)
+
+
+def load_checkpoint(results_path: str, journal_path: str) -> CheckpointState:
+    """Read a checkpoint's journaled roots and persisted candidates.
+
+    Missing files mean an empty checkpoint (a fresh run).
+    """
+    state = CheckpointState()
+    if os.path.exists(journal_path):
+        with open(journal_path) as f:
+            for line in f:
+                line = line.strip()
+                if line:
+                    state.completed_roots.add(int(line))
+    if os.path.exists(results_path):
+        state.candidates = read_results(results_path)
+    return state
 
 
 def _drop_torn_tail(path: str) -> None:

@@ -1,6 +1,6 @@
 """The reforged G-thinker runtime and the quasi-clique application."""
 
-from .aggregator import Aggregator, MaxSetAggregator, SumAggregator
+from .aggregator import MaxSetAggregator
 from .app_maxclique import (
     MaxCliqueApp,
     SharedIncumbent,
@@ -8,7 +8,6 @@ from .app_maxclique import (
     find_max_clique_simulated,
 )
 from .app_protocol import ComputeContext, GThinkerApp, ensure_app, gthinker_app, registered_apps
-from .app_triangles import TriangleCountApp, count_triangles_parallel
 from .app_quasiclique import QuasiCliqueApp
 from .chaos import FaultInjection
 from .clock import AlwaysExpired, NeverExpires, OpBudget, WallClockBudget, make_budget
@@ -40,12 +39,8 @@ from .vertex_store import (
 )
 
 __all__ = [
-    "Aggregator",
     "AlwaysExpired",
     "MaxSetAggregator",
-    "SumAggregator",
-    "TriangleCountApp",
-    "count_triangles_parallel",
     "MaxCliqueApp",
     "SharedIncumbent",
     "SimOutcome",

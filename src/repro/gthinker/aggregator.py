@@ -1,47 +1,14 @@
 """Job-level aggregators (the G-thinker aggregator facility).
 
-G-thinker applications share job-wide state beyond the result file: the
-max-clique app keeps a global incumbent, counting apps keep a running
-sum. These small thread-safe reducers model that facility so new
-applications compose from parts instead of hand-rolling locks.
+G-thinker applications share job-wide state beyond the result file:
+the max-clique app keeps a global incumbent. This small thread-safe
+reducer models that facility so an app need not hand-roll locks.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable
-from typing import Generic, TypeVar
-
-T = TypeVar("T")
-
-
-class Aggregator(Generic[T]):
-    """Thread-safe reduce cell: value ← combine(value, update)."""
-
-    def __init__(self, initial: T, combine: Callable[[T, T], T]):
-        self._value = initial
-        self._combine = combine
-        self._lock = threading.Lock()
-
-    def update(self, item: T) -> T:
-        """Fold `item` in; returns the new value."""
-        with self._lock:
-            self._value = self._combine(self._value, item)
-            return self._value
-
-    def get(self) -> T:
-        with self._lock:
-            return self._value
-
-
-class SumAggregator(Aggregator[int]):
-    """Count/sum reducer (triangle counting, message totals, …)."""
-
-    def __init__(self, initial: int = 0):
-        super().__init__(initial, lambda a, b: a + b)
-
-    def add(self, amount: int = 1) -> int:
-        return self.update(amount)
+from collections.abc import Iterable
 
 
 class MaxSetAggregator:

@@ -276,12 +276,20 @@ def mine_parallel(
 
     Dispatches on ``config.backend``: the in-process drivers run here;
     ``backend='process'`` delegates to
-    :func:`repro.gthinker.engine_mp.mine_multiprocess` so one call site
+    :func:`repro.gthinker.engine_mp.mine_multiprocess`, ``'cluster'`` to
+    :func:`repro.gthinker.cluster.mine_cluster` and ``'simulated'`` to
+    :func:`repro.gthinker.simulation.simulate_cluster`, so one call site
     can select any executor from configuration alone.
     """
     from ..core.options import DEFAULT_OPTIONS
 
     config = config or EngineConfig()
+    if config.backend == "simulated":
+        from .simulation import simulate_cluster
+
+        return simulate_cluster(
+            graph, gamma, min_size, config, options=options, tracer=tracer
+        )
     if config.backend == "process":
         from .engine_mp import mine_multiprocess
 

@@ -193,6 +193,9 @@ class SchedulerCore:
         self._task_picked = task_picked
         self._task_ids = itertools.count()
         self._task_id_lock = threading.Lock()
+        #: spawn_batch calls in progress (see all_spawned).
+        self._spawning = 0
+        self._spawning_lock = threading.Lock()
 
     # -- shared counters ---------------------------------------------------
 
@@ -201,7 +204,14 @@ class SchedulerCore:
             return next(self._task_ids)
 
     def all_spawned(self) -> bool:
-        return all(m.spawn_exhausted() for m in self.machines)
+        """Every vertex is off its cursor and every spawned task routed.
+
+        The cursors are read before the in-flight count: spawn_batch
+        raises the count before it takes a vertex and lowers it only
+        after the task is routed (and counted active), so a vertex in
+        between can never make a concurrent termination check pass.
+        """
+        return all(m.spawn_exhausted() for m in self.machines) and self._spawning == 0
 
     # -- task routing ------------------------------------------------------
 
@@ -252,6 +262,15 @@ class SchedulerCore:
         stop (the paper's guard against flooding the global queue with
         big tasks) never skips a vertex. Returns the number spawned.
         """
+        with self._spawning_lock:
+            self._spawning += 1
+        try:
+            return self._spawn_from_cursor(machine, slot)
+        finally:
+            with self._spawning_lock:
+                self._spawning -= 1
+
+    def _spawn_from_cursor(self, machine: MachineState, slot: ThreadSlot) -> int:
         trace = self.tracer.enabled
         t0 = time.monotonic() if trace else 0.0
         spawned = 0

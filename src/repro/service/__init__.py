@@ -11,7 +11,8 @@ Modules
 -------
 ``runner``   chunked resumable execution of one job over any backend
              (:func:`repro.gthinker.engine.mine_parallel` per chunk,
-             ResumableMiner-style checkpoints between chunks);
+             fsync-ordered checkpoints between chunks); the CLI's
+             ``--checkpoint-dir`` runs through it too;
 ``jobs``     :class:`JobManager` — the durable job registry: states
              ``pending → running → completed/failed/cancelled``,
              per-job working directories, FIFO admission under a

@@ -1,16 +1,16 @@
-"""Checkpointed job execution: any backend, ResumableMiner durability.
+"""Checkpointed job execution: the repo's one resume mechanism.
 
-One service job = one full mining run. The daemon must survive
-``kill -9`` mid-job without restarting the job from scratch, and jobs
-must be able to run on any existing executor (serial, threaded,
-process pool, cluster) via :func:`repro.gthinker.engine.mine_parallel`.
+One job = one full mining run. Jobs of hours (the paper's YouTube run
+computes for 3.12 hours) must survive ``kill -9`` without restarting
+from scratch, and must be able to run on any existing executor
+(serial, threaded, process pool, cluster) via
+:func:`repro.gthinker.engine.mine_parallel`. The mining service and
+the CLI's ``--checkpoint-dir`` both run through :func:`run_checkpointed`.
 Those two requirements meet in *chunked* execution over the spawn-root
 decomposition:
 
 * Roots are the vertices of the (k-core of the) input graph in
-  ascending ID order — exactly :class:`~repro.core.resumable.
-  ResumableMiner`'s enumeration, so a finished run equals the serial
-  oracle.
+  ascending ID order, so a finished run equals the serial oracle.
 * A *chunk* of consecutive roots is mined in one ``mine_parallel``
   call over the induced subgraph on the union of the chunk roots'
   spawn subgraphs. This is exact: root ``r``'s spawn subgraph only
@@ -23,11 +23,12 @@ decomposition:
   quasi-cliques of the full graph (induced subgraphs preserve
   internal edges) and fall to dedup + maximality postprocessing.
 * Between chunks the runner flushes candidates (fsync) and *then*
-  journals the chunk's roots — the same candidates.txt/roots.journal
-  layout as ``ResumableMiner``, at chunk granularity. A crash at any
-  point loses at most the in-flight chunk, which the restarted run
-  re-mines (emissions are idempotent: the result file is deduplicated
-  on load, and a torn trailing line is repaired by the sink).
+  journals the chunk's roots into ``work_dir`` (``candidates.txt`` +
+  ``roots.journal``, read back by
+  :func:`repro.core.resultsio.load_checkpoint`). A crash at any point
+  loses at most the in-flight chunk, which the restarted run re-mines
+  (emissions are idempotent: the result file is deduplicated on load,
+  and a torn trailing line is repaired by the sink).
 
 Cancellation rides the same seam: ``should_stop`` is polled between
 chunks, so a cancel lands at the next checkpoint boundary with the
@@ -44,8 +45,7 @@ from dataclasses import dataclass, field
 from ..core.options import DEFAULT_OPTIONS, MinerOptions
 from ..core.postprocess import postprocess_results
 from ..core.quasiclique import kcore_threshold
-from ..core.resultsio import FileResultSink
-from ..core.resumable import load_checkpoint
+from ..core.resultsio import FileResultSink, load_checkpoint
 from ..graph.adjacency import Graph
 from ..graph.kcore import k_core
 from ..graph.subgraph import spawn_subgraph

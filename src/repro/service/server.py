@@ -40,6 +40,12 @@ from .store import ResultStore
 
 __version__ = "1.0"
 
+#: Largest request body the daemon reads (64 MiB). Not a knob: it only
+#: bounds what one ``POST /jobs`` may make the daemon buffer. Inline
+#: ``edges`` jobs travel in the body, so it fits a few million edges;
+#: larger graphs go by ``graph_path``.
+MAX_BODY_BYTES = 64 << 20
+
 
 class MiningService:
     """One daemon's state: the job registry plus the query store."""
@@ -187,7 +193,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise ServiceError(400, f"bad Content-Length: {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServiceError(
+                413,
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}; "
+                "submit large graphs by graph_path",
+            )
         body = self.rfile.read(length) if length else b""
         if not body:
             raise ServiceError(400, "empty request body (JSON expected)")
@@ -201,6 +220,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

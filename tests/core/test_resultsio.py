@@ -8,6 +8,7 @@ from repro.core.miner import mine_maximal_quasicliques, mine_root
 from repro.core.options import MiningJob
 from repro.core.resultsio import (
     FileResultSink,
+    load_checkpoint,
     postprocess_file,
     read_results,
     write_results,
@@ -94,6 +95,20 @@ class TestCrashSafety:
     def test_invalid_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
             FileResultSink(tmp_path / "x.txt", mode="r")
+
+
+class TestCheckpoint:
+    def test_checkpoint_loader(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        results, journal = str(ckpt / "candidates.txt"), str(ckpt / "roots.journal")
+        fresh = load_checkpoint(results, journal)
+        assert fresh.completed_roots == set() and fresh.candidates == set()
+        (ckpt / "roots.journal").write_text("1\n5\n9\n")
+        (ckpt / "candidates.txt").write_text("1 2 3\n")
+        state = load_checkpoint(results, journal)
+        assert state.completed_roots == {1, 5, 9}
+        assert state.candidates == {frozenset({1, 2, 3})}
 
 
 class TestPostprocessFile:

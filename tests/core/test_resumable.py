@@ -1,4 +1,11 @@
-"""Tests for checkpointed, resumable mining."""
+"""Checkpointed, resumable mining: root-by-root resume and kill -9 safety.
+
+The CLI's ``--checkpoint-dir`` and the mining service both resume
+through :func:`repro.service.runner.run_checkpointed`; its chunking,
+backend and progress cases live in tests/service/test_runner.py. This
+module keeps the root-by-root resume cases and the one case that needs
+a real SIGKILL of a child process.
+"""
 
 import os
 import signal
@@ -11,90 +18,61 @@ from pathlib import Path
 import pytest
 
 from repro.core.miner import mine_maximal_quasicliques
-from repro.core.resumable import ResumableMiner, load_checkpoint
+from repro.service.runner import run_checkpointed
 
 from conftest import make_random_graph
 
 
 class TestResumableMiner:
+    """Checkpointed mining through run_checkpointed, one root per chunk."""
+
     def test_single_run_matches_plain_miner(self, tmp_path):
         g = make_random_graph(12, 0.55, seed=8)
-        miner = ResumableMiner(g, 0.75, 3, str(tmp_path / "ckpt"))
-        result = miner.run()
+        result = run_checkpointed(
+            g, 0.75, 3, work_dir=str(tmp_path / "ckpt"), chunk_roots=1
+        )
         want = mine_maximal_quasicliques(g, 0.75, 3).maximal
         assert result.maximal == want
-        assert miner.remaining_roots() == 0
+        assert result.completed
+        assert result.roots_done == result.roots_total
 
     def test_stop_and_resume(self, tmp_path):
         g = make_random_graph(14, 0.5, seed=9)
         ckpt = str(tmp_path / "ckpt")
-        first = ResumableMiner(g, 0.75, 3, ckpt)
-        first.run(stop_after_roots=4)
-        assert first.remaining_roots() > 0
-        # Fresh miner instance = process restart.
-        second = ResumableMiner(g, 0.75, 3, ckpt)
-        result = second.run()
-        want = mine_maximal_quasicliques(g, 0.75, 3).maximal
-        assert result.maximal == want
-        assert second.remaining_roots() == 0
-
-    def test_crash_mid_run_then_resume(self, tmp_path):
-        g = make_random_graph(14, 0.5, seed=10)
-        ckpt = str(tmp_path / "ckpt")
-
-        class Boom(RuntimeError):
-            pass
-
-        miner = ResumableMiner(g, 0.75, 3, ckpt)
-        # Simulate a crash: monkeypatch spawn_subgraph to explode after
-        # a few roots, leaving a half-written checkpoint behind.
-        import repro.core.resumable as mod
-
-        real = mod.spawn_subgraph
         calls = {"n": 0}
 
-        def flaky(base, root, k):
+        def stop_after_four_roots():
             calls["n"] += 1
-            if calls["n"] > 3:
-                raise Boom()
-            return real(base, root, k)
+            return calls["n"] > 4
 
-        mod.spawn_subgraph = flaky
-        try:
-            with pytest.raises(Boom):
-                miner.run()
-        finally:
-            mod.spawn_subgraph = real
-
-        resumed = ResumableMiner(g, 0.75, 3, ckpt).run()
+        first = run_checkpointed(
+            g, 0.75, 3, work_dir=ckpt, chunk_roots=1,
+            should_stop=stop_after_four_roots,
+        )
+        assert not first.completed
+        assert first.roots_done == 4 < first.roots_total
+        # A second call on the same directory = process restart.
+        result = run_checkpointed(g, 0.75, 3, work_dir=ckpt, chunk_roots=1)
         want = mine_maximal_quasicliques(g, 0.75, 3).maximal
-        assert resumed.maximal == want
+        assert result.maximal == want
+        assert result.roots_recovered == 4
+        assert result.roots_done == result.roots_total
 
     def test_rerun_after_completion_is_noop(self, tmp_path):
         g = make_random_graph(10, 0.5, seed=11)
         ckpt = str(tmp_path / "ckpt")
-        ResumableMiner(g, 0.75, 3, ckpt).run()
-        again = ResumableMiner(g, 0.75, 3, ckpt)
-        result = again.run()
+        run_checkpointed(g, 0.75, 3, work_dir=ckpt)
+        result = run_checkpointed(g, 0.75, 3, work_dir=ckpt)
         want = mine_maximal_quasicliques(g, 0.75, 3).maximal
         assert result.maximal == want
-
-    def test_checkpoint_loader(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        (ckpt / "roots.journal").write_text("1\n5\n9\n")
-        (ckpt / "candidates.txt").write_text("1 2 3\n")
-        state = load_checkpoint(
-            str(ckpt / "candidates.txt"), str(ckpt / "roots.journal")
-        )
-        assert state.completed_roots == {1, 5, 9}
-        assert state.candidates == {frozenset({1, 2, 3})}
+        assert result.roots_recovered == result.roots_total
+        assert result.metrics.tasks_executed == 0
 
     def test_min_size_one_isolated_roots(self, tmp_path):
         from repro.graph.adjacency import Graph
 
         g = Graph.from_edges([(0, 1)], vertices=range(3))
-        result = ResumableMiner(g, 1.0, 1, str(tmp_path / "c")).run()
+        result = run_checkpointed(g, 1.0, 1, work_dir=str(tmp_path / "c"))
         assert result.maximal == {frozenset({0, 1}), frozenset({2})}
 
 
@@ -105,7 +83,7 @@ _KILL_N, _KILL_P, _KILL_SEED = 18, 0.5, 21
 _CHILD_SCRIPT = """
 import itertools, random, sys, time
 from repro.graph.adjacency import Graph
-import repro.core.resumable as resumable
+import repro.service.runner as runner
 
 n, seed, ckpt = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 rng = random.Random(seed)
@@ -115,13 +93,14 @@ g = Graph.from_edges(edges, vertices=range(n))
 
 # Throttle root processing so the parent's SIGKILL reliably lands
 # mid-run, right around a checkpoint flush.
-real = resumable.spawn_subgraph
+real = runner.spawn_subgraph
 def slow(base, root, k):
     time.sleep(0.05)
     return real(base, root, k)
-resumable.spawn_subgraph = slow
+runner.spawn_subgraph = slow
 
-resumable.ResumableMiner(g, 0.75, 3, ckpt).run()
+# One root per chunk: the journal advances root by root.
+runner.run_checkpointed(g, 0.75, 3, work_dir=ckpt, chunk_roots=1)
 print("COMPLETED", flush=True)
 """
 
@@ -173,7 +152,9 @@ class TestSigkillResume:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            resumed = ResumableMiner(g, 0.75, 3, str(ckpt)).run()
+            resumed = run_checkpointed(g, 0.75, 3, work_dir=str(ckpt))
+        assert resumed.completed
+        assert resumed.roots_recovered == len(done)
         assert resumed.maximal == want
         assert frozenset({999999, 999998}) not in resumed.candidates
 

@@ -1,46 +1,11 @@
-"""Tests for job-level aggregators and the triangle-counting app."""
+"""Tests for the job-level MaxSetAggregator (the max-clique incumbent)."""
 
 import threading
 
-import networkx as nx
-import pytest
-
-from repro.graph.adjacency import Graph
-from repro.graph.stats import triangle_count
-from repro.gthinker.aggregator import Aggregator, MaxSetAggregator, SumAggregator
-from repro.gthinker.app_triangles import TriangleCountApp, count_triangles_parallel
-from repro.gthinker.config import EngineConfig
-
-from conftest import make_random_graph
+from repro.gthinker.aggregator import MaxSetAggregator
 
 
 class TestAggregators:
-    def test_generic_combine(self):
-        agg = Aggregator(1, lambda a, b: a * b)
-        agg.update(3)
-        agg.update(4)
-        assert agg.get() == 12
-
-    def test_sum(self):
-        agg = SumAggregator()
-        agg.add()
-        agg.add(5)
-        assert agg.get() == 6
-
-    def test_sum_under_contention(self):
-        agg = SumAggregator()
-
-        def worker():
-            for _ in range(500):
-                agg.add()
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert agg.get() == 2000
-
     def test_max_set(self):
         agg = MaxSetAggregator()
         assert agg.offer({1})
@@ -50,53 +15,13 @@ class TestAggregators:
         assert agg.size == 2
 
 
-class TestTriangleApp:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_serial_count(self, seed):
-        g = make_random_graph(20, 0.35, seed=seed + 41)
-        count, metrics = count_triangles_parallel(g)
-        assert count == triangle_count(g)
-        h = nx.Graph()
-        h.add_nodes_from(g.vertices())
-        h.add_edges_from(g.edges())
-        assert count == sum(nx.triangles(h).values()) // 3
-
-    def test_threaded(self):
-        g = make_random_graph(25, 0.4, seed=3)
-        config = EngineConfig(num_machines=2, threads_per_machine=2)
-        count, _ = count_triangles_parallel(g, config)
-        assert count == triangle_count(g)
-
-    def test_no_triangles(self):
-        g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        count, _ = count_triangles_parallel(g)
-        assert count == 0
-
-    def test_single_triangle(self, triangle_graph):
-        count, _ = count_triangles_parallel(triangle_graph)
-        assert count == 1
-
-    def test_spawn_declines_thin_vertices(self, triangle_graph):
-        app = TriangleCountApp()
-        # Vertex 2 has no two larger neighbors.
-        assert app.spawn(2, triangle_graph.neighbors(2), 0) is None
-        assert app.spawn(0, triangle_graph.neighbors(0), 0) is not None
-
-
 class TestAggregatorEdgeCases:
-    def test_update_returns_the_new_value(self):
-        agg = SumAggregator(10)
-        assert agg.add(5) == 15
-        assert agg.add() == 16
-
     def test_max_set_accepts_any_iterable_once(self):
         agg = MaxSetAggregator()
         assert agg.offer(v for v in (1, 2, 3))  # a generator is fine
         assert agg.best() == {1, 2, 3}
 
     def test_max_set_under_contention_keeps_a_largest_set(self):
-        import threading as _threading
-
         agg = MaxSetAggregator()
         sizes = range(1, 40)
 
@@ -104,9 +29,7 @@ class TestAggregatorEdgeCases:
             for k in sizes:
                 agg.offer(range(offset, offset + k))
 
-        threads = [
-            _threading.Thread(target=worker, args=(i * 100,)) for i in range(4)
-        ]
+        threads = [threading.Thread(target=worker, args=(i * 100,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:

@@ -11,7 +11,6 @@ from repro.gthinker.app_protocol import (
     registered_apps,
 )
 from repro.gthinker.app_quasiclique import QuasiCliqueApp
-from repro.gthinker.app_triangles import TriangleCountApp
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import GThinkerEngine
 from repro.gthinker.simulation import SimulatedClusterEngine
@@ -21,14 +20,13 @@ from repro.graph.adjacency import Graph
 class TestRegistry:
     def test_bundled_apps_declared(self):
         apps = registered_apps()
-        for cls in (QuasiCliqueApp, MaxCliqueApp, TriangleCountApp):
+        for cls in (QuasiCliqueApp, MaxCliqueApp):
             assert cls in apps
 
     def test_registered_instances_satisfy_protocol(self):
         instances = [
             QuasiCliqueApp(gamma=0.75, min_size=3, sink=ResultSink()),
             MaxCliqueApp(),
-            TriangleCountApp(),
         ]
         for app in instances:
             assert isinstance(app, GThinkerApp)

@@ -82,6 +82,32 @@ class TestTermination:
         assert eng._done.is_set()
         assert all(m.spawn_exhausted() for m in eng.machines)
 
+    def test_not_all_spawned_while_a_spawn_is_in_flight(self):
+        """A vertex already off its cursor but not yet routed keeps the
+        job open. Otherwise an idle thread elsewhere sees every cursor
+        exhausted and no active task, ends the job, and the root's task
+        is stranded in a queue nobody pops."""
+        from repro.core.options import MiningStats
+
+        seen = []
+
+        class Probe:
+            sink = ResultSink()
+            stats = MiningStats()
+
+            def spawn(self, vertex, adjacency, task_id):
+                seen.append(eng.core.all_spawned())
+                return None
+
+            def compute(self, task, frontier, ctx):
+                raise AssertionError("every spawn declines")
+
+        eng = GThinkerEngine(Graph.from_edges([(0, 1)]), Probe(), EngineConfig())
+        machine = eng.machines[0]
+        eng._spawn_batch(machine, machine.threads[0])
+        assert seen == [False, False]
+        assert eng.core.all_spawned()
+
     def test_steal_application(self):
         eng = make_engine(num_machines=2, threads_per_machine=1, tau_split=1)
         src = eng.machines[0]

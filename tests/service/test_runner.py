@@ -40,6 +40,15 @@ class TestOracleParity:
         assert out.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
 
 
+    def test_simulated_backend(self, tmp_path):
+        g = make_random_graph(14, 0.5, seed=5)
+        config = EngineConfig(backend="simulated", num_machines=2, threads_per_machine=2)
+        out = run_checkpointed(
+            g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=4
+        )
+        assert out.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
+
+
 class TestResume:
     def test_stop_then_resume(self, tmp_path):
         g = make_random_graph(16, 0.5, seed=3)
@@ -64,6 +73,35 @@ class TestResume:
         assert second.roots_recovered == first.roots_done
         assert second.roots_done == second.roots_total
         assert second.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
+
+    def test_crash_mid_chunk_then_resume(self, tmp_path, monkeypatch):
+        import repro.service.runner as runner_mod
+
+        g = make_random_graph(14, 0.5, seed=10)
+
+        class Boom(RuntimeError):
+            pass
+
+        real = runner_mod.spawn_subgraph
+        calls = {"n": 0}
+
+        def flaky(base, root, k):
+            calls["n"] += 1
+            if calls["n"] > 3:  # second root of the second chunk
+                raise Boom()
+            return real(base, root, k)
+
+        monkeypatch.setattr(runner_mod, "spawn_subgraph", flaky)
+        with pytest.raises(Boom):
+            run_checkpointed(g, 0.75, 3, work_dir=str(tmp_path), chunk_roots=2)
+        journaled = (tmp_path / "roots.journal").read_text().split()
+        assert len(journaled) == 2  # the torn chunk was never journaled
+
+        monkeypatch.setattr(runner_mod, "spawn_subgraph", real)
+        resumed = run_checkpointed(g, 0.75, 3, work_dir=str(tmp_path), chunk_roots=2)
+        assert resumed.completed
+        assert resumed.roots_recovered == 2
+        assert resumed.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
 
     def test_rerun_after_completion_is_noop(self, tmp_path):
         g = make_random_graph(12, 0.5, seed=6)

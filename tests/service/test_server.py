@@ -1,9 +1,11 @@
 """HTTP API round trips, error envelopes, and query parity."""
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -22,6 +24,28 @@ def live(tmp_path):
 def submit_and_wait(client, spec, timeout=60.0):
     doc = client.submit(spec)
     return client.wait(doc["id"], timeout=timeout)
+
+
+def raw_post_jobs(client, content_length: str):
+    """POST /jobs headers over a bare socket; returns (status, envelope).
+
+    No body follows the headers, so a server that tries to read one
+    blocks; the socket's 10 s timeout then fails the test instead of
+    hanging it.
+    """
+    url = urlsplit(client.base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(payload)
 
 
 class TestJobEndpoints:
@@ -158,6 +182,23 @@ class TestErrors:
         envelope = json.loads(http_err.value.read())
         assert envelope["error"]["status"] == 400
         assert "bad JSON body" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
+    def test_bad_content_length_400(self, live, length):
+        _, client = live
+        status, envelope = raw_post_jobs(client, length)
+        assert status == 400
+        assert "Content-Length" in envelope["error"]["message"]
+        assert client.jobs() == []
+
+    def test_oversized_body_413_without_reading_it(self, live):
+        from repro.service.server import MAX_BODY_BYTES
+
+        _, client = live
+        status, envelope = raw_post_jobs(client, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert "graph_path" in envelope["error"]["message"]
+        assert client.jobs() == []
 
     @pytest.mark.parametrize("engine", [
         {"batch_size": 0},

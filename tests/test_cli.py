@@ -237,3 +237,71 @@ class TestBackendSelection:
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
                      "--backend", "serial", "--threads", "4"]) == 2
         assert "serial" in capsys.readouterr().err
+
+
+class TestCheckpointMode:
+    """--checkpoint-dir runs through the service's chunked runner."""
+
+    @pytest.fixture
+    def random_graph_file(self, tmp_path):
+        from conftest import make_random_graph
+
+        g = make_random_graph(16, 0.5, seed=3)
+        path = tmp_path / "random.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in sorted(g.edges())))
+        return str(path)
+
+    def _mine(self, graph_file, *flags):
+        return main([graph_file, "--gamma", "0.75", "--min-size", "3",
+                     "--quiet", *flags])
+
+    def test_any_backend_matches_serial(self, random_graph_file, tmp_path, capsys):
+        serial, ckpt_out = tmp_path / "serial.txt", tmp_path / "ckpt.txt"
+        assert self._mine(random_graph_file, "--serial", "--output", str(serial)) == 0
+        assert self._mine(random_graph_file, "--backend", "threaded",
+                          "--threads", "2", "--checkpoint-dir",
+                          str(tmp_path / "ckpt"), "--output", str(ckpt_out)) == 0
+        assert ckpt_out.read_text() == serial.read_text()
+        assert serial.read_text()  # the comparison is not vacuous
+
+    def test_rerun_recovers_every_root(self, random_graph_file, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        assert self._mine(random_graph_file, "--checkpoint-dir", ckpt) == 0
+        first = capsys.readouterr().out
+        assert "recovered=0/" in first
+        assert self._mine(random_graph_file, "--checkpoint-dir", ckpt) == 0
+        second = capsys.readouterr().out
+        total = second.split("recovered=")[1].split()[0].split("/")[1]
+        assert f"recovered={total}/{total}" in second
+        assert int(total) > 0
+        results = [f for f in first.split() if f.startswith("results=")]
+        assert results and results[0] in second.split()
+
+    def test_metrics_json(self, random_graph_file, tmp_path, capsys):
+        import json
+
+        from repro.core.miner import mine_maximal_quasicliques
+        from repro.graph.io import read_edge_list
+
+        path = tmp_path / "metrics.json"
+        assert self._mine(random_graph_file, "--checkpoint-dir",
+                          str(tmp_path / "ckpt"), "--metrics-json", str(path)) == 0
+        data = json.loads(path.read_text())
+        want = mine_maximal_quasicliques(read_edge_list(random_graph_file), 0.75, 3)
+        assert data["results"] == len(want.maximal)
+        assert data["tasks_executed"] >= 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--serial"], ["--query", "0"], ["--mp-start-method", "spawn"],
+    ])
+    def test_rejects_non_engine_flags(self, graph_file, tmp_path, capsys, flags):
+        assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
+                     "--checkpoint-dir", str(tmp_path / "ckpt"), *flags]) == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_trace_rejected(self, graph_file, tmp_path, capsys):
+        assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
+                     "--checkpoint-dir", str(tmp_path / "ckpt"),
+                     "--trace", str(tmp_path / "t.jsonl")]) == 2
+        assert "--trace" in capsys.readouterr().err

@@ -12,14 +12,12 @@ EXAMPLES = [
     "examples/quickstart.py",
     "examples/gene_coexpression.py",
     "examples/custom_engine_app.py",
-    "examples/temporal_communities.py",
     "examples/query_vertex.py",
     "examples/community_detection.py",
     "examples/scalability_study.py",
-    "examples/top_communities.py",
 ]
 
-FAST = 5
+FAST = 4
 
 FAST_EXAMPLES = EXAMPLES[:FAST]
 
