@@ -122,9 +122,13 @@ class CheckpointState:
 def load_checkpoint(results_path: str, journal_path: str) -> CheckpointState:
     """Read a checkpoint's journaled roots and persisted candidates.
 
-    Missing files mean an empty checkpoint (a fresh run).
+    Missing files mean an empty checkpoint (a fresh run). A journal
+    line torn by a kill mid-write (``12\\n3`` where ``3`` began ``37``)
+    is truncated away first: it is not a finished root, and the
+    runner's next append must not splice onto it.
     """
     state = CheckpointState()
+    _drop_torn_tail(journal_path)
     if os.path.exists(journal_path):
         with open(journal_path) as f:
             for line in f:

@@ -400,7 +400,7 @@ class MasterReactor:
 
     def _plan_steals(self, now: float) -> None:
         alive = sorted(self._alive(), key=lambda w: w.worker_id)
-        if len(alive) < 2 or not self.config.use_stealing:
+        if len(alive) < 2:
             return
         counts = [w.pending_big for w in alive]
         for move in plan_steals(counts, self.config.batch_size):

@@ -33,9 +33,9 @@ class EngineConfig:
     cache_capacity: int = 1 << 16
     spill_dir: str | None = None
     steal_period_seconds: float = 0.02
-    #: Reforge ablations: the global big-task queue and big-task stealing.
+    #: Reforge ablation: the global big-task queue. (Big-task stealing
+    #: is always on when there are two or more machines.)
     use_global_queue: bool = True
-    use_stealing: bool = True
     #: Simulated-cluster only: virtual cost added per remote message.
     sim_message_cost: float = 0.0
     #: Vertex-table partition strategy: 'hash' (paper), 'range', or

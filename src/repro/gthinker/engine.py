@@ -248,7 +248,7 @@ class GThinkerEngine:
                 t = threading.Thread(target=worker, args=(machine, slot), daemon=True)
                 threads.append(t)
         stealer = None
-        if self.config.use_stealing and self.config.num_machines > 1:
+        if self.config.num_machines > 1:
             stealer = threading.Thread(target=self._stealing_loop, daemon=True)
             stealer.start()
         for t in threads:

@@ -630,7 +630,7 @@ class MultiprocessEngine:
         slots = self._slots()
         pick_cycle = itertools.cycle(slots)
         self._route_cycle = itertools.cycle(slots)
-        steal_enabled = config.use_stealing and config.num_machines > 1
+        steal_enabled = config.num_machines > 1
         last_steal = time.monotonic()
         progress_every = self._progress_interval()
         last_progress = time.monotonic()

@@ -11,7 +11,6 @@ The paper's evaluation reads directly off these counters:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from ..core.options import MiningStats
@@ -172,9 +171,3 @@ class EngineMetrics:
         """Figure 3 series: (subgraph |V|, mining seconds) per task."""
         return [(r.subgraph_vertices, r.mining_seconds) for r in self.task_records]
 
-
-class ThreadLocalMetrics(threading.local):
-    """Per-thread EngineMetrics so hot paths never contend on a lock."""
-
-    def __init__(self) -> None:
-        self.metrics = EngineMetrics()

@@ -128,7 +128,7 @@ class SimulatedClusterEngine:
         seq = itertools.count()
         for slot in slots:
             heapq.heappush(events, (0.0, next(seq), "free", (slot, None, False)))
-        steal_enabled = config.use_stealing and config.num_machines > 1
+        steal_enabled = config.num_machines > 1
         steal_period = max(1.0, config.steal_period_seconds)
         if steal_enabled:
             heapq.heappush(events, (steal_period, next(seq), "steal", None))

@@ -132,6 +132,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
     service: MiningService  # set by build_server
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends; with Nagle on, the body of a
+    # kept-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- verbs -------------------------------------------------------------
 

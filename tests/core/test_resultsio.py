@@ -110,6 +110,15 @@ class TestCheckpoint:
         assert state.completed_roots == {1, 5, 9}
         assert state.candidates == {frozenset({1, 2, 3})}
 
+    def test_torn_journal_tail_is_not_a_root(self, tmp_path):
+        # A kill mid-write left "3" of "37": root 3 was never finished.
+        journal = tmp_path / "roots.journal"
+        journal.write_text("12\n3")
+        state = load_checkpoint(str(tmp_path / "candidates.txt"), str(journal))
+        assert state.completed_roots == {12}
+        # The next append starts on a fresh line, not after the fragment.
+        assert journal.read_text() == "12\n"
+
 
 class TestPostprocessFile:
     def test_removes_non_maximal(self, tmp_path):

@@ -1,5 +1,6 @@
 """HTTP API round trips, error envelopes, and query parity."""
 
+import http.client
 import json
 import socket
 import time
@@ -244,6 +245,24 @@ class TestErrors:
 
 
 class TestIntrospection:
+    def test_kept_alive_requests_do_not_stall(self, live):
+        # Two sends per response under Nagle cost a delayed ACK (~40 ms)
+        # each; 20 requests on one connection must not pay it.
+        _, client = live
+        url = urlsplit(client.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.25, f"20 kept-alive requests took {elapsed:.3f}s"
+
     def test_healthz(self, live):
         _, client = live
         submit_and_wait(client, svc_common.small_job(seed=2)[1])
