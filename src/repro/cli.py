@@ -36,6 +36,7 @@ import sys
 import time
 
 from .core.miner import mine_maximal_quasicliques
+from .core.quasiclique import check_params
 from .core.query import mine_containing
 from .core.resultsio import postprocess_file
 from .datasets.registry import build_dataset, dataset_names, get_dataset
@@ -235,6 +236,12 @@ def main(argv: list[str] | None = None) -> int:
               f"density={stats.density:.5f}")
         return 0
 
+    try:
+        check_params(gamma, min_size)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     backend = args.backend
     if args.simulate:
         if backend not in (None, "simulated"):
@@ -305,7 +312,11 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     if args.query:
-        result = mine_containing(graph, args.query, gamma, min_size)
+        try:
+            result = mine_containing(graph, args.query, gamma, min_size)
+        except ValueError as exc:  # a query vertex not in the graph
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         maximal = result.maximal
         extra = f" query={sorted(set(args.query))}"
     elif args.checkpoint_dir:

@@ -17,6 +17,7 @@ from .options import (
 from .postprocess import postprocess_results, remove_non_maximal
 from .quasiclique import (
     ceil_gamma,
+    check_params,
     degree_floor,
     is_quasi_clique,
     is_valid_quasi_clique,
@@ -45,6 +46,7 @@ __all__ = [
     "ResultSink",
     "ThreadSafeResultSink",
     "ceil_gamma",
+    "check_params",
     "degree_floor",
     "enumerate_maximal_quasicliques",
     "enumerate_quasicliques",

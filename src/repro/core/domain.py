@@ -85,10 +85,10 @@ class TaskDomain:
     def from_graph(cls, graph, members: Iterable[int] | None = None) -> "TaskDomain":
         """Compact the subgraph induced on `members` (default: all of `graph`).
 
-        `graph` may be any backend exposing ``vertices()``/``neighbors()``
-        (``Graph`` or ``CSRGraph``); when `members` is None and the
-        backend offers :meth:`adjacency_masks`, the precompacted export
-        is used directly.
+        `graph` may be anything exposing ``vertices()``/``neighbors()``;
+        when `members` is None and it offers ``adjacency_masks()`` (as
+        :class:`~repro.graph.adjacency.Graph` does), the precompacted
+        export is used directly.
         """
         if members is None:
             masks = getattr(graph, "adjacency_masks", None)
@@ -117,9 +117,9 @@ class TaskDomain:
 
         The access object must be able to answer every member locally
         (``access.unresolved(members)`` empty) — distributed callers
-        fetch first, then build. Shares the :meth:`from_graph` fast
-        path: an access exposing ``adjacency_masks()`` (the in-memory
-        wrappers) compacts the whole graph without per-vertex calls.
+        fetch first, then build. With `members` None the access must
+        also expose ``vertices()``, and one exposing
+        ``adjacency_masks()`` shares the :meth:`from_graph` fast path.
         """
         missing = access.unresolved([] if members is None else list(members))
         if missing:

@@ -26,7 +26,7 @@ from .domain import TaskDomain
 from .iterative_bounding import check_and_emit_masked
 from .options import DEFAULT_OPTIONS, MinerOptions, MiningJob, MiningStats, ResultSink
 from .postprocess import postprocess_results
-from .quasiclique import kcore_threshold
+from .quasiclique import check_params, kcore_threshold
 from .recursive_mine import recursive_mine_masked
 
 
@@ -78,6 +78,7 @@ def mine_maximal_quasicliques(
     mode: str = "ego",
 ) -> MiningResult:
     """Mine all maximal γ-quasi-cliques with |S| ≥ min_size (Definition 3)."""
+    check_params(gamma, min_size)
     if mode not in ("ego", "global"):
         raise ValueError(f"mode must be 'ego' or 'global', got {mode!r}")
     k = kcore_threshold(gamma, min_size)

@@ -12,6 +12,8 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .quasiclique import check_params
+
 
 @dataclass(frozen=True)
 class MinerOptions:
@@ -123,12 +125,4 @@ class MiningJob:
     stats: MiningStats = field(default_factory=MiningStats)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.gamma < 0.5:
-            raise ValueError(
-                "this library implements the γ ≥ 0.5 regime (diameter ≤ 2); "
-                f"got gamma={self.gamma}"
-            )
-        if self.min_size < 1:
-            raise ValueError(f"min_size must be ≥ 1, got {self.min_size}")
+        check_params(self.gamma, self.min_size)

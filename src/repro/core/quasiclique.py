@@ -27,6 +27,21 @@ from ..graph.traversal import is_connected_subset
 GAMMA_EPS = 1e-9
 
 
+def check_params(gamma: float, min_size: int) -> None:
+    """Reject a (γ, τ_size) pair this library cannot mine.
+
+    γ must lie in [0.5, 1] — the regime where Theorem 1 bounds a
+    quasi-clique's diameter by 2, which every spawn and pruning rule
+    relies on — and τ_size must be at least 1. Raises ValueError.
+    """
+    if not 0.5 <= gamma <= 1.0:
+        raise ValueError(
+            f"gamma must be in [0.5, 1] (the diameter-2 regime), got {gamma}"
+        )
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+
+
 def ceil_gamma(gamma: float, x: int) -> int:
     """ceil(γ·x), robust to float error; the degree floor everywhere."""
     return math.ceil(gamma * x - GAMMA_EPS)

@@ -1,29 +1,18 @@
-"""Graph substrate: containers, I/O, generators, k-core, traversal."""
+"""Graph substrate: the container, I/O, generators, k-core, traversal."""
 
-from .access import GraphAccess, InMemoryGraphAccess
+from .access import GraphAccess
 from .adjacency import Graph
-from .csr import CSRGraph
 from .kcore import core_numbers, k_core, k_core_vertices
 from .stats import GraphStats, graph_stats
-from .traversal import (
-    bfs_distances,
-    connected_components,
-    is_connected,
-    is_connected_subset,
-    two_hop_neighbors,
-)
+from .traversal import bfs_distances, is_connected_subset, two_hop_neighbors
 
 __all__ = [
-    "CSRGraph",
     "Graph",
     "GraphAccess",
-    "InMemoryGraphAccess",
     "GraphStats",
     "graph_stats",
     "bfs_distances",
-    "connected_components",
     "core_numbers",
-    "is_connected",
     "is_connected_subset",
     "k_core",
     "k_core_vertices",

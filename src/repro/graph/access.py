@@ -3,19 +3,14 @@
 Every layer that reads adjacency — task spawning, pull resolution,
 :class:`~repro.core.domain.TaskDomain` construction — goes through the
 :class:`GraphAccess` protocol instead of a concrete graph container.
-Two implementations cover the executor spectrum:
-
-* :class:`InMemoryGraphAccess` (here) — wraps a whole
-  :class:`~repro.graph.adjacency.Graph` / :class:`~repro.graph.csr.
-  CSRGraph`; the process pool's workers, each holding a fork- or
-  shared-memory-shipped replica, where every vertex is one dict/array
-  lookup away.
-* :class:`~repro.gthinker.vertex_store.RemoteGraphAccess` — one
-  machine's vertex store: its partition of the vertex table plus a
-  bounded remote cache. The serial, threaded and simulated executors
-  serve a cache miss synchronously from the owner's table; the cluster
-  worker fetches it over the wire first (``unresolved`` →
-  VertexRequest → ``admit``).
+Every executor's machine implements it with one class,
+:class:`~repro.gthinker.vertex_store.RemoteGraphAccess` — one machine's
+vertex store: its partition of the vertex table plus a bounded remote
+cache. The serial, threaded and simulated executors serve a cache miss
+synchronously from the owner's table; a process-pool worker holds the
+whole graph as its one partition, so it never misses; the cluster
+worker fetches a miss over the wire first (``unresolved`` →
+VertexRequest → ``admit``).
 
 The protocol is deliberately pull-shaped, mirroring G-thinker's
 data-service UDF surface: `resolve` serves a task's batched pulls,
@@ -29,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Protocol, runtime_checkable
 
-__all__ = ["GraphAccess", "InMemoryGraphAccess", "neighbor_mask"]
+__all__ = ["GraphAccess", "neighbor_mask"]
 
 
 def neighbor_mask(neighbors: Iterable[int], members: Sequence[int]) -> int:
@@ -88,52 +83,3 @@ class GraphAccess(Protocol):
         (bit *i* set iff ``members[i]`` is adjacent) — the compact-ID
         export :class:`~repro.core.domain.TaskDomain` builds from."""
         ...
-
-
-class InMemoryGraphAccess:
-    """:class:`GraphAccess` over a whole in-memory graph.
-
-    Wraps either adjacency container (`Graph` or `CSRGraph`); every
-    lookup is local, so `unresolved` is always empty and `prefetch` is
-    a no-op. Also forwards ``adjacency_masks()``/``has_vertex`` so the
-    wrapped object can stand in wherever a read-only graph is expected
-    (e.g. ``TaskDomain.from_access``).
-    """
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def neighbors(self, vertex: int) -> Sequence[int]:
-        if not self.graph.has_vertex(vertex):
-            return ()
-        return self.graph.neighbors(vertex)
-
-    def degree(self, vertex: int) -> int:
-        if not self.graph.has_vertex(vertex):
-            return 0
-        return self.graph.degree(vertex)
-
-    def has_vertex(self, vertex: int) -> bool:
-        return self.graph.has_vertex(vertex)
-
-    def resolve(self, vertex_ids: Iterable[int]) -> dict[int, Sequence[int]]:
-        return {v: self.neighbors(v) for v in vertex_ids}
-
-    def unresolved(self, vertex_ids: Iterable[int]) -> list[int]:
-        return []
-
-    def prefetch(self, vertex_ids: Iterable[int]) -> None:
-        pass  # everything is already resident
-
-    def adjacency_mask(self, vertex: int, members: Sequence[int]) -> int:
-        return neighbor_mask(self.neighbors(vertex), members)
-
-    def adjacency_masks(self):
-        """Whole-graph bitmask export, forwarded from the wrapped graph."""
-        return self.graph.adjacency_masks()
-
-    def vertices(self):
-        return self.graph.vertices()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InMemoryGraphAccess({self.graph!r})"

@@ -112,16 +112,6 @@ class Graph:
         """Sorted neighbor list of v (do not mutate)."""
         return self._adj[v]
 
-    def neighbors_view(self, v: int) -> list[int]:
-        """Zero-copy read-only view of v's adjacency.
-
-        For the dict-of-lists backend this is the live list itself
-        (callers must treat it as frozen); the CSR backend returns a
-        memoryview over its target array. Partitioning stores these
-        views so the partition step never doubles the graph's memory.
-        """
-        return self._adj[v]
-
     def neighbor_set(self, v: int) -> set[int]:
         """Neighbor set of v (do not mutate)."""
         return self._adj_set[v]
@@ -187,9 +177,8 @@ class Graph:
 
         ``verts`` lists the vertex IDs ascending; ``masks[i]`` has bit
         ``j`` set iff ``verts[i]`` and ``verts[j]`` are adjacent. This is
-        the shared construction consumed by
-        :class:`repro.core.domain.TaskDomain` (CSRGraph exports the same
-        shape), so the mask-native mining path runs on either backend.
+        the whole-graph fast path of
+        :meth:`repro.core.domain.TaskDomain.from_graph`.
         """
         verts = tuple(sorted(self._adj))
         index = {g: i for i, g in enumerate(verts)}

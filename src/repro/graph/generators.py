@@ -50,24 +50,6 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return g
 
 
-def gnm_random(n: int, m: int, seed: int = 0) -> Graph:
-    """Uniform random graph with exactly n vertices and m distinct edges."""
-    max_edges = n * (n - 1) // 2
-    if m > max_edges:
-        raise ValueError(f"m={m} exceeds max {max_edges} for n={n}")
-    rng = random.Random(seed)
-    g = Graph()
-    for v in range(n):
-        g.add_vertex(v)
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and g.add_edge(u, v):
-            added += 1
-    return g
-
-
 def barabasi_albert(n: int, m_attach: int, seed: int = 0) -> Graph:
     """Preferential attachment: each new vertex attaches to m distinct targets."""
     if m_attach < 1 or m_attach >= n:
@@ -252,16 +234,3 @@ def coexpression_like(
         plant_quasiclique(g, members, gamma, rng)
         plants.append(set(members))
     return PlantedGraph(graph=g, planted=plants)
-
-
-def random_connected_graph(n: int, extra_edge_prob: float, seed: int = 0) -> Graph:
-    """Random spanning tree plus independent extra edges (test workloads)."""
-    rng = random.Random(seed)
-    g = Graph()
-    g.add_vertex(0)
-    for v in range(1, n):
-        g.add_edge(v, rng.randrange(v))
-    for u, v in itertools.combinations(range(n), 2):
-        if rng.random() < extra_edge_prob:
-            g.add_edge(u, v)
-    return g

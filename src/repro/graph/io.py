@@ -1,18 +1,13 @@
-"""Graph readers and writers.
+"""Edge-list reader and writer.
 
-Two interchange formats are supported:
-
-* **Edge list** — one `u v` pair per line, `#`-prefixed comment lines
-  ignored; this is the SNAP download format the paper's datasets use
-  (Ca-GrQc, Enron, com-DBLP, com-Amazon, com-Youtube).
-* **Adjacency** — one `v: u1 u2 ...` line per vertex; preserves isolated
-  vertices, which edge lists cannot represent.
+One `u v` pair per line, `#`-prefixed comment lines ignored: the SNAP
+download format the paper's datasets use (Ca-GrQc, Enron, com-DBLP,
+com-Amazon, com-Youtube).
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
 
 from .adjacency import Graph
 
@@ -42,29 +37,6 @@ def write_edge_list(graph: Graph, path: str | os.PathLike, header: str | None = 
             f.write(f"{u} {v}\n")
 
 
-def read_adjacency(path: str | os.PathLike) -> Graph:
-    """Read `v: u1 u2 ...` lines; preserves isolated vertices."""
-    g = Graph()
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, _, rest = line.partition(":")
-            v = int(head)
-            g.add_vertex(v)
-            for tok in rest.split():
-                g.add_edge(v, int(tok))
-    return g
-
-
-def write_adjacency(graph: Graph, path: str | os.PathLike) -> None:
-    with open(path, "w") as f:
-        for v in sorted(graph.vertices()):
-            nbrs = " ".join(str(u) for u in graph.neighbors(v))
-            f.write(f"{v}: {nbrs}\n")
-
-
 def relabel_compact(graph: Graph) -> tuple[Graph, dict[int, int]]:
     """Relabel vertices to 0..n-1 (sorted by old ID); returns (graph, old->new)."""
     mapping = {v: i for i, v in enumerate(sorted(graph.vertices()))}
@@ -74,8 +46,3 @@ def relabel_compact(graph: Graph) -> tuple[Graph, dict[int, int]]:
     for u, v in graph.edges():
         g.add_edge(mapping[u], mapping[v])
     return g, mapping
-
-
-def from_edge_iterable(edges: Iterable[tuple[int, int]]) -> Graph:
-    """Convenience wrapper mirroring Graph.from_edges for pipeline code."""
-    return Graph.from_edges(edges)

@@ -8,8 +8,6 @@ bucket peeling algorithm here follows Batagelj & Zaversnik [13].
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .adjacency import Graph
 
 
@@ -102,34 +100,6 @@ def peel_adjacency(adj: dict[int, set[int]], k: int) -> None:
                     queue.append(u)
 
 
-def degeneracy_order(graph: Graph) -> list[int]:
-    """Vertices in a degeneracy (smallest-degree-first peel) order."""
-    degrees = {v: graph.degree(v) for v in graph.vertices()}
-    order: list[int] = []
-    alive = set(degrees)
-    import heapq
-
-    heap = [(d, v) for v, d in degrees.items()]
-    heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v not in alive or degrees[v] != d:
-            continue
-        alive.discard(v)
-        order.append(v)
-        for u in graph.neighbors(v):
-            if u in alive:
-                degrees[u] -= 1
-                heapq.heappush(heap, (degrees[u], u))
-    return order
-
-
-def max_core(graph: Graph) -> int:
-    """Degeneracy of the graph (maximum k with a non-empty k-core)."""
-    cores = core_numbers(graph)
-    return max(cores.values(), default=0)
-
-
 def shrink_to_quasiclique_core(graph: Graph, gamma: float, min_size: int) -> Graph:
     """Apply Theorem 2: keep only the ceil(γ·(τ_size−1))-core.
 
@@ -140,8 +110,3 @@ def shrink_to_quasiclique_core(graph: Graph, gamma: float, min_size: int) -> Gra
 
     k = ceil_gamma(gamma, min_size - 1)
     return k_core(graph, k)
-
-
-def restrict_vertices(vertices: Iterable[int], min_id: int) -> list[int]:
-    """IDs strictly greater than `min_id` (set-enumeration dedup helper)."""
-    return [v for v in vertices if v > min_id]

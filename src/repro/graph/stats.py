@@ -34,15 +34,6 @@ class GraphStats:
         return self.max_degree / self.mean_degree if self.mean_degree else 0.0
 
 
-def degree_histogram(graph: Graph) -> dict[int, int]:
-    """degree → number of vertices with that degree."""
-    hist: dict[int, int] = {}
-    for v in graph.vertices():
-        d = graph.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
 def triangle_count(graph: Graph) -> int:
     """Number of triangles (each counted once)."""
     count = 0
@@ -67,21 +58,6 @@ def global_clustering_coefficient(graph: Graph) -> float:
     if wedges == 0:
         return 0.0
     return 3.0 * triangle_count(graph) / wedges
-
-
-def local_clustering(graph: Graph, v: int) -> float:
-    """Fraction of v's neighbor pairs that are themselves adjacent."""
-    nbrs = graph.neighbors(v)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for i, u in enumerate(nbrs):
-        u_set = graph.neighbor_set(u)
-        for w in nbrs[i + 1 :]:
-            if w in u_set:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
 
 
 def graph_stats(graph: Graph) -> GraphStats:

@@ -1,4 +1,4 @@
-"""Ego-network extraction mirroring the task-spawn pipeline.
+"""Task-subgraph extraction mirroring the task-spawn pipeline.
 
 A G-thinker task spawned from vertex v mines the k-core of v's 2-hop
 ego network restricted to IDs > v (paper Algorithms 4, 6, 7). These
@@ -11,20 +11,6 @@ from __future__ import annotations
 
 from .adjacency import Graph
 from .kcore import k_core
-
-
-def ego_network(graph: Graph, root: int, hops: int = 2) -> Graph:
-    """Induced subgraph on all vertices within `hops` of `root` (incl. root)."""
-    frontier = {root}
-    members = {root}
-    for _ in range(hops):
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt |= graph.neighbor_set(v)
-        nxt -= members
-        members |= nxt
-        frontier = nxt
-    return graph.subgraph(members)
 
 
 def spawn_subgraph(graph: Graph, root: int, k: int) -> Graph:

@@ -51,33 +51,6 @@ def within_two_hops(graph: Graph, v: int, u: int) -> bool:
     return any(w in large for w in small)
 
 
-def connected_components(graph: Graph) -> list[set[int]]:
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for s in graph.vertices():
-        if s in seen:
-            continue
-        comp = {s}
-        frontier = deque([s])
-        while frontier:
-            v = frontier.popleft()
-            for u in graph.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def is_connected(graph: Graph) -> bool:
-    n = graph.num_vertices
-    if n <= 1:
-        return True
-    start = next(iter(graph.vertices()))
-    return len(bfs_distances(graph, start)) == n
-
-
 def is_connected_subset(graph: Graph, vertex_set: Iterable[int]) -> bool:
     """True iff the subgraph induced by `vertex_set` is connected."""
     vs = set(vertex_set)

@@ -15,7 +15,7 @@ from .cluster import ClusterMaster, ClusterWorker, mine_cluster, run_cluster_app
 from .config import EngineConfig
 from .engine import GThinkerEngine, MiningRunResult, mine_parallel
 from .engine_mp import MultiprocessEngine, mine_multiprocess
-from .runtime import Lease, TaskLeaseTable
+from .runtime import Lease
 from .scheduler import (
     MachineState,
     QuantumResult,
@@ -69,7 +69,6 @@ __all__ = [
     "EngineMetrics",
     "FaultInjection",
     "Lease",
-    "TaskLeaseTable",
     "GThinkerEngine",
     "LocalVertexTable",
     "MiningRunResult",

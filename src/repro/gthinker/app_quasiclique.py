@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from ..core.domain import TaskDomain
 from ..core.iterative_bounding import check_and_emit_masked
 from ..core.options import MinerOptions, MiningJob, MiningStats, ResultSink, DEFAULT_OPTIONS
-from ..core.quasiclique import kcore_threshold
+from ..core.quasiclique import check_params, kcore_threshold
 from ..graph.kcore import peel_adjacency
 from .app_protocol import ComputeContext, gthinker_app
 from .decompose import decomposition_budget, time_delayed_mine_masked
@@ -43,6 +43,7 @@ class QuasiCliqueApp:
     stats: MiningStats = field(default_factory=MiningStats)
 
     def __post_init__(self) -> None:
+        check_params(self.gamma, self.min_size)
         self.k = kcore_threshold(self.gamma, self.min_size)
 
     # -- UDF 1: task spawning (Algorithm 4) -----------------------------

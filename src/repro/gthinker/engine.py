@@ -103,18 +103,6 @@ class GThinkerEngine:
                 if self._active == 0:
                     self._done.set()
 
-    # -- scheduler delegation (kept for white-box tests / callers) ---------
-
-    def add_task(self, task: Task, machine: MachineState, slot: ThreadSlot) -> None:
-        """Queue a task under the shared routing policy."""
-        self.core.route(task, machine, slot)
-
-    def _spawn_batch(self, machine: MachineState, slot: ThreadSlot) -> None:
-        self.core.spawn_batch(machine, slot)
-
-    def _apply_steals(self) -> None:
-        self.core.apply_steals()
-
     # -- one scheduling step -----------------------------------------------
 
     def _step(self, machine: MachineState, slot: ThreadSlot, metrics: EngineMetrics) -> bool:

@@ -13,11 +13,14 @@ per core; this executor reproduces that with `multiprocessing`:
   other executor;
 * **workers** hold a read-only copy of the input graph (fork-inherited
   where the platform allows, rebuilt from a
-  `multiprocessing.shared_memory` buffer otherwise) plus their own copy
-  of the application, receive pickled :class:`Task` batches over a
+  `multiprocessing.shared_memory` buffer otherwise) behind the same
+  vertex store every other machine reads through
+  (:class:`~repro.gthinker.vertex_store.RemoteGraphAccess`, with the
+  whole graph as its one partition), plus their own copy of the
+  application; they receive pickled :class:`Task` batches over a
   per-worker queue, run each task's compute iterations to completion
-  (pulls resolve against the local graph copy, so tasks never suspend
-  inside a worker), and ship back mined candidates, per-batch
+  (every pull is a local read, so tasks never suspend inside a
+  worker), and ship back mined candidates, per-batch
   :class:`EngineMetrics`, forwarded tracer events, and any
   decomposition remainder tasks;
 * remainder tasks return to the parent, get fresh task IDs, and re-enter
@@ -32,7 +35,7 @@ decision is delegated to the shared coordination control plane
 (:mod:`repro.gthinker.runtime`, also under the cluster runtime):
 
 * every dispatched batch is recorded in the control plane's
-  :class:`~repro.gthinker.runtime.TaskLeaseTable` (task ids, per-task
+  :class:`~repro.gthinker.runtime.WorkLedger` (task ids, per-task
   attempt counts, a wall-clock deadline derived from ``tau_time`` plus
   ``lease_slack``, a ``lease_window``-bounded per-worker pipeline);
 * a worker that **died** (non-zero/None ``Process.exitcode``, broken
@@ -55,12 +58,12 @@ pool death-spirals into quarantine. With private pipes a killed worker
 can tear only its own channel; the supervisor abandons it, reclaims the
 leases, and the rest of the pool never notices.
 
-Because each worker owns a whole-graph replica, pull resolution is
-always local: `remote_messages` stays 0 and the vertex cache is idle on
-this backend (the partitioned vertex store is a distribution model, not
-a parallelism mechanism). Everything the paper's reforge is about —
-routing, pick order, spilling, spawn batching, stealing — still runs,
-in the parent.
+Because each worker's store holds the whole graph as its one
+partition, pull resolution is always local: `remote_messages` stays 0
+and the vertex cache is idle on this backend (the partitioned vertex
+store is a distribution model, not a parallelism mechanism).
+Everything the paper's reforge is about — routing, pick order,
+spilling, spawn batching, stealing — still runs, in the parent.
 
 The application must be picklable: it is shipped once to every worker
 at pool start. `MultiprocessEngine` verifies this at construction and
@@ -81,7 +84,6 @@ from multiprocessing import connection as mp_connection
 
 from ..core.options import ResultSink
 from ..core.postprocess import postprocess_results
-from ..graph.access import InMemoryGraphAccess
 from ..graph.adjacency import Graph
 from .app_protocol import ComputeContext, GThinkerApp, ensure_app
 from .app_quasiclique import QuasiCliqueApp
@@ -95,14 +97,15 @@ from .runtime import (
     PipeChannel,
     ResultFolder,
     RetryPolicy,
-    TaskLeaseTable,
     WorkerRegistry,
+    WorkLedger,
     WorkerSlot,
     reclaim_lease,
 )
 from .scheduler import SchedulerCore, build_machines, collect_machine_metrics
 from .task import Task
 from .tracing import NullTracer, Tracer
+from .vertex_store import LocalVertexTable, RemoteGraphAccess, in_process_stores
 
 __all__ = ["FaultInjection", "MultiprocessEngine", "mine_multiprocess"]
 
@@ -176,14 +179,16 @@ def _graph_from_shm(name: str, nbytes: int) -> Graph:
     return Graph.from_edges(edges, vertices=vertices)
 
 
-def _resolve_graph(graph_payload) -> InMemoryGraphAccess:
-    """Build the worker's access over its whole-graph replica, which
-    reached this process by fork inheritance or a shm rebuild."""
-    kind = graph_payload[0]
-    if kind == "direct":  # fork: the object itself rode through the fork
-        return InMemoryGraphAccess(graph_payload[1])
-    _, name, nbytes = graph_payload  # spawn/forkserver: rebuild from shm
-    return InMemoryGraphAccess(_graph_from_shm(name, nbytes))
+def _resolve_graph(graph_payload, config: EngineConfig) -> RemoteGraphAccess:
+    """Build the worker's vertex store over its whole-graph replica,
+    which reached this process by fork inheritance or a shm rebuild."""
+    if graph_payload[0] == "direct":  # fork: the object rode through the fork
+        graph = graph_payload[1]
+    else:  # spawn/forkserver: rebuild from shm
+        _, name, nbytes = graph_payload
+        graph = _graph_from_shm(name, nbytes)
+    tables = LocalVertexTable.partition(graph, 1)
+    return in_process_stores(tables, config.cache_capacity)[0]
 
 
 # -- the worker process ----------------------------------------------------
@@ -192,10 +197,10 @@ def _resolve_graph(graph_payload) -> InMemoryGraphAccess:
 def _run_task(app, config, access, task, next_task_id, metrics, events):
     """Run one task's compute iterations to completion; returns children.
 
-    Pulls resolve through the worker's :class:`InMemoryGraphAccess`
-    (whole-graph replica — `unresolved` is always empty), so a task
-    never suspends here — the suspend/re-buffer path belongs to the
-    executors whose vertex store is partitioned.
+    Pulls resolve through the worker's vertex store, whose one
+    partition is the whole graph (`unresolved` is always empty), so a
+    task never suspends here — the suspend/re-buffer path belongs to
+    the executors whose vertex store is partitioned.
     """
     ctx = ComputeContext(
         config=config, next_task_id=next_task_id, record=metrics.record_task
@@ -253,7 +258,7 @@ def _worker_main(
     leave a shared write lock held and wedge its peers; sends happen on
     this thread, so every completed batch is flushed before the next
     batch is even received):
-      ("batch", worker_id, batch_id, finished, child_blobs, candidates,
+      ("batch", worker_id, lease_id, finished, child_blobs, candidates,
        metrics, events) per processed batch;
       ("done", worker_id, stats_blob) on sentinel;
       ("error", worker_id, traceback_text) on any failure (the worker
@@ -265,7 +270,7 @@ def _worker_main(
     incarnation).
     """
     try:
-        access = _resolve_graph(graph_payload)
+        access = _resolve_graph(graph_payload, config)
         app = pickle.loads(app_blob)
         # Provisional child IDs; the parent renumbers on receipt, so
         # negative values can never collide with scheduler-issued IDs.
@@ -281,7 +286,7 @@ def _worker_main(
                 return
             if injection is not None and completed >= injection.after_batches:
                 die_hard()
-            batch_id, blobs = item
+            lease_id, blobs = item
             metrics = EngineMetrics()
             events: list | None = [] if trace_enabled else None
             children: list[Task] = []
@@ -307,7 +312,7 @@ def _worker_main(
                 (
                     "batch",
                     worker_id,
-                    batch_id,
+                    lease_id,
                     len(blobs),
                     [t.encode() for t in children],
                     fresh,
@@ -385,8 +390,10 @@ class MultiprocessEngine:
         )
         self.tracer = self.core.tracer
         # -- fault-tolerance state: the shared control plane ---------------
-        self.leases = TaskLeaseTable(
-            config.max_attempts, lease_window=config.lease_window
+        self.leases: WorkLedger[Task] = WorkLedger(
+            config.max_attempts,
+            key=lambda task: task.task_id,
+            lease_window=config.lease_window,
         )
         self.registry = WorkerRegistry(metrics=self.metrics, tracer=self.tracer)
         self._retries: RetryPolicy[Task] = RetryPolicy(config.retry_backoff)
@@ -398,7 +405,7 @@ class MultiprocessEngine:
         self.quarantined: list[Task] = []
         #: Tracebacks reported by workers that failed at the app level.
         self.worker_errors: list[str] = []
-        self._batch_ids = itertools.count()
+        self._lease_ids = itertools.count()
 
     @property
     def retry_schedule(self) -> list[tuple[int, int, float]]:
@@ -612,13 +619,13 @@ class MultiprocessEngine:
                 self._dispatch(slot, batch, now)
 
     def _dispatch(self, slot: WorkerSlot, batch: list[Task], now: float) -> None:
-        batch_id = next(self._batch_ids)
+        lease_id = next(self._lease_ids)
         self.leases.grant(
-            batch_id, slot.worker_id, batch, now,
+            lease_id, slot.worker_id, batch, now,
             self.config.lease_timeout(len(batch)),
         )
         try:
-            slot.channel.send((batch_id, [t.encode() for t in batch]))
+            slot.channel.send((lease_id, [t.encode() for t in batch]))
         except ChannelClosed:
             # Dead incarnation caught mid-dispatch: the lease just
             # granted is covered by the supervisor's reclaim next round.
@@ -718,13 +725,13 @@ class MultiprocessEngine:
             # A shutdown acknowledgement cannot appear mid-dispatch, but
             # tolerate it rather than crash a run that is otherwise fine.
             return
-        _, worker_id, batch_id, finished, child_blobs, fresh, wmetrics, events = msg
+        _, worker_id, lease_id, finished, child_blobs, fresh, wmetrics, events = msg
         # Candidates fold unconditionally (idempotent); everything else
         # folds only if the lease is still ours — a stale at-least-once
         # duplicate's children and metrics belong to the retry that
         # superseded it, and dropping them keeps accounting single-count.
         self._folder.fold(fresh)
-        if self._folder.complete(batch_id) is None:
+        if self._folder.complete(lease_id) is None:
             return
         # Children first, exactly like the threaded driver: the active
         # counter must never hit zero while a finishing parent still has

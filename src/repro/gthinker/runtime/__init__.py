@@ -11,8 +11,7 @@ here:
 
 * :class:`~.ledger.WorkLedger` — grant/complete/expired/reclaim lease
   bookkeeping with per-worker windows, per-member attempt counts, and
-  conservation invariants (:class:`~.ledger.TaskLeaseTable` is its
-  task-keyed spelling);
+  conservation invariants;
 * :class:`~.registry.WorkerRegistry` — worker slots, incarnation
   numbers, heartbeat/EOF liveness, and the single ``worker_died``
   accounting path;
@@ -33,7 +32,7 @@ and their metrics counters are emitted only from this package.
 
 from .channel import Channel, ChannelClosed, PipeChannel, StreamChannel
 from .folding import ResultFolder
-from .ledger import Lease, TaskLeaseTable, WorkLedger
+from .ledger import Lease, WorkLedger
 from .registry import WorkerRegistry, WorkerSlot, worker_attribution
 from .retry import RetryPolicy, backoff_delay, reclaim_lease
 
@@ -45,7 +44,6 @@ __all__ = [
     "ResultFolder",
     "RetryPolicy",
     "StreamChannel",
-    "TaskLeaseTable",
     "WorkLedger",
     "WorkerRegistry",
     "WorkerSlot",

@@ -39,14 +39,11 @@ as only that loop owns the rest of the scheduler state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generic, TypeVar
-
-if TYPE_CHECKING:
-    from ..task import Task
+from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["Lease", "TaskLeaseTable", "WorkLedger"]
+__all__ = ["Lease", "WorkLedger"]
 
 
 @dataclass
@@ -61,21 +58,6 @@ class Lease(Generic[T]):
     #: Monotonic-clock deadline; past it the worker is presumed wedged.
     deadline: float
     keys: tuple[int, ...] = field(default_factory=tuple)
-
-    # -- historical spellings (the process backend grew up calling a
-    # -- lease a batch of tasks) ------------------------------------------
-
-    @property
-    def batch_id(self) -> int:
-        return self.lease_id
-
-    @property
-    def tasks(self) -> list[T]:
-        return self.items
-
-    @property
-    def task_ids(self) -> tuple[int, ...]:
-        return self.keys
 
 
 class WorkLedger(Generic[T]):
@@ -289,19 +271,3 @@ class WorkLedger(Generic[T]):
                 )
         live = set(self._attempts)
         assert not (live & set(self.quarantined_ids)), "quarantined key is live"
-
-
-class TaskLeaseTable(WorkLedger["Task"]):
-    """Task-batch ledger of the process backend (the historical name).
-
-    A :class:`WorkLedger` keyed by ``task.task_id`` with one task = one
-    unit of accounting — exactly the table `engine_mp` always used, now
-    the shared implementation.
-    """
-
-    def __init__(self, max_attempts: int, lease_window: int | None = None):
-        super().__init__(
-            max_attempts,
-            key=lambda task: task.task_id,
-            lease_window=lease_window,
-        )

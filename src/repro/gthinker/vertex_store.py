@@ -13,8 +13,9 @@ shortcut, pins standing in for the paper's in-flight-task refcounts,
 and the message count. Only where a cache miss is served differs:
 
 * in-process machines (serial/threaded/simulated executors, the process
-  pool's parent) pass a synchronous ``fetch`` that reads the owner's
-  table — all partitions share one address space;
+  pool's parent and each of its workers) pass a synchronous ``fetch``
+  that reads the owner's table — all partitions share one address
+  space (a pool worker's one partition is its whole-graph replica);
 * the cluster worker passes none: a non-owned, uncached vertex is
   *unresolved* and must be admitted off the wire first
   (``unresolved`` → VertexRequest → :meth:`RemoteGraphAccess.admit`).
@@ -59,16 +60,15 @@ class LocalVertexTable:
         """Split `graph` into per-machine tables (the HDFS load step).
 
         `partitioner` defaults to the paper's hash scheme; see
-        `repro.gthinker.partition` for alternatives. Tables store
-        zero-copy adjacency *views* (`Graph.neighbors_view` /
-        `CSRGraph.neighbors_view`), so partitioning never duplicates
-        the graph's adjacency memory — only the per-vertex references.
+        `repro.gthinker.partition` for alternatives. Tables store the
+        graph's own adjacency lists (`Graph.neighbors`, uncopied), so
+        partitioning never duplicates the graph's adjacency memory —
+        only the per-vertex references.
         """
         tables = [cls(m, num_machines) for m in range(num_machines)]
         owner = owner_function(num_machines, partitioner)
-        view = getattr(graph, "neighbors_view", graph.neighbors)
         for v in graph.vertices():
-            tables[owner(v)]._table[v] = view(v)
+            tables[owner(v)]._table[v] = graph.neighbors(v)
         return tables
 
     @classmethod
@@ -353,7 +353,8 @@ def in_process_stores(
 ) -> list[RemoteGraphAccess]:
     """One store per table of `partitioner`'s partitioning, all in one
     address space: each serves a cache miss synchronously from the
-    owner's table (the serial/threaded/simulated executors' machines)."""
+    owner's table (the serial/threaded/simulated executors' machines,
+    and a process-pool worker's one whole-graph partition)."""
     owner = owner_function(len(tables), partitioner)
 
     def fetch(vertex: int) -> Sequence[int] | None:

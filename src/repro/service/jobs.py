@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.quasiclique import check_params
 from ..core.resultsio import write_results
 from ..datasets.registry import build_dataset, dataset_names
 from ..graph.adjacency import Graph
@@ -110,12 +111,10 @@ class JobSpec:
             min_size = int(payload["min_size"])
         except (TypeError, ValueError) as exc:
             raise ServiceError(400, f"bad gamma/min_size: {exc}") from exc
-        # MiningJob refuses γ < 0.5 (the diameter-2 regime); refuse it
-        # here too rather than queue a job that can only fail.
-        if not 0.5 <= gamma <= 1.0:
-            raise ServiceError(400, f"gamma must be in [0.5, 1], got {gamma}")
-        if min_size < 1:
-            raise ServiceError(400, f"min_size must be >= 1, got {min_size}")
+        try:
+            check_params(gamma, min_size)
+        except ValueError as exc:
+            raise ServiceError(400, str(exc)) from exc
 
         sources = [k for k in ("dataset", "graph_path", "edges") if payload.get(k) is not None]
         if len(sources) != 1:

@@ -7,8 +7,6 @@ import pytest
 from repro.core.domain import TaskDomain, bit_list, bits, is_quasi_clique_masked
 from repro.core.quasiclique import is_quasi_clique
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
-from repro.graph.io import relabel_compact
 
 from conftest import make_random_graph
 
@@ -37,11 +35,16 @@ class TestConstruction:
         assert d.verts == tuple(members)
         assert d.to_graph() == g.subgraph(set(members))
 
-    def test_from_graph_uses_csr_mask_export(self):
-        g = make_random_graph(12, 0.35, seed=8)
-        compact, _ = relabel_compact(g)
-        csr = CSRGraph.from_graph(compact)
-        assert TaskDomain.from_graph(csr) == TaskDomain.from_graph(compact)
+    def test_from_graph_mask_export_matches_per_vertex_path(self):
+        # Non-compact IDs: the fast path must relabel exactly as the
+        # per-vertex build does.
+        g = Graph.from_edges((3 * u + 5, 3 * v + 5) for u, v in
+                             make_random_graph(12, 0.35, seed=8).edges())
+        g.add_vertex(100)  # isolated
+        fast = TaskDomain.from_graph(g)  # Graph.adjacency_masks()
+        per_vertex = TaskDomain.from_graph(g, list(g.vertices()))
+        assert fast == per_vertex
+        assert fast.verts == tuple(sorted(g.vertices()))
 
     def test_from_adjacency_drops_foreign_and_self(self):
         # Neighbor 99 is not a key; 1 lists itself — both ignored.

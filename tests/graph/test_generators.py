@@ -7,12 +7,9 @@ from repro.graph.generators import (
     barabasi_albert,
     coexpression_like,
     erdos_renyi,
-    gnm_random,
     planted_quasicliques,
     powerlaw_cluster,
-    random_connected_graph,
 )
-from repro.graph.traversal import is_connected
 
 
 class TestErdosRenyi:
@@ -34,20 +31,6 @@ class TestErdosRenyi:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             erdos_renyi(10, 1.5)
-
-
-class TestGnm:
-    def test_exact_edge_count(self):
-        g = gnm_random(30, 100, seed=2)
-        assert g.num_vertices == 30
-        assert g.num_edges == 100
-
-    def test_too_many_edges(self):
-        with pytest.raises(ValueError):
-            gnm_random(5, 11)
-
-    def test_determinism(self):
-        assert gnm_random(30, 80, seed=5) == gnm_random(30, 80, seed=5)
 
 
 class TestBarabasiAlbert:
@@ -135,10 +118,3 @@ class TestCoexpression:
         assert len(pg.planted) == 4
         for module in pg.planted:
             assert is_quasi_clique(pg.graph, module, 0.85)
-
-
-class TestRandomConnected:
-    def test_connected(self):
-        g = random_connected_graph(40, 0.05, seed=1)
-        assert g.num_vertices == 40
-        assert is_connected(g)

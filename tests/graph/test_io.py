@@ -4,10 +4,8 @@ import pytest
 
 from repro.graph.adjacency import Graph
 from repro.graph.io import (
-    read_adjacency,
     read_edge_list,
     relabel_compact,
-    write_adjacency,
     write_edge_list,
 )
 
@@ -46,22 +44,6 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         path.write_text("0 1 0.5\n1 2 0.9\n")
         assert read_edge_list(path).num_edges == 2
-
-
-class TestAdjacencyFormat:
-    def test_round_trip_preserves_isolated(self, tmp_path):
-        g = Graph.from_edges([(0, 1)], vertices=range(4))
-        path = tmp_path / "g.adj"
-        write_adjacency(g, path)
-        h = read_adjacency(path)
-        assert h == g
-        assert h.num_vertices == 4
-
-    def test_random_round_trip(self, tmp_path):
-        g = make_random_graph(25, 0.25, seed=9)
-        path = tmp_path / "g.adj"
-        write_adjacency(g, path)
-        assert read_adjacency(path) == g
 
 
 class TestRelabel:

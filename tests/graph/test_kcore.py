@@ -6,10 +6,8 @@ import pytest
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import (
     core_numbers,
-    degeneracy_order,
     k_core,
     k_core_vertices,
-    max_core,
     peel_adjacency,
     shrink_to_quasiclique_core,
 )
@@ -36,10 +34,6 @@ class TestCoreNumbers:
     def test_clique(self):
         g = Graph.from_edges([(u, v) for u in range(5) for v in range(u + 1, 5)])
         assert core_numbers(g) == {v: 4 for v in range(5)}
-
-    def test_max_core(self):
-        g = make_random_graph(25, 0.3, seed=4)
-        assert max_core(g) == max(nx.core_number(to_nx(g)).values())
 
 
 class TestKCore:
@@ -101,23 +95,6 @@ class TestPeelAdjacency:
         adj = {0: set()}
         peel_adjacency(adj, 0)
         assert adj == {0: set()}
-
-
-class TestDegeneracyOrder:
-    def test_is_permutation(self):
-        g = make_random_graph(20, 0.3, seed=8)
-        order = degeneracy_order(g)
-        assert sorted(order) == sorted(g.vertices())
-
-    def test_degeneracy_property(self):
-        # Each vertex has ≤ degeneracy neighbors later in the order.
-        g = make_random_graph(20, 0.3, seed=8)
-        order = degeneracy_order(g)
-        pos = {v: i for i, v in enumerate(order)}
-        d = max_core(g)
-        for v in order:
-            later = sum(1 for u in g.neighbors(v) if pos[u] > pos[v])
-            assert later <= d
 
 
 class TestQuasicliqueCore:

@@ -2,11 +2,10 @@
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.kcore import core_numbers, k_core_vertices
 from repro.graph.stats import triangle_count, wedge_count
@@ -60,16 +59,6 @@ def test_kcore_fixed_point_and_core_numbers(g, k):
 @settings(max_examples=40, deadline=None)
 def test_triangles_bounded_by_wedges(g):
     assert 3 * triangle_count(g) <= wedge_count(g)
-
-
-@given(g=graphs())
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_csr_equivalence(g):
-    csr = CSRGraph.from_graph(g)
-    assert csr.num_edges == g.num_edges
-    for v in g.vertices():
-        assert list(csr.neighbors(v)) == g.neighbors(v)
-    assert sorted(csr.edges()) == sorted(g.edges())
 
 
 @given(g=graphs(), data=st.data())

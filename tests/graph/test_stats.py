@@ -5,10 +5,8 @@ import pytest
 
 from repro.graph.adjacency import Graph
 from repro.graph.stats import (
-    degree_histogram,
     global_clustering_coefficient,
     graph_stats,
-    local_clustering,
     triangle_count,
     wedge_count,
 )
@@ -39,15 +37,6 @@ class TestCounts:
     def test_wedges(self, triangle_graph):
         assert wedge_count(triangle_graph) == 3
         assert triangle_count(triangle_graph) == 1
-
-    def test_local_clustering(self, triangle_graph, path_graph):
-        assert local_clustering(triangle_graph, 0) == 1.0
-        assert local_clustering(path_graph, 1) == 0.0
-        assert local_clustering(path_graph, 0) == 0.0  # degree < 2
-
-    def test_degree_histogram(self):
-        g = Graph.from_edges([(0, 1), (0, 2)], vertices=range(4))
-        assert degree_histogram(g) == {2: 1, 1: 2, 0: 1}
 
 
 class TestSummary:

@@ -1,34 +1,11 @@
-"""Tests for ego-network / spawn-subgraph extraction."""
-
-import pytest
+"""Tests for spawn-subgraph extraction."""
 
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import k_core
-from repro.graph.subgraph import candidate_extension, ego_network, spawn_subgraph
+from repro.graph.subgraph import candidate_extension, spawn_subgraph
 from repro.graph.traversal import bfs_distances
 
 from conftest import make_random_graph
-
-
-class TestEgoNetwork:
-    @pytest.mark.parametrize("hops", [1, 2, 3])
-    def test_matches_bfs(self, hops):
-        g = make_random_graph(25, 0.15, seed=3)
-        root = 0
-        ego = ego_network(g, root, hops=hops)
-        expected = set(bfs_distances(g, root, max_depth=hops))
-        assert set(ego.vertices()) == expected
-
-    def test_is_induced(self):
-        g = make_random_graph(20, 0.3, seed=1)
-        ego = ego_network(g, 5, hops=2)
-        for u, v in ego.edges():
-            assert g.has_edge(u, v)
-        members = set(ego.vertices())
-        for u in members:
-            for v in members:
-                if u < v and g.has_edge(u, v):
-                    assert ego.has_edge(u, v)
 
 
 class TestSpawnSubgraph:

@@ -6,9 +6,7 @@ import pytest
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import (
     bfs_distances,
-    connected_components,
     diameter,
-    is_connected,
     is_connected_subset,
     two_hop_neighbors,
     within_two_hops,
@@ -63,17 +61,6 @@ class TestTwoHop:
 
 
 class TestConnectivity:
-    def test_components(self):
-        g = Graph.from_edges([(0, 1), (2, 3)], vertices=range(5))
-        comps = sorted(connected_components(g), key=min)
-        assert comps == [{0, 1}, {2, 3}, {4}]
-
-    def test_is_connected(self, two_cliques_bridge):
-        assert is_connected(two_cliques_bridge)
-        g = Graph.from_edges([(0, 1), (2, 3)])
-        assert not is_connected(g)
-        assert is_connected(Graph())
-
     def test_subset_connectivity(self, two_cliques_bridge):
         assert is_connected_subset(two_cliques_bridge, {0, 1, 2, 3})
         assert not is_connected_subset(two_cliques_bridge, {0, 5})

@@ -6,6 +6,7 @@ from repro.core.options import ResultSink
 from repro.core.quasiclique import kcore_threshold
 from repro.gthinker.app_quasiclique import ComputeContext, QuasiCliqueApp
 from repro.gthinker.config import EngineConfig
+from repro.gthinker.engine import mine_parallel
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import k_core
 from repro.graph.traversal import bfs_distances
@@ -33,6 +34,29 @@ def task_subgraph(task):
     if task.domain is not None:
         return task.domain.to_graph()
     return task.graph
+
+
+class TestParameterValidation:
+    """An out-of-range (γ, τ_size) is rejected when the app is built —
+    before any task spawns — on every backend. The graph is chosen so
+    no task would ever reach iteration 3, where MiningJob's own check
+    used to be the only one."""
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", "threaded", "process", "simulated", "cluster"]
+    )
+    @pytest.mark.parametrize("gamma,min_size", [(0.2, 50), (1.5, 3)])
+    def test_invalid_gamma_raises_before_any_task(
+        self, path_graph, backend, gamma, min_size
+    ):
+        config = EngineConfig(backend=backend, num_procs=2)
+        with pytest.raises(ValueError, match="gamma must be in"):
+            mine_parallel(path_graph, gamma, min_size, config)
+
+    @pytest.mark.parametrize("gamma,min_size", [(0.49, 3), (0.9, 0)])
+    def test_app_construction_checks_params(self, gamma, min_size):
+        with pytest.raises(ValueError, match="must be"):
+            QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink())
 
 
 class TestSpawn:

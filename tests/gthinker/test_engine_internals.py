@@ -29,7 +29,7 @@ class TestRouting:
         eng = make_engine(tau_split=4)
         machine = eng.machines[0]
         slot = machine.threads[0]
-        eng.add_task(it3_task(0, ext_size=10), machine, slot)
+        eng.core.route(it3_task(0, ext_size=10), machine, slot)
         assert len(machine.qglobal) == 1
         assert len(slot.qlocal) == 0
 
@@ -37,7 +37,7 @@ class TestRouting:
         eng = make_engine(tau_split=4)
         machine = eng.machines[0]
         slot = machine.threads[0]
-        eng.add_task(it3_task(0, ext_size=2), machine, slot)
+        eng.core.route(it3_task(0, ext_size=2), machine, slot)
         assert len(machine.qglobal) == 0
         assert len(slot.qlocal) == 1
 
@@ -45,7 +45,7 @@ class TestRouting:
         eng = make_engine(tau_split=4, use_global_queue=False)
         machine = eng.machines[0]
         slot = machine.threads[0]
-        eng.add_task(it3_task(0, ext_size=10), machine, slot)
+        eng.core.route(it3_task(0, ext_size=10), machine, slot)
         assert len(machine.qglobal) == 0
         assert len(slot.qlocal) == 1
 
@@ -59,7 +59,7 @@ class TestSpawnBatch:
         eng = make_engine(graph=g, tau_split=5, batch_size=8)
         machine = eng.machines[0]
         slot = machine.threads[0]
-        eng._spawn_batch(machine, slot)
+        eng.core.spawn_batch(machine, slot)
         assert len(machine.qglobal) == 1
         # Cursor advanced only past the vertices actually spawned.
         assert machine.spawn_pos <= 2
@@ -69,7 +69,7 @@ class TestSpawnBatch:
         eng = make_engine(graph=g, tau_split=50, batch_size=4)
         machine = eng.machines[0]
         slot = machine.threads[0]
-        eng._spawn_batch(machine, slot)
+        eng.core.spawn_batch(machine, slot)
         assert len(slot.qlocal) + len(machine.qglobal) <= 4
         assert machine.spawn_pos >= 4
 
@@ -104,7 +104,7 @@ class TestTermination:
 
         eng = GThinkerEngine(Graph.from_edges([(0, 1)]), Probe(), EngineConfig())
         machine = eng.machines[0]
-        eng._spawn_batch(machine, machine.threads[0])
+        eng.core.spawn_batch(machine, machine.threads[0])
         assert seen == [False, False]
         assert eng.core.all_spawned()
 
@@ -113,9 +113,9 @@ class TestTermination:
         src = eng.machines[0]
         slot = src.threads[0]
         for i in range(6):
-            eng.add_task(it3_task(i, ext_size=5), src, slot)
+            eng.core.route(it3_task(i, ext_size=5), src, slot)
         assert len(src.qglobal) == 6
-        eng._apply_steals()
+        eng.core.apply_steals()
         assert len(eng.machines[1].qglobal) > 0
         assert eng.metrics.steals >= 1
         assert eng.metrics.stolen_tasks >= 1

@@ -9,9 +9,8 @@ Three properties pin the distributed vertex store's foundation:
    nothing, which is what lets a rejoining worker reuse a partition;
 3. **access equivalence** — a `RemoteGraphAccess` whose fetches are
    served faithfully (fault-free `admit` of whatever `unresolved`
-   lists) answers every read exactly like `InMemoryGraphAccess` over
-   the whole graph. This is the property the cluster's oracle-equality
-   tests inherit.
+   lists) answers every read exactly like the whole `Graph`. This is
+   the property the cluster's oracle-equality tests inherit.
 """
 
 import random
@@ -20,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.access import GraphAccess, InMemoryGraphAccess
+from repro.graph.access import GraphAccess, neighbor_mask
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
+from repro.gthinker.config import EngineConfig
+from repro.gthinker.engine_mp import _graph_to_shm, _resolve_graph
 from repro.gthinker.partition import make_partitioner
 from repro.gthinker.vertex_store import (
     LocalVertexTable,
@@ -40,16 +40,52 @@ STRATEGIES = ("hash", "range", "balanced_degree")
 
 class TestProtocolConformance:
     def test_all_implementations_satisfy_graph_access(self):
+        # Every executor's machine builds one of these three stores.
         g = make_random_graph(8, 0.5, seed=1)
         tables = LocalVertexTable.partition(g, 2)
         impls = [
-            InMemoryGraphAccess(g),
-            InMemoryGraphAccess(CSRGraph.from_graph(g)),
+            # cluster worker: misses come off the wire
             RemoteGraphAccess(tables[0], RemoteVertexCache(4),
                               owner=owner_function(2)),
+            # serial/threaded/simulated machine: synchronous owner fetch
+            in_process_stores(tables, 4)[0],
+            # process-pool worker: the whole graph as one partition
+            _resolve_graph(("direct", g), EngineConfig()),
         ]
         for impl in impls:
             assert isinstance(impl, GraphAccess), type(impl).__name__
+
+
+class TestPoolWorkerStore:
+    """A process-pool worker reads its whole-graph replica through the
+    same store as every other machine, and never goes remote."""
+
+    @pytest.mark.parametrize("transport", ["direct", "shm"])
+    def test_worker_store_serves_whole_graph_locally(self, transport):
+        g = make_random_graph(20, 0.3, seed=5)
+        g.add_vertex(99)  # isolated: the shm rebuild must keep it
+        shm = None
+        if transport == "direct":
+            payload = ("direct", g)
+        else:
+            shm, nbytes = _graph_to_shm(g)
+            payload = ("shm", shm.name, nbytes)
+        try:
+            store = _resolve_graph(payload, EngineConfig(cache_capacity=2))
+        finally:
+            if shm is not None:
+                shm.close()
+                shm.unlink()
+        assert isinstance(store, RemoteGraphAccess)
+        members = sorted(g.vertices()) + [1000]  # 1000: not in the graph
+        assert store.unresolved(members) == []
+        out = store.resolve(members)
+        assert {v: tuple(adj) for v, adj in out.items()} == {
+            v: tuple(g.neighbors(v)) if g.has_vertex(v) else ()
+            for v in members
+        }
+        assert store.remote_messages == 0
+        assert len(store.cache) == 0
 
 
 class TestExactlyOneOwner:
@@ -130,7 +166,6 @@ class TestAccessEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_remote_access_equals_in_memory_when_served_faithfully(self, case):
         graph, workers, pid, capacity = case
-        reference = InMemoryGraphAccess(graph)
         tables = LocalVertexTable.partition(graph, workers)
         access = RemoteGraphAccess(
             tables[pid], RemoteVertexCache(capacity),
@@ -143,17 +178,17 @@ class TestAccessEquivalence:
         # the entries resident even when capacity < the pull count.
         missing = access.unresolved(members)
         access.pin(members)
-        access.admit(((v, reference.neighbors(v)) for v in missing), pin=True)
+        access.admit(((v, graph.neighbors(v)) for v in missing), pin=True)
         assert access.unresolved(members) == []
         for v in members:
-            assert tuple(access.neighbors(v)) == tuple(reference.neighbors(v))
-            assert access.degree(v) == reference.degree(v)
+            assert tuple(access.neighbors(v)) == tuple(graph.neighbors(v))
+            assert access.degree(v) == graph.degree(v)
             assert access.adjacency_mask(v, members) == (
-                reference.adjacency_mask(v, members)
+                neighbor_mask(graph.neighbors(v), members)
             )
         resolved = access.resolve(members)
         assert {v: tuple(adj) for v, adj in resolved.items()} == {
-            v: tuple(reference.neighbors(v)) for v in members
+            v: tuple(graph.neighbors(v)) for v in members
         }
         # The memory-bound side of the bargain: once the task's pins
         # release, residency never exceeds partition + cache capacity.
@@ -166,10 +201,9 @@ class TestAccessEquivalence:
         """Each in-process machine's store (its data service) answers a
         whole-graph pull batch exactly like the whole graph."""
         graph, workers, pid, capacity = case
-        reference = InMemoryGraphAccess(graph)
         tables = LocalVertexTable.partition(graph, workers)
         svc = in_process_stores(tables, capacity)[pid]
         out = svc.resolve(sorted(graph.vertices()))
         assert {v: tuple(adj) for v, adj in out.items()} == {
-            v: tuple(reference.neighbors(v)) for v in graph.vertices()
+            v: tuple(graph.neighbors(v)) for v in graph.vertices()
         }

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.gthinker.runtime import WorkLedger
-from repro.gthinker.runtime.ledger import TaskLeaseTable
 from repro.gthinker.spill import SpillableQueue, SpillFileList
 from repro.gthinker.task import Task
 from repro.gthinker.vertex_store import RemoteVertexCache
@@ -124,7 +123,7 @@ class CacheMachine(RuleBasedStateMachine):
 
 
 class LeaseTableMachine(RuleBasedStateMachine):
-    """Model: the fault-tolerant dispatch cycle around a TaskLeaseTable.
+    """Model: the fault-tolerant dispatch cycle around a task WorkLedger.
 
     Tasks move queued → leased → {completed | back to queued | quarantined}
     exactly as the MultiprocessEngine drives them: granted in batches to
@@ -145,12 +144,14 @@ class LeaseTableMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.table = TaskLeaseTable(self.MAX_ATTEMPTS)
+        self.table: WorkLedger[Task] = WorkLedger(
+            self.MAX_ATTEMPTS, key=lambda task: task.task_id
+        )
         self.clock = 0.0
         self.next_task = 0
         self.next_batch = 0
         self.queued: list[Task] = []
-        self.model_leased: dict[int, set[int]] = {}  # batch_id -> task ids
+        self.model_leased: dict[int, set[int]] = {}  # lease_id -> task ids
         self.model_completed: set[int] = set()
         self.model_quarantined: set[int] = set()
 
@@ -175,7 +176,8 @@ class LeaseTableMachine(RuleBasedStateMachine):
             bid, worker, batch, now=self.clock, timeout=self.LEASE_TIMEOUT
         )
         assert lease.worker_id == worker
-        assert set(lease.task_ids) == {t.task_id for t in batch}
+        assert set(lease.keys) == {t.task_id for t in batch}
+        assert lease.items == batch
         self.model_leased[bid] = {t.task_id for t in batch}
 
     @precondition(lambda self: self.model_leased)
@@ -183,7 +185,7 @@ class LeaseTableMachine(RuleBasedStateMachine):
     def complete(self, pick):
         bid = sorted(self.model_leased)[pick % len(self.model_leased)]
         lease = self.table.complete(bid)
-        assert lease is not None and lease.batch_id == bid
+        assert lease is not None and lease.lease_id == bid
         self.model_completed |= self.model_leased.pop(bid)
 
     @rule(bid=st.integers(min_value=0, max_value=500))
@@ -199,7 +201,7 @@ class LeaseTableMachine(RuleBasedStateMachine):
     def fail_worker(self, worker):
         for lease in self.table.leases_for(worker):
             retry, quarantine = self.table.reclaim(lease)
-            ids = self.model_leased.pop(lease.batch_id)
+            ids = self.model_leased.pop(lease.lease_id)
             got = {t.task_id for t, _ in retry} | {t.task_id for t, _ in quarantine}
             assert got == ids
             self.queued.extend(t for t, _ in retry)
@@ -212,7 +214,7 @@ class LeaseTableMachine(RuleBasedStateMachine):
         self.clock += self.LEASE_TIMEOUT + 1.0
         for lease in self.table.expired(self.clock):
             retry, quarantine = self.table.reclaim(lease)
-            self.model_leased.pop(lease.batch_id)
+            self.model_leased.pop(lease.lease_id)
             self.queued.extend(t for t, _ in retry)
             self.model_quarantined |= {t.task_id for t, _ in quarantine}
 

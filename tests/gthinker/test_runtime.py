@@ -13,7 +13,6 @@ from repro.gthinker.runtime import (
     ChannelClosed,
     ResultFolder,
     RetryPolicy,
-    TaskLeaseTable,
     WorkerRegistry,
     WorkerSlot,
     WorkLedger,
@@ -28,10 +27,15 @@ def make_task(task_id: int) -> Task:
     return Task(task_id=task_id, root=task_id, iteration=3)
 
 
+def task_ledger(max_attempts: int) -> WorkLedger[Task]:
+    """The process pool's ledger: task batches, attempts per task id."""
+    return WorkLedger(max_attempts, key=lambda task: task.task_id)
+
+
 def make_folder(max_attempts: int = 3):
     metrics = EngineMetrics()
     tracer = Tracer()
-    ledger = TaskLeaseTable(max_attempts)
+    ledger = task_ledger(max_attempts)
     folder = ResultFolder(ResultSink(), ledger, metrics=metrics, tracer=tracer)
     return folder, ledger, metrics, tracer
 
@@ -125,7 +129,7 @@ class TestReclaimLease:
     def test_splits_retry_and_quarantine_with_observability(self):
         metrics = EngineMetrics()
         tracer = Tracer()
-        ledger = TaskLeaseTable(max_attempts=2)
+        ledger = task_ledger(max_attempts=2)
         policy: RetryPolicy[Task] = RetryPolicy(0.05)
         poisoned: list[int] = []
 

@@ -143,12 +143,12 @@ class TestPolicyViaTrace:
 
         tg = Graph.from_edges([(0, i) for i in range(1, 6)])
         for i in range(6):
-            engine.add_task(
+            engine.core.route(
                 Task(task_id=100 + i, root=0, iteration=3, s=[0],
                      ext=[1, 2, 3, 4, 5], graph=tg),
                 src, slot,
             )
-        engine._apply_steals()
+        engine.core.apply_steals()
         assert tracer.events(kind="steal")
         # One full observability triple per stolen task: planned by the
         # coordinator, sent by the donor, received by the recipient.

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.gthinker.vertex_store import (
     LocalVertexTable,
     RemoteGraphAccess,
@@ -43,30 +42,21 @@ class TestPartition:
 
 
 class TestZeroCopyPartition:
-    """Regression: `partition()` must store adjacency *views* — it used
-    to copy every adjacency list, doubling the graph's memory during
-    the partition step."""
+    """Regression: `partition()` must store the graph's own adjacency
+    lists — it used to copy every one, doubling the graph's memory
+    during the partition step."""
 
     def test_graph_partition_shares_adjacency_objects(self):
         g = make_random_graph(14, 0.4, seed=11)
         tables = LocalVertexTable.partition(g, 2)
         for v in g.vertices():
-            assert tables[owner_of(v, 2)].get(v) is g.neighbors_view(v)
-
-    def test_csr_partition_shares_target_array(self):
-        csr = CSRGraph.from_graph(make_random_graph(14, 0.4, seed=12))
-        tables = LocalVertexTable.partition(csr, 2)
-        for v in csr.vertices():
-            entry = tables[owner_of(v, 2)].get(v)
-            assert isinstance(entry, memoryview)
-            assert entry.obj is csr._targets
-            assert list(entry) == list(csr.neighbors(v))
+            assert tables[owner_of(v, 2)].get(v) is g.neighbors(v)
 
     def test_entries_are_picklable_despite_views(self):
-        # Views (memoryviews) can't ride the wire; entries() must
-        # convert, and from_entries() must rebuild an equal table.
-        csr = CSRGraph.from_graph(make_random_graph(10, 0.4, seed=13))
-        table = LocalVertexTable.partition(csr, 2)[0]
+        # Shared live lists must not ride the wire; entries() must
+        # copy, and from_entries() must rebuild an equal table.
+        g = make_random_graph(10, 0.4, seed=13)
+        table = LocalVertexTable.partition(g, 2)[0]
         blob = pickle.dumps(table.entries())
         rebuilt = LocalVertexTable.from_entries(0, 2, pickle.loads(blob))
         assert len(rebuilt) == len(table)

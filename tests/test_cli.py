@@ -12,6 +12,28 @@ def graph_file(tmp_path):
     return str(path)
 
 
+class TestParameterErrors:
+    """Bad (γ, τ_size) or query input is a usage error: one `error:`
+    line and exit code 2, never a traceback or a run that reports
+    `results=0` as a success."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--gamma", "1.5", "--min-size", "3"],
+        ["--gamma", "0.4", "--min-size", "3", "--backend", "process",
+         "--num-procs", "2"],
+        ["--gamma", "0.4", "--min-size", "3", "--backend", "cluster"],
+        ["--gamma", "0.9", "--min-size", "0"],
+        ["--gamma", "0.9", "--min-size", "3", "--query", "99"],
+    ], ids=["gamma-above-1", "gamma-below-half-process",
+            "gamma-below-half-cluster", "min-size-0", "query-not-in-graph"])
+    def test_bad_input_exits_2_without_traceback(self, graph_file, extra, capsys):
+        assert main([graph_file, "--quiet", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "results=" not in captured.out
+
+
 class TestParser:
     def test_requires_source(self):
         with pytest.raises(SystemExit):

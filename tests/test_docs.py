@@ -15,9 +15,12 @@ Two enforcement layers:
    without the other fails here.
 
 Committed benchmark artifacts are held to the same rule: every file
-under ``benchmarks/out/`` must still have a producer.
+under ``benchmarks/out/`` must still have a producer. So are the code
+paths the prose cites: every backticked ``repro.…`` name must import.
 """
 
+import glob
+import importlib
 import os
 import re
 import subprocess
@@ -107,6 +110,53 @@ def test_every_bench_artifact_has_a_producer():
         if os.path.splitext(name)[0] not in written
     )
     assert not orphans, f"benchmarks/out/ files no bench writes: {orphans}"
+
+
+_CODE_SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
+_REPRO_NAME = re.compile(r"(?<![\w./])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def _cited_repro_names():
+    """``{dotted name: doc}`` for every ``repro.…`` name inside an
+    inline code span of docs/*.md, README.md or DESIGN.md."""
+    docs = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    docs += [os.path.join(REPO_ROOT, p) for p in ("README.md", "DESIGN.md")]
+    cited = {}
+    for path in docs:
+        text = re.sub(r"```.*?```", "", _read_doc(path), flags=re.S)
+        for span in _CODE_SPAN.finditer(text):
+            for name in _REPRO_NAME.findall(span.group(1)):
+                cited.setdefault(name, os.path.relpath(path, REPO_ROOT))
+    return cited
+
+
+def _resolve_dotted(name):
+    """Import the longest module prefix of `name`, then walk the
+    remaining parts as attributes."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(name)
+
+
+def test_every_cited_repro_name_resolves():
+    """A doc that names a removed module, class or function fails here,
+    so deleting code takes its prose with it."""
+    cited = _cited_repro_names()
+    assert cited, "no repro.… names found; the scan itself is broken"
+    stale = []
+    for name, doc in sorted(cited.items()):
+        try:
+            _resolve_dotted(name)
+        except (ImportError, AttributeError) as exc:
+            stale.append(f"{doc}: `{name}` ({exc})")
+    assert not stale, "docs cite removed code paths:\n" + "\n".join(stale)
 
 
 def _table_kinds(section_heading):
