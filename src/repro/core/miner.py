@@ -5,6 +5,10 @@ the Theorem 2 k-core shrink (T1), spawns one set-enumeration task per
 surviving vertex (quasi-cliques whose smallest vertex is that root),
 mines each with the recursive algorithm, and postprocesses maximality.
 
+:func:`quasiclique_core` is that shrink, and the only place it happens:
+every front-end — this miner, the checkpointed runner and each engine
+backend — peels its input through it before any task spawns.
+
 Two task-construction modes exist, both result-equivalent:
 
 * ``ego``   — per root v, materialize the k-core of v's 2-hop ego net
@@ -40,6 +44,26 @@ class MiningResult:
 
     def __len__(self) -> int:
         return len(self.maximal)
+
+
+def quasiclique_core(
+    graph: Graph,
+    gamma: float,
+    min_size: int,
+    options: MinerOptions = DEFAULT_OPTIONS,
+) -> Graph:
+    """The input a job mines: Theorem 2's k-core of `graph` (T1).
+
+    No vertex of a valid quasi-clique (|S| ≥ τ_size, degree fraction γ)
+    has global degree below k = ceil(γ·(τ_size−1)), so the k-core loses
+    no result. Returns `graph` itself when ``options.kcore_preprocess``
+    is off. The (γ, τ_size) pair is validated first, so an invalid one
+    fails before any peeling work.
+    """
+    check_params(gamma, min_size)
+    if not options.kcore_preprocess:
+        return graph
+    return k_core(graph, kcore_threshold(gamma, min_size))
 
 
 def mine_root(
@@ -78,11 +102,10 @@ def mine_maximal_quasicliques(
     mode: str = "ego",
 ) -> MiningResult:
     """Mine all maximal γ-quasi-cliques with |S| ≥ min_size (Definition 3)."""
-    check_params(gamma, min_size)
     if mode not in ("ego", "global"):
         raise ValueError(f"mode must be 'ego' or 'global', got {mode!r}")
+    base = quasiclique_core(graph, gamma, min_size, options)
     k = kcore_threshold(gamma, min_size)
-    base = k_core(graph, k) if options.kcore_preprocess else graph
     sink = ResultSink()
     stats = MiningStats()
     for root in sorted(base.vertices()):

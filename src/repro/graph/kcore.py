@@ -3,7 +3,9 @@
 The paper's (T1) observation is that shrinking the input to its k-core
 with k = ceil(γ·(τ_size − 1)) — Theorem 2, size-threshold pruning — "is
 actually a dominating factor to scale beyond a small graph". The O(|E|)
-bucket peeling algorithm here follows Batagelj & Zaversnik [13].
+bucket peeling algorithm here follows Batagelj & Zaversnik [13]; the
+Theorem 2 shrink of a job's input is
+:func:`repro.core.miner.quasiclique_core`.
 """
 
 from __future__ import annotations
@@ -99,14 +101,3 @@ def peel_adjacency(adj: dict[int, set[int]], k: int) -> None:
                 if len(s) == k - 1:
                     queue.append(u)
 
-
-def shrink_to_quasiclique_core(graph: Graph, gamma: float, min_size: int) -> Graph:
-    """Apply Theorem 2: keep only the ceil(γ·(τ_size−1))-core.
-
-    No vertex of a valid quasi-clique (|S| ≥ τ_size, degree fraction γ)
-    can have global degree below k = ceil(γ·(τ_size−1)).
-    """
-    from ..core.quasiclique import ceil_gamma
-
-    k = ceil_gamma(gamma, min_size - 1)
-    return k_core(graph, k)

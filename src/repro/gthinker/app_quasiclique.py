@@ -49,14 +49,19 @@ class QuasiCliqueApp:
     # -- UDF 1: task spawning (Algorithm 4) -----------------------------
 
     def spawn(self, vertex: int, adjacency: list[int], task_id: int) -> Task | None:
-        """Spawn the task mining quasi-cliques whose smallest vertex is `vertex`."""
-        if len(adjacency) < self.k:
-            return None
+        """Spawn the task mining quasi-cliques whose smallest vertex is `vertex`.
+
+        The task keeps only IDs ≥ `vertex` (Algorithm 6), so a root with
+        fewer than k larger-ID neighbours is peeled in iteration 1 and
+        is never spawned.
+        """
         if self.min_size <= 1:
             # A singleton is a valid quasi-clique for any γ; emit the
             # candidate here since Algorithm 2 only ever outputs S ⊋ {v}.
             self.sink.emit([vertex])
         pulls = [u for u in adjacency if u > vertex]
+        if len(pulls) < self.k:
+            return None
         task = Task(
             task_id=task_id,
             root=vertex,

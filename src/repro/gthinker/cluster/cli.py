@@ -24,6 +24,7 @@ import os
 import sys
 import time
 
+from ...core.miner import quasiclique_core
 from ...core.options import DEFAULT_OPTIONS, ResultSink
 from ...graph.io import read_edge_list
 from ..app_quasiclique import QuasiCliqueApp
@@ -80,7 +81,7 @@ def _master_parser() -> argparse.ArgumentParser:
 
 def master_cli(argv: list[str] | None = None) -> int:
     args = _master_parser().parse_args(argv)
-    graph = read_edge_list(args.graph)
+    graph = quasiclique_core(read_edge_list(args.graph), args.gamma, args.min_size)
     config = EngineConfig(
         backend="cluster",
         num_procs=args.workers,

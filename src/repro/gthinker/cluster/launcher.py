@@ -21,6 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 
+from ...core.miner import quasiclique_core
 from ...core.options import DEFAULT_OPTIONS, ResultSink
 from ...graph.adjacency import Graph
 from ..app_quasiclique import QuasiCliqueApp
@@ -113,14 +114,15 @@ def mine_cluster(
     timeout: float | None = None,
     on_progress=None,
 ) -> MiningRunResult:
-    """Convenience front-end: mine `graph` on a localhost TCP cluster."""
+    """Convenience front-end: mine `graph` on a localhost TCP cluster.
+
+    The master partitions and ships :func:`~repro.core.miner.quasiclique_core`
+    of `graph`, so no worker ever holds a vertex Theorem 2 rules out.
+    """
     config = config or EngineConfig(backend="cluster")
-    app = QuasiCliqueApp(
-        gamma=gamma,
-        min_size=min_size,
-        sink=ResultSink(),
-        options=options or DEFAULT_OPTIONS,
-    )
+    options = options or DEFAULT_OPTIONS
+    graph = quasiclique_core(graph, gamma, min_size, options)
+    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
     return run_cluster_app(
         graph, app, config, tracer=tracer, num_workers=num_workers,
         start_method=start_method, fault_injection=fault_injection,

@@ -1184,6 +1184,8 @@ class WorkerReactor:
     def cleanup(self) -> None:
         if self.machine is not None:
             self.machine.cleanup()
+        if self.core is not None:
+            self.core.detach()
 
 
 def _default_clock() -> float:

@@ -27,7 +27,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..core.options import ResultSink, ThreadSafeResultSink
+from ..core.miner import quasiclique_core
+from ..core.options import DEFAULT_OPTIONS, ResultSink, ThreadSafeResultSink
 from ..core.postprocess import postprocess_results
 from ..graph.adjacency import Graph
 from .app_protocol import GThinkerApp
@@ -67,7 +68,6 @@ class GThinkerEngine:
         config: EngineConfig,
         tracer: Tracer | NullTracer | None = None,
     ):
-        self.graph = graph
         self.app = app
         self.config = config
         self.machines = build_machines(graph, config)
@@ -152,10 +152,13 @@ class GThinkerEngine:
                 "num_machines/threads_per_machine to 1 or use 'threaded'"
             )
         start = time.perf_counter()
-        if backend == "serial" or (backend == "auto" and self.config.total_threads == 1):
-            self._run_serial()
-        else:
-            self._run_threaded()
+        try:
+            if backend == "serial" or (backend == "auto" and self.config.total_threads == 1):
+                self._run_serial()
+            else:
+                self._run_threaded()
+        finally:
+            self.core.detach()
         if self._worker_error is not None:
             for m in self.machines:
                 m.cleanup()
@@ -267,10 +270,9 @@ def mine_parallel(
     :func:`repro.gthinker.engine_mp.mine_multiprocess`, ``'cluster'`` to
     :func:`repro.gthinker.cluster.mine_cluster` and ``'simulated'`` to
     :func:`repro.gthinker.simulation.simulate_cluster`, so one call site
-    can select any executor from configuration alone.
+    can select any executor from configuration alone. Every backend
+    mines :func:`~repro.core.miner.quasiclique_core` of `graph`.
     """
-    from ..core.options import DEFAULT_OPTIONS
-
     config = config or EngineConfig()
     if config.backend == "simulated":
         from .simulation import simulate_cluster
@@ -290,11 +292,8 @@ def mine_parallel(
         return mine_cluster(
             graph, gamma, min_size, config, options=options, tracer=tracer
         )
+    options = options or DEFAULT_OPTIONS
+    graph = quasiclique_core(graph, gamma, min_size, options)
     sink: ResultSink = ThreadSafeResultSink() if config.total_threads > 1 else ResultSink()
-    app = QuasiCliqueApp(
-        gamma=gamma,
-        min_size=min_size,
-        sink=sink,
-        options=options or DEFAULT_OPTIONS,
-    )
+    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=sink, options=options)
     return GThinkerEngine(graph, app, config, tracer=tracer).run()

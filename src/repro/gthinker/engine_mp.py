@@ -596,6 +596,7 @@ class MultiprocessEngine:
                 shm.unlink()
             for m in self.machines:
                 m.cleanup()
+            self.core.detach()
         self.metrics.wall_seconds = time.perf_counter() - start
         collect_machine_metrics(self.metrics, self.machines)
         self.metrics.peak_pending_tasks = max(
@@ -795,15 +796,13 @@ def mine_multiprocess(
     on_progress=None,
 ) -> MiningRunResult:
     """Convenience front-end: mine `graph` on the process-pool backend."""
+    from ..core.miner import quasiclique_core
     from ..core.options import DEFAULT_OPTIONS
 
     config = config or EngineConfig(backend="process")
-    app = QuasiCliqueApp(
-        gamma=gamma,
-        min_size=min_size,
-        sink=ResultSink(),
-        options=options or DEFAULT_OPTIONS,
-    )
+    options = options or DEFAULT_OPTIONS
+    graph = quasiclique_core(graph, gamma, min_size, options)
+    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
     return MultiprocessEngine(
         graph, app, config, tracer=tracer, start_method=start_method,
         fault_injection=fault_injection, on_progress=on_progress,

@@ -197,6 +197,16 @@ class SchedulerCore:
         self._spawning = 0
         self._spawning_lock = threading.Lock()
 
+    def detach(self) -> None:
+        """Drop the executor's hooks once its job has ended.
+
+        The hooks are the executor's bound methods, so until then the
+        executor and its core reference each other; breaking the cycle
+        frees the job's machines, vertex tables and graph by reference
+        counting instead of leaving them for a cyclic collection.
+        """
+        self._task_queued = self._task_buffered = self._task_picked = None
+
     # -- shared counters ---------------------------------------------------
 
     def next_task_id(self) -> int:

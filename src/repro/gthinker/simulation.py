@@ -83,7 +83,6 @@ class SimulatedClusterEngine:
                 "the simulated cluster requires time_unit='ops' so task costs "
                 "and decomposition points are deterministic"
             )
-        self.graph = graph
         self.app = app
         self.config = config
         self.machines = build_machines(graph, config)
@@ -181,6 +180,7 @@ class SimulatedClusterEngine:
             makespan = max(makespan, now + cost)
             heapq.heappush(events, (now + cost, next(seq), "free", (slot, result, True)))
 
+        core.detach()
         self.metrics.virtual_makespan = makespan
         collect_machine_metrics(self.metrics, self.machines)
         self.metrics.mining_stats.merge(self.app.stats)
@@ -218,12 +218,10 @@ def simulate_cluster(
     tracer: Tracer | NullTracer | None = None,
 ) -> SimOutcome:
     """Front-end: simulate one quasi-clique job; returns results + makespan."""
+    from ..core.miner import quasiclique_core
     from ..core.options import DEFAULT_OPTIONS, ResultSink
 
-    app = QuasiCliqueApp(
-        gamma=gamma,
-        min_size=min_size,
-        sink=ResultSink(),
-        options=options or DEFAULT_OPTIONS,
-    )
+    options = options or DEFAULT_OPTIONS
+    graph = quasiclique_core(graph, gamma, min_size, options)
+    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
     return SimulatedClusterEngine(graph, app, config, tracer=tracer).run()

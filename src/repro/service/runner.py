@@ -42,12 +42,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from ..core.miner import quasiclique_core
 from ..core.options import DEFAULT_OPTIONS, MinerOptions
 from ..core.postprocess import postprocess_results
 from ..core.quasiclique import kcore_threshold
 from ..core.resultsio import FileResultSink, load_checkpoint
 from ..graph.adjacency import Graph
-from ..graph.kcore import k_core
 from ..graph.subgraph import spawn_subgraph
 from ..gthinker.config import EngineConfig
 from ..gthinker.engine import mine_parallel
@@ -105,8 +105,8 @@ def run_checkpointed(
     journal_path = os.path.join(work_dir, "roots.journal")
 
     state = load_checkpoint(results_path, journal_path)
+    base = quasiclique_core(graph, gamma, min_size, options)
     k = kcore_threshold(gamma, min_size)
-    base = k_core(graph, k) if options.kcore_preprocess else graph
     all_roots = sorted(base.vertices())
     remaining = [v for v in all_roots if v not in state.completed_roots]
     recovered = len(all_roots) - len(remaining)

@@ -3,14 +3,10 @@
 import networkx as nx
 import pytest
 
+from repro.core.miner import quasiclique_core
+from repro.core.options import MinerOptions
 from repro.graph.adjacency import Graph
-from repro.graph.kcore import (
-    core_numbers,
-    k_core,
-    k_core_vertices,
-    peel_adjacency,
-    shrink_to_quasiclique_core,
-)
+from repro.graph.kcore import core_numbers, k_core, k_core_vertices, peel_adjacency
 
 from conftest import make_random_graph
 
@@ -101,15 +97,23 @@ class TestQuasicliqueCore:
     def test_threshold(self):
         # γ=0.9, τ_size=18 → k = ceil(0.9·17) = 16 (paper's YouTube run).
         g = make_random_graph(30, 0.4, seed=5)
-        shrunk = shrink_to_quasiclique_core(g, 0.9, 18)
+        shrunk = quasiclique_core(g, 0.9, 18)
         assert set(shrunk.vertices()) == set(k_core(g, 16).vertices())
+
+    def test_off_returns_the_input(self):
+        g = make_random_graph(30, 0.4, seed=5)
+        assert quasiclique_core(g, 0.9, 18, MinerOptions(kcore_preprocess=False)) is g
+
+    def test_invalid_gamma_raises_before_peeling(self):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            quasiclique_core(Graph(), 0.3, 5)
 
     def test_preserves_valid_quasicliques(self):
         from repro.core.naive import enumerate_maximal_quasicliques
 
         g = make_random_graph(12, 0.6, seed=3)
         gamma, min_size = 0.6, 4
-        shrunk = shrink_to_quasiclique_core(g, gamma, min_size)
+        shrunk = quasiclique_core(g, gamma, min_size)
         want = enumerate_maximal_quasicliques(g, gamma, min_size)
         for qc in want:
             assert qc <= set(shrunk.vertices())

@@ -66,6 +66,15 @@ class TestSpawn:
         assert app.k == kcore_threshold(0.9, 3)
         assert app.spawn(0, g.neighbors(0), 0) is None  # degree 1 < k=2
 
+    def test_too_few_larger_id_neighbours_declined(self):
+        # Root 2 has degree 4 ≥ k=2 but one larger-ID neighbour: the task
+        # would keep only {2, 3} and peel the root in iteration 1.
+        g = Graph.from_edges([(2, 0), (2, 1), (2, 3), (0, 1)])
+        app = QuasiCliqueApp(gamma=0.9, min_size=3, sink=ResultSink())
+        assert app.k == 2 and g.degree(2) >= app.k
+        assert app.spawn(2, g.neighbors(2), 0) is None
+        assert app.spawn(0, g.neighbors(0), 0) is not None
+
     def test_spawn_pulls_only_larger_ids(self):
         g = Graph.from_edges([(2, 0), (2, 1), (2, 3), (2, 4)])
         app = QuasiCliqueApp(gamma=0.5, min_size=3, sink=ResultSink())

@@ -15,8 +15,12 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.miner import mine_maximal_quasicliques
 from repro.core.naive import enumerate_maximal_quasicliques
+from repro.core.options import MinerOptions
+from repro.core.quasiclique import kcore_threshold
 from repro.graph.adjacency import Graph
+from repro.graph.kcore import k_core
 from repro.gthinker.chaos import FaultInjection
 from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
@@ -45,6 +49,43 @@ def policy_config(**kwargs) -> EngineConfig:
     )
     base.update(kwargs)
     return EngineConfig(**base)
+
+
+@given(
+    graph=small_graphs(),
+    gamma=st.sampled_from([0.5, 2 / 3, 0.75, 0.9, 1.0]),
+    min_size=st.integers(min_value=1, max_value=4),
+    kcore_preprocess=st.booleans(),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_only_roots_that_can_reach_mining_spawn(graph, gamma, min_size, kcore_preprocess):
+    """Every backend mines the Theorem 2 core (the input itself with the
+    peel off) and spawns exactly its roots with at least k larger-ID
+    neighbours — the only roots iteration 1 does not peel."""
+    options = MinerOptions(kcore_preprocess=kcore_preprocess)
+    k = kcore_threshold(gamma, min_size)
+    base = k_core(graph, k) if kcore_preprocess else graph
+    roots = sum(
+        1 for v in base.vertices()
+        if sum(1 for u in base.neighbors(v) if u > v) >= k
+    )
+    expected = mine_maximal_quasicliques(graph, gamma, min_size, options).maximal
+    runs = [
+        mine_parallel(graph, gamma, min_size, policy_config(), options=options),
+        mine_parallel(
+            graph, gamma, min_size,
+            policy_config(num_machines=2, threads_per_machine=2,
+                          steal_period_seconds=0.005),
+            options=options,
+        ),
+        simulate_cluster(
+            graph, gamma, min_size,
+            policy_config(num_machines=2, threads_per_machine=2), options=options,
+        ),
+    ]
+    for out in runs:
+        assert out.metrics.tasks_spawned == roots
+        assert out.maximal == expected
 
 
 @given(

@@ -1,12 +1,15 @@
 """End-to-end engine tests: oracle equivalence across every configuration."""
 
+import gc
 import random
 
 import pytest
 
 from repro.core.naive import enumerate_maximal_quasicliques
+from repro.graph.adjacency import Graph
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
+from repro.gthinker.vertex_store import LocalVertexTable
 
 from conftest import GAMMAS, make_random_graph
 
@@ -140,3 +143,34 @@ class TestEdgeCases:
         config = EngineConfig(decompose="timed", tau_time=0.001, time_unit="wall")
         out = mine_parallel(g, 0.75, 3, config)
         assert out.maximal == oracle(g, 0.75, 3)
+
+
+class TestJobReleasesItsState:
+    """A finished job frees its machines, vertex tables and peeled graph
+    by reference counting: nothing it built is left for a cyclic
+    collection."""
+
+    @pytest.mark.parametrize(
+        "backend,machines,threads",
+        [("serial", 1, 1), ("threaded", 2, 2), ("simulated", 2, 1)],
+    )
+    def test_no_table_or_graph_outlives_the_job(self, backend, machines, threads):
+        def tracked():
+            return [o for o in gc.get_objects() if isinstance(o, (Graph, LocalVertexTable))]
+
+        g = make_random_graph(18, 0.5, seed=5)
+        config = EngineConfig(
+            backend=backend, num_machines=machines, threads_per_machine=threads,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            # Held, not just their ids, so no new object can reuse an id.
+            existing = tracked()
+            ids = {id(o) for o in existing}
+            out = mine_parallel(g, 0.75, 4, config)
+            leftovers = [o for o in tracked() if id(o) not in ids]
+        finally:
+            gc.enable()
+        assert out.maximal == oracle(g, 0.75, 4)
+        assert leftovers == []

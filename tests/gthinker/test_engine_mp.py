@@ -261,11 +261,16 @@ class TestFaultTolerance:
         assert len(tracer.events(kind="task_retried")) == out.metrics.tasks_retried
 
     def test_injected_death_under_spawn_start_method(self, planted):
-        """Same recovery with spawn workers (shared-memory graph path)."""
+        """Same recovery with spawn workers (shared-memory graph path).
+
+        Only four roots of the instance's 6-core spawn, so one-task
+        batches are what puts a batch in worker 1's hands at all (with
+        two-task batches worker 0's lease window takes every root).
+        """
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         out = mine_multiprocess(
             planted.graph, 0.9, 7,
-            small_config(retry_backoff=0.001),
+            small_config(retry_backoff=0.001, batch_size=1),
             start_method="spawn",
             fault_injection=FaultInjection(worker_id=1, after_batches=0),
         )

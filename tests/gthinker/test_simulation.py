@@ -114,17 +114,25 @@ class TestVertexStorePin:
     these exact counters, and a message cost makes the virtual makespan
     depend on them too. A change to the store that is meant to move
     them (another cache or partition policy) updates the numbers and
-    says why."""
+    says why.
+
+    Last moved when every front-end began mining the Theorem 2 core
+    (``quasiclique_core``) and ``spawn`` began declining roots with
+    fewer than k larger-ID neighbours: the machines hold only the
+    6-core of ca_grqc and 39 roots spawn instead of 372, so each cell's
+    messages fell by 91-95% and its makespan by 63-80%. The spawn gate
+    alone (``kcore_preprocess=False``) gives (2599, 1828, 2599, 0,
+    12452.0) for the ("hash", 1 << 16) cell."""
 
     #: (partition, cache_capacity) → (remote_messages, remote_vertex_hits,
     #: remote_vertex_misses, remote_vertex_evictions, virtual_makespan).
     PINNED = {
-        ("hash", 1 << 16): (2743, 2135, 2743, 0, 13272.0),
-        ("hash", 4): (4869, 9, 4869, 4857, 14227.0),
-        ("range", 1 << 16): (1261, 2980, 1261, 0, 28505.0),
-        ("range", 4): (4236, 5, 4236, 4228, 31371.0),
-        ("balanced_degree", 1 << 16): (2824, 2058, 2824, 0, 11215.0),
-        ("balanced_degree", 4): (4876, 6, 4876, 4864, 12040.0),
+        ("hash", 1 << 16): (169, 172, 169, 0, 3432.0),
+        ("hash", 4): (336, 5, 336, 324, 3604.0),
+        ("range", 1 << 16): (95, 283, 95, 0, 6058.0),
+        ("range", 4): (376, 2, 376, 368, 6444.0),
+        ("balanced_degree", 1 << 16): (149, 177, 149, 0, 4195.0),
+        ("balanced_degree", 4): (322, 4, 322, 310, 4415.0),
     }
 
     @pytest.fixture(scope="class")

@@ -9,6 +9,11 @@ one operation more or less changes which subtasks exist:
 ``subtasks_created`` is pinned too. A change that is meant to alter the
 tree (a new pruning rule, another branching order) updates these
 numbers and says why.
+
+The engine's root count (``EngineMetrics.tasks_spawned``) is pinned
+beside the tree: only roots of the Theorem 2 core with at least k
+larger-ID neighbours spawn (161 and 411 roots spawned before the
+engine peeled its input and gated spawns; the tree did not move).
 """
 
 import dataclasses
@@ -41,11 +46,14 @@ PINNED = {
     ),
 }
 
+#: name → engine tasks_spawned under the PINNED configuration.
+ROOTS_SPAWNED = {"cx_gse10158": 21, "hyves": 59}
+
 
 @pytest.fixture(scope="module", params=sorted(PINNED))
 def instance(request):
     spec = get_dataset(request.param)
-    return spec, spec.build().graph, PINNED[request.param]
+    return spec, spec.build().graph, PINNED[request.param], ROOTS_SPAWNED[request.param]
 
 
 def counters(stats):
@@ -59,19 +67,20 @@ def test_counters_cover_every_mining_stats_field():
 
 
 def test_engine_timed_decomposition_tree(instance):
-    spec, graph, (tau_time, tau_split, results, subtasks, engine_stats, _) = instance
+    spec, graph, (tau_time, tau_split, results, subtasks, engine_stats, _), roots = instance
     config = EngineConfig(
         backend="serial", decompose="timed", time_unit="ops",
         tau_time=tau_time, tau_split=tau_split,
     )
     out = mine_parallel(graph, spec.gamma, spec.min_size, config)
     assert len(out.maximal) == results
+    assert out.metrics.tasks_spawned == roots
     assert out.metrics.subtasks_created == subtasks
     assert counters(out.metrics.mining_stats) == dict(zip(FIELDS, engine_stats))
 
 
 def test_serial_miner_tree(instance):
-    spec, graph, (_, _, results, _, _, serial_stats) = instance
+    spec, graph, (_, _, results, _, _, serial_stats), _ = instance
     out = mine_maximal_quasicliques(graph, spec.gamma, spec.min_size)
     assert len(out.maximal) == results
     assert counters(out.stats) == dict(zip(FIELDS, serial_stats))
