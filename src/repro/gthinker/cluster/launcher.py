@@ -36,8 +36,17 @@ __all__ = ["mine_cluster", "run_cluster_app"]
 
 
 def _worker_entry(host: str, port: int, injection: FaultInjection | None) -> None:
-    """Process target for launched workers (spawn-safe: address only)."""
-    ClusterWorker(host, port, fault_injection=injection).run()
+    """Process target for launched workers (spawn-safe: address only).
+
+    A connect that is refused, or reset while the master shuts its
+    listener down, means the master already finished the job (it needed
+    fewer workers than were launched). Once connected, every socket
+    error surfaces as ChannelClosed instead, so nothing else is hidden.
+    """
+    try:
+        ClusterWorker(host, port, fault_injection=injection).run()
+    except (ConnectionRefusedError, ConnectionResetError):
+        return
 
 
 def run_cluster_app(

@@ -77,7 +77,11 @@ class ClusterMaster:
         self._inbox: queue.Queue = queue.Queue()
         self._lsock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._accepting = False
+        #: Every accepted channel with its reader thread, registered or
+        #: not: a worker that connects after the job ended is closed
+        #: with the rest instead of waiting for a Welcome.
+        self._accepted: list[tuple[StreamChannel, threading.Thread]] = []
+        self._closing = False
 
     # -- reactor views (the public coordination surface) -------------------
 
@@ -138,7 +142,6 @@ class ClusterMaster:
         lsock.bind((self._host, self._port))
         lsock.listen(self.num_workers + 8)
         self._lsock = lsock
-        self._accepting = True
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="cluster-master-accept", daemon=True
         )
@@ -146,26 +149,30 @@ class ClusterMaster:
         return self.address
 
     def _accept_loop(self) -> None:
-        while self._accepting:
+        while True:
             try:
                 conn, _addr = self._lsock.accept()
             except OSError:
                 return  # listener closed
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             channel = StreamChannel(MessageStream(conn))
-            threading.Thread(
+            reader = threading.Thread(
                 target=self._read_loop, args=(channel,),
                 name="cluster-master-reader", daemon=True,
-            ).start()
+            )
+            self._accepted.append((channel, reader))
+            reader.start()
 
     def _read_loop(self, channel: StreamChannel) -> None:
         while True:
             try:
                 msg = channel.recv()
             except ChannelClosed as exc:  # torn frame → treat as disconnect
-                warnings.warn(
-                    f"dropping connection {channel.peer}: {exc}", RuntimeWarning
-                )
+                if not self._closing:  # else _close() closed it under us
+                    warnings.warn(
+                        f"dropping connection {channel.peer}: {exc}",
+                        RuntimeWarning,
+                    )
                 msg = None
             self._inbox.put((channel, msg))
             if msg is None:
@@ -224,10 +231,19 @@ class ClusterMaster:
         reactor.abandon_stragglers()
 
     def _close(self) -> None:
-        self._accepting = False
+        self._closing = True
         if self._lsock is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, and refuses late connects even
+            # through a listener fd that forked workers inherited.
             try:
-                self._lsock.close()
+                self._lsock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        self.reactor.close_channels()
+            self._lsock.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join()
+        for channel, _reader in self._accepted:
+            channel.close()
+        for _channel, reader in self._accepted:
+            reader.join()

@@ -352,18 +352,22 @@ class MessageStream:
         Mirrors `SpillFileList.load_batch`: a frame truncated by a dying
         peer (short header or short payload) is reported as a dead
         connection with a warning, while a complete frame that fails
-        validation raises ProtocolError.
+        validation raises ProtocolError. A frame cut short by this side's
+        own close() (another thread tearing the stream down) is no peer's
+        death and returns None quietly.
         """
         header = self._read_exact(_HEADER.size)
         if header is None:
             return None
         if len(header) < _HEADER.size:
-            warnings.warn(
-                f"peer {self.peer} died mid-frame (truncated header, "
-                f"{len(header)}/{_HEADER.size} bytes); treating as disconnect",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            if not self._closed:
+                warnings.warn(
+                    f"peer {self.peer} died mid-frame (truncated header, "
+                    f"{len(header)}/{_HEADER.size} bytes); treating as "
+                    f"disconnect",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             return None
         magic, version, length = _HEADER.unpack(header)
         if magic != MAGIC:
@@ -380,13 +384,14 @@ class MessageStream:
             )
         payload = self._read_exact(length)
         if payload is None or len(payload) < length:
-            got = 0 if payload is None else len(payload)
-            warnings.warn(
-                f"peer {self.peer} died mid-frame (truncated payload, "
-                f"{got}/{length} bytes); treating as disconnect",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            if not self._closed:
+                got = 0 if payload is None else len(payload)
+                warnings.warn(
+                    f"peer {self.peer} died mid-frame (truncated payload, "
+                    f"{got}/{length} bytes); treating as disconnect",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             return None
         return decode_payload(payload)
 

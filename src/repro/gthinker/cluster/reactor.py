@@ -713,11 +713,6 @@ class MasterReactor:
             if worker.channel is not None:
                 worker.channel.close()
 
-    def close_channels(self) -> None:
-        for worker in self.registry.slots():
-            if worker.channel is not None:
-                worker.channel.close()
-
     def finalize(self, wall_seconds: float) -> MiningRunResult:
         """Post-process the folded candidates into the standard result."""
         from ...core.postprocess import postprocess_results
@@ -1113,10 +1108,6 @@ class WorkerReactor:
         if len(self._remainders) >= self.config.batch_size:
             self.flush()
         return quantum.cost
-
-    def has_work(self) -> bool:
-        """True while tasks are accounted active on this worker."""
-        return self.started and not self.stopped and self._active > 0
 
     # -- result shipping ---------------------------------------------------
 

@@ -12,9 +12,13 @@ real process needs:
   :class:`~repro.gthinker.runtime.StreamChannel`);
 * a reader thread funnelling master frames into an inbox so the
   reactor is advanced from exactly one thread;
-* the blocking policy: mine greedily while tasks are active, block on
-  the inbox (until the next heartbeat deadline) when idle, and yield
-  the core instead of busy-spinning when nothing is pickable;
+* the blocking policy: step the reactor again after every quantum,
+  and block on the inbox (until the next heartbeat deadline) only
+  after a step that found nothing to pick. That is the mine loop of
+  :mod:`repro.gthinker.sim.harness`: the step that runs dry flushes
+  the drained units' acknowledgements at once, so the master re-leases
+  without waiting for a heartbeat, and a parked or stolen-away task
+  can only be unblocked by an inbox message anyway;
 * chaos wiring: :class:`~repro.gthinker.chaos.FaultInjection` arms the
   reactor's unit hook with :func:`~repro.gthinker.chaos.die_hard`.
 
@@ -102,7 +106,12 @@ class ClusterWorker:
             unit_hook=self._unit_hook,
         )
         self.reactor = reactor
-        reactor.hello()
+        try:
+            reactor.hello()
+        except ChannelClosed:
+            # Reset before registering: the master's listener shut down
+            # under a queued connect, so the job is already over.
+            return
 
         inbox: queue.Queue = queue.Queue()
 
@@ -123,34 +132,31 @@ class ClusterWorker:
         reader.start()
 
         try:
+            dry = True
             while True:
-                action = self._drain_inbox(inbox, reactor)
+                action = self._drain_inbox(inbox, reactor, block=dry)
                 if action == "stop":
                     reactor.finish(time.monotonic())
                     return
                 if action == "lost":
                     return
                 reactor.on_tick(time.monotonic())
-                stepped = reactor.mine_step(time.monotonic())
-                if stepped is None and reactor.has_work():
-                    # Nothing pickable but tasks are still accounted
-                    # active (e.g. just granted away in a steal): yield
-                    # the core instead of busy-spinning — a hot loop here
-                    # starves co-hosted processes.
-                    time.sleep(0.001)
+                dry = reactor.mine_step(time.monotonic()) is None
         finally:
             reactor.cleanup()
 
-    def _drain_inbox(self, inbox: queue.Queue, reactor: WorkerReactor) -> str:
+    def _drain_inbox(
+        self, inbox: queue.Queue, reactor: WorkerReactor, block: bool
+    ) -> str:
         """Apply every queued master message; returns 'ok'/'stop'/'lost'.
 
-        Blocks until the next heartbeat deadline when the reactor is
-        idle (no active tasks), so an idle worker costs no CPU.
+        With `block` (the last step found nothing to pick), waits for the
+        first message until the next heartbeat deadline, so a dry worker
+        costs no CPU yet still heartbeats on time.
         """
-        first = True
         while True:
             try:
-                if first and not reactor.has_work():
+                if block:
                     timeout = max(
                         0.005, reactor.next_heartbeat - time.monotonic()
                     ) if reactor.started else 0.05
@@ -159,7 +165,7 @@ class ClusterWorker:
                     msg = inbox.get_nowait()
             except queue.Empty:
                 return "ok"
-            first = False
+            block = False
             action = reactor.on_message(msg, time.monotonic())
             if action != "ok":
                 return action

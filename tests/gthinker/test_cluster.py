@@ -1,6 +1,6 @@
 """Cluster runtime integration tests: real sockets, real processes.
 
-Three acceptance properties of the TCP master/worker engine:
+Four acceptance properties of the TCP master/worker engine:
 
 1. **Oracle equivalence** — a 2-worker localhost cluster produces
    exactly the brute-force family of maximal quasi-cliques.
@@ -11,19 +11,26 @@ Three acceptance properties of the TCP master/worker engine:
 3. **Fault tolerance** — SIGKILLing a worker mid-job (fork and spawn)
    must be invisible in the result set: the master reclaims its leases
    and the at-least-once re-mining deduplicates away.
+4. **Job lifecycle** — hand-off is not paced by the heartbeat, and a
+   job ends without leaking its master or waiting on late workers.
 
 On an equivalence failure the master-side trace is dumped as JSONL
 under $CLUSTER_TRACE_DIR (the CI smoke job uploads it as an artifact).
 """
 
+import gc
 import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 from conftest import make_random_graph
 
+from repro.core.miner import mine_maximal_quasicliques
 from repro.core.naive import enumerate_maximal_quasicliques
 from repro.graph.adjacency import Graph
+from repro.graph.generators import planted_quasicliques
 from repro.gthinker.chaos import FaultInjection, SleepyBigTaskApp
 from repro.gthinker.cluster import mine_cluster, run_cluster_app
 from repro.gthinker.config import EngineConfig
@@ -265,6 +272,73 @@ class TestMemoryBounded:
         assert m.remote_vertex_hits + m.remote_vertex_misses > 0, (
             "no remote vertex traffic: the store was never exercised"
         )
+
+
+class TestJobLifecycle:
+    """How a job starts, paces and ends on the real TCP driver."""
+
+    def test_handoff_is_not_paced_by_the_heartbeat(self):
+        """A worker acknowledges a drained lease in the quantum that runs
+        it dry, not at its next heartbeat: the driver steps again after
+        every quantum and blocks on its inbox only after a step that
+        found nothing to pick (the mine loop of sim/harness.py). So a job
+        of many leases finishes well inside one heartbeat period."""
+        start_method = start_method_or_skip("fork")
+        graph = planted_quasicliques(
+            n=200, avg_degree=6, num_plants=3, plant_size=10, gamma=0.9,
+            seed=1,
+        ).graph
+        expected = mine_maximal_quasicliques(graph, 0.9, 8).maximal
+        assert len(expected) == 3
+        config = EngineConfig(
+            backend="cluster", num_procs=2,
+            heartbeat_period=5.0, heartbeat_timeout=60.0,
+        )
+        t0 = time.perf_counter()
+        out = mine_cluster(
+            graph, 0.9, 8, config=config, start_method=start_method,
+            timeout=JOB_TIMEOUT,
+        )
+        wall = time.perf_counter() - t0
+        assert out.maximal == expected
+        assert wall < config.heartbeat_period, f"job took {wall:.2f}s"
+
+    def test_job_releases_its_master(self):
+        """close() does not wake a thread blocked in accept(): the master
+        must shut its listener down and join the accept thread, or every
+        job leaks that thread and, through it, the master, its reactor
+        and the graph."""
+        from repro.gthinker.cluster.master import ClusterMaster
+
+        graph = make_random_graph(10, 0.5, seed=3)
+        for _ in range(2):
+            mine_cluster(
+                graph, 0.75, 3, config=cluster_config(), timeout=JOB_TIMEOUT
+            )
+        gc.collect()
+        accept_threads = [
+            t for t in threading.enumerate()
+            if t.name == "cluster-master-accept"
+        ]
+        assert accept_threads == []
+        masters = [o for o in gc.get_objects() if isinstance(o, ClusterMaster)]
+        assert masters == []
+
+    def test_job_that_needs_no_worker_ends_at_once(self, capfd):
+        """An empty Theorem-2 core ends the job before any worker
+        registers. Workers that connect late are refused or closed, and
+        return quietly instead of waiting out the launcher's join."""
+        start_method = start_method_or_skip("fork")
+        path = Graph.from_edges([(v, v + 1) for v in range(20)])
+        t0 = time.perf_counter()
+        out = mine_cluster(
+            path, 0.9, 8, config=cluster_config(), start_method=start_method,
+            timeout=JOB_TIMEOUT,
+        )
+        wall = time.perf_counter() - t0
+        assert out.maximal == set()
+        assert wall < 1.0, f"job took {wall:.2f}s"
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestStatusQuery:

@@ -9,6 +9,9 @@ must raise `ProtocolError` loudly.
 import pickle
 import socket
 import struct
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -145,6 +148,29 @@ class TestTruncationTolerance:
         with pytest.warns(RuntimeWarning, match="truncated payload"):
             assert right.recv() is None
         right.close()
+
+    def test_own_close_mid_frame_is_quiet(self):
+        """A master closing a channel at job end wakes its reader mid-frame;
+        that is a local teardown, not a dying peer, so no warning."""
+        left, right = stream_pair()
+        frame = encode_frame(Heartbeat(worker_id=0, pending_big=5, active=1))
+        left._sock.sendall(frame[:-3])  # the peer is alive, mid-write
+        got: dict = {}
+
+        def read():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got["msg"] = right.recv()
+            got["warnings"] = [str(w.message) for w in caught]
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        time.sleep(0.05)  # let the reader block on the missing bytes
+        right.close()
+        reader.join(5.0)
+        assert not reader.is_alive()
+        assert got == {"msg": None, "warnings": []}
+        left.close()
 
 
 class TestInvalidFrames:
