@@ -45,7 +45,8 @@ class GraphAccess(Protocol):
     interface mining code may use to see the input graph."""
 
     def neighbors(self, vertex: int) -> Sequence[int]:
-        """Adjacency of `vertex` (empty for vertices not in the graph).
+        """Adjacency of `vertex`, ascending (empty for vertices not in
+        the graph).
 
         Must only be called for vertices that are locally resolvable —
         i.e. not listed by :meth:`unresolved`.
@@ -57,7 +58,8 @@ class GraphAccess(Protocol):
         ...
 
     def resolve(self, vertex_ids: Iterable[int]) -> dict[int, Sequence[int]]:
-        """Serve a task's pull batch; ``{vertex: adjacency}``.
+        """Serve a task's pull batch; ``{vertex: adjacency}``, each
+        adjacency ascending.
 
         Vertices absent from the graph resolve to empty sequences. Every
         requested vertex must be locally resolvable (see

@@ -16,6 +16,7 @@ decomposing per the configured strategy (Algorithms 8–10).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from ..core.domain import TaskDomain
@@ -59,7 +60,8 @@ class QuasiCliqueApp:
             # A singleton is a valid quasi-clique for any γ; emit the
             # candidate here since Algorithm 2 only ever outputs S ⊋ {v}.
             self.sink.emit([vertex])
-        pulls = [u for u in adjacency if u > vertex]
+        # Served adjacency is ascending, so the larger IDs are one slice.
+        pulls = list(adjacency[bisect_right(adjacency, vertex):])
         if len(pulls) < self.k:
             return None
         task = Task(
@@ -88,30 +90,27 @@ class QuasiCliqueApp:
     def _iteration_1(self, task: Task, frontier: dict[int, list[int]]) -> ComputeOutcome:
         v = task.root
         k = self.k
-        task.one_hop = {v} | set(frontier)
+        cost = len(frontier) + sum(map(len, frontier.values()))
         low_degree = {u for u, adj in frontier.items() if len(adj) < k}
-        building: dict[int, set[int]] = {
-            v: {u for u in task.building[v] if u not in low_degree}
-        }
+        building: dict[int, set[int]] = {v: task.building[v] - low_degree}
         for u, adj in frontier.items():
             if u in low_degree:
                 continue
             # Keep destinations w ≥ v not known to be low-degree; 2-hop
             # destinations stay (their degree is unknown until pulled).
-            building[u] = {w for w in adj if w >= v and w not in low_degree}
+            nbrs = set(adj[bisect_left(adj, v):])
+            nbrs -= low_degree
+            building[u] = nbrs
         peel_adjacency(building, k)
         if v not in building:
-            cost = len(frontier) + sum(len(adj) for adj in frontier.values())
             return ComputeOutcome(finished=True, cost_ops=cost)
         task.building = building
-        pulls: set[int] = set()
-        for nbrs in building.values():
-            for w in nbrs:
-                if w > v and w not in task.one_hop:
-                    pulls.add(w)
+        # Every destination is ≥ v; the 2-hop ones are those never pulled.
+        pulls = set().union(*building.values())
+        pulls.difference_update(frontier)
+        pulls.discard(v)
         task.pulls = sorted(pulls)
         task.iteration = 2
-        cost = len(frontier) + sum(len(adj) for adj in frontier.values())
         return ComputeOutcome(finished=False, cost_ops=cost)
 
     # -- Iteration 2 (Algorithm 7): 2-hop assembly + closure ---------------
@@ -120,27 +119,31 @@ class QuasiCliqueApp:
         v = task.root
         k = self.k
         building = task.building
-        assert building is not None and task.one_hop is not None
-        within_two_hops = set(frontier) | task.one_hop
+        assert building is not None
+        cost = len(frontier) + sum(map(len, frontier.values()))
+        # The closed vertex set: the 1-hop keys plus the pulled vertices.
+        # All keys are ≥ v, so one intersection both filters w ≥ v and
+        # drops destination-only vertices (2-hop vertices pruned or never
+        # materialized).
+        keys = set(building).union(frontier)
         for u, adj in frontier.items():
-            if len(adj) < k:
-                continue
-            building[u] = {w for w in adj if w >= v and w in within_two_hops}
-        # Close the graph: drop destination-only vertices (2-hop vertices
-        # that were pruned or never materialized), then peel to a k-core.
-        keys = set(building)
-        for u in building:
-            building[u] &= keys
+            nbrs = keys.intersection(adj)
+            if len(nbrs) < k:
+                # The peel's own first round, taken before the set is
+                # stored: the k-core does not depend on peel order.
+                keys.discard(u)
+            else:
+                building[u] = nbrs
+        for nbrs in building.values():
+            nbrs &= keys
         peel_adjacency(building, k)
-        cost = len(frontier) + sum(len(adj) for adj in frontier.values())
-        cost += sum(len(nbrs) for nbrs in building.values())
+        cost += sum(map(len, building.values()))
         if v not in building:
             return ComputeOutcome(finished=True, cost_ops=cost)
         # Compact bitmask domain: the pickled task ships two tuples of
         # ints instead of a dict-of-lists + dict-of-sets Graph.
         task.domain = TaskDomain.from_adjacency(building)
         task.building = None
-        task.one_hop = None
         task.pulls = []
         task.s = [v]
         task.ext = sorted(u for u in building if u != v)

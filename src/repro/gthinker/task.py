@@ -46,7 +46,6 @@ class Task:
     #: mining path (exactly one of `graph`/`domain` is set post-build).
     domain: TaskDomain | None = None
     building: dict[int, set[int]] | None = None
-    one_hop: set[int] | None = None  # t.N: root + its pulled neighbors
     pulls: list[int] = field(default_factory=list)  # pending vertex requests
     #: Decomposition depth: 0 for spawned roots, +1 per split generation.
     generation: int = 0

@@ -79,9 +79,11 @@ class LocalVertexTable:
         entries: Mapping[int, Sequence[int]],
     ) -> "LocalVertexTable":
         """Build one partition's table from shipped ``{vertex: adjacency}``
-        entries (the cluster Welcome's ``table_blob``)."""
+        entries (the cluster Welcome's ``table_blob``). Each list is
+        stored ascending, as every adjacency source serves it; sorting
+        already-sorted input is linear."""
         table = cls(machine_id, num_machines)
-        table._table = {v: tuple(adj) for v, adj in entries.items()}
+        table._table = {v: tuple(sorted(adj)) for v, adj in entries.items()}
         return table
 
     def entries(self) -> dict[int, tuple[int, ...]]:
@@ -292,14 +294,15 @@ class RemoteGraphAccess:
         entries: Iterable[tuple[int, Sequence[int]]],
         pin: bool = False,
     ) -> int:
-        """Install fetched ``(vertex, adjacency)`` entries; returns how
-        many were admitted. With ``pin=True`` each admitted entry is
-        also pinned (one reference) for the task that requested it."""
+        """Install fetched ``(vertex, adjacency)`` entries, each stored
+        ascending; returns how many were admitted. With ``pin=True``
+        each admitted entry is also pinned (one reference) for the task
+        that requested it."""
         admitted = 0
         for v, adj in entries:
             if self.table.owns(v):
                 continue  # raced with nothing: we already own it
-            adj = tuple(adj)
+            adj = tuple(sorted(adj))
             self.remote_messages += 1
             admitted += 1
             self.cache.put(v, adj)

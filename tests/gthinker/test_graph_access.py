@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.graph.access import GraphAccess, neighbor_mask
 from repro.graph.adjacency import Graph
 from repro.gthinker.config import EngineConfig
-from repro.gthinker.engine_mp import _graph_to_shm, _resolve_graph
+from repro.gthinker.engine_mp import _graph_from_shm, _graph_to_shm, _resolve_graph
 from repro.gthinker.partition import make_partitioner
 from repro.gthinker.vertex_store import (
     LocalVertexTable,
@@ -54,6 +54,59 @@ class TestProtocolConformance:
         ]
         for impl in impls:
             assert isinstance(impl, GraphAccess), type(impl).__name__
+
+
+class TestAscendingAdjacency:
+    """Iterations 1–2 of the quasi-clique app slice and intersect served
+    adjacency as sorted lists, so every source must serve them
+    ascending, whatever order the edges or wire entries arrived in."""
+
+    def test_every_adjacency_source_serves_ascending_lists(self):
+        rng = random.Random(7)
+        ref = make_random_graph(30, 0.3, seed=17)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in ref.edges()]
+        rng.shuffle(edges)
+        shuffled = {}
+        for v in ref.vertices():
+            adj = list(ref.neighbors(v))
+            rng.shuffle(adj)
+            shuffled[v] = adj
+        order = list(shuffled)
+        rng.shuffle(order)
+
+        added = Graph()
+        for u, v in edges:
+            added.add_edge(u, v)
+        graphs = {
+            "add_edge": added,
+            "from_edges": Graph.from_edges(edges, vertices=order),
+            "Graph(adjacency)": Graph({v: shuffled[v] for v in order}),
+        }
+        graphs["subgraph"] = graphs["from_edges"].subgraph(order[:20])
+        shm, nbytes = _graph_to_shm(graphs["add_edge"])
+        try:
+            graphs["_graph_from_shm"] = _graph_from_shm(shm.name, nbytes)
+        finally:
+            shm.close()
+            shm.unlink()
+        served = {
+            name: {v: g.neighbors(v) for v in g.vertices()}
+            for name, g in graphs.items()
+        }
+        tables = LocalVertexTable.partition(graphs["from_edges"], 3)
+        served["partition"] = {v: t.get(v) for t in tables for v in t.vertices_sorted()}
+        table = LocalVertexTable.from_entries(0, 1, {v: shuffled[v] for v in order})
+        served["from_entries"] = {v: table.get(v) for v in order}
+        store = RemoteGraphAccess(LocalVertexTable(0, 2), RemoteVertexCache(64))
+        store.admit([(v, shuffled[v]) for v in order])
+        served["admit"] = store.resolve(order)
+
+        everything, kept = set(ref.vertices()), set(order[:20])
+        for name, adjacency in served.items():
+            members = kept if name == "subgraph" else everything
+            assert set(adjacency) == members, name
+            for v, adj in adjacency.items():
+                assert list(adj) == sorted(set(ref.neighbors(v)) & members), (name, v)
 
 
 class TestPoolWorkerStore:

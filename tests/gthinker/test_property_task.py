@@ -83,7 +83,6 @@ def big_remainder_tasks(draw):
         s=s,
         ext=ext,
         graph=graph,
-        one_hop=set(s) | set(ext),
         generation=draw(st.integers(min_value=1, max_value=5)),
     )
 
@@ -99,7 +98,6 @@ def test_big_remainder_pickle_round_trip(task):
         assert back.iteration == 3
         assert back.s == task.s
         assert back.ext == task.ext
-        assert back.one_hop == task.one_hop
         assert back.generation == task.generation
         assert back.graph == task.graph
         assert back.graph is not task.graph

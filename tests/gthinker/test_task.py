@@ -14,7 +14,6 @@ class TestSerialization:
             iteration=1,
             s=[3],
             building={3: {4, 5}},
-            one_hop={3, 4, 5},
             pulls=[4, 5],
         )
         back = Task.decode(t.encode())
