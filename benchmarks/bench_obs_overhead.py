@@ -60,15 +60,7 @@ def _cases():
         n=400, avg_degree=10, num_plants=3, plant_size=24, gamma=0.75,
         seed=11,
     )
-    serial = EngineConfig()
-    threaded = EngineConfig(
-        backend="threaded", num_machines=2, threads_per_machine=2,
-        tau_split=16, tau_time=5_000, time_unit="ops", decompose="timed",
-    )
-    return [
-        ("serial", pg.graph, 0.75, 20, serial),
-        ("threaded_2x2", pg.graph, 0.75, 20, threaded),
-    ]
+    return [("serial", pg.graph, 0.75, 20, EngineConfig())]
 
 
 def _compare(graph, gamma, min_size, config):

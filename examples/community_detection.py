@@ -1,4 +1,4 @@
-"""Community detection on a social-network analog with the parallel engine.
+"""Community detection on a social-network analog with the G-thinker engine.
 
 Mirrors the paper's motivating use case: γ-quasi-cliques as tightly-knit
 communities in a large online social network (Hyves / YouTube in the
@@ -25,8 +25,7 @@ def main() -> None:
           f"(paper original: |V|={spec.paper_vertices:,} |E|={spec.paper_edges:,})")
 
     config = EngineConfig(
-        num_machines=1,
-        threads_per_machine=2,
+        backend="serial",
         tau_split=spec.tau_split,
         tau_time=spec.tau_time_ops,
         time_unit="ops",

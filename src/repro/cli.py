@@ -4,7 +4,7 @@ Examples::
 
     quasiclique-mine graph.txt --gamma 0.9 --min-size 18
     quasiclique-mine graph.txt --gamma 0.8 --min-size 10 \
-        --machines 2 --threads 4 --tau-split 64 --tau-time 5000
+        --simulate --machines 2 --threads 4 --tau-split 64 --tau-time 5000
     quasiclique-mine graph.txt --gamma 0.8 --min-size 10 \
         --backend process --num-procs 4
     quasiclique-mine graph.txt --gamma 0.8 --min-size 10 \
@@ -41,7 +41,7 @@ from .core.query import mine_containing
 from .core.resultsio import postprocess_file
 from .datasets.registry import build_dataset, dataset_names, get_dataset
 from .graph.io import read_edge_list
-from .gthinker.config import EngineConfig
+from .gthinker.config import BACKENDS, EngineConfig, check_serial_topology
 from .gthinker.engine import mine_parallel
 from .gthinker.engine_mp import mine_multiprocess
 from .gthinker.simulation import simulate_cluster
@@ -109,8 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="degree threshold γ ∈ [0.5, 1]")
     parser.add_argument("--min-size", type=int, default=None,
                         help="minimum quasi-clique size τ_size")
-    parser.add_argument("--machines", type=int, default=1)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--machines", type=int, default=1,
+                        help="machines M of the M x T topology that "
+                        "--simulate and --backend process schedule onto "
+                        "(default: 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="mining threads T per machine of the M x T "
+                        "topology (default: 1)")
     parser.add_argument("--tau-split", type=int, default=64,
                         help="big-task routing / split threshold")
     parser.add_argument("--tau-time", type=float, default=float("inf"),
@@ -121,17 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--decompose", choices=["timed", "size", "none"],
                         default="timed")
     parser.add_argument("--backend",
-                        choices=["serial", "threaded", "process", "cluster",
-                                 "simulated"],
+                        choices=BACKENDS,
                         default=None,
-                        help="executor: 'serial' (engine fast path), "
-                        "'threaded' (GIL-bound threads), 'process' "
+                        help="executor: 'serial' (default; the engine on "
+                        "one machine x one thread), 'process' "
                         "(multiprocessing worker pool; true multi-core), "
                         "'cluster' (localhost TCP master/worker runtime; "
                         "multi-host via the cluster-master/cluster-worker "
-                        "subcommands), 'simulated' (virtual-time cluster); "
-                        "default picks serial/threaded from "
-                        "--machines/--threads")
+                        "subcommands), 'simulated' (virtual-time M x T "
+                        "cluster)")
     parser.add_argument("--num-procs", type=int, default=0, metavar="N",
                         help="process/cluster-backend worker count "
                         "(0 = cpu count)")
@@ -258,12 +261,6 @@ def main(argv: list[str] | None = None) -> int:
               "cannot be combined with --serial, --query, or "
               "--mp-start-method", file=sys.stderr)
         return 2
-    if backend == "serial" and args.machines * args.threads != 1:
-        print("error: --backend serial runs one machine x one thread; "
-              "drop --machines/--threads or use --backend threaded",
-              file=sys.stderr)
-        return 2
-
     config = EngineConfig(
         num_machines=args.machines,
         threads_per_machine=args.threads,
@@ -271,12 +268,19 @@ def main(argv: list[str] | None = None) -> int:
         tau_time=args.tau_time,
         time_unit="wall" if args.wall_clock else "ops",
         decompose=args.decompose,
-        backend=backend or "auto",
+        backend=backend or "serial",
         num_procs=args.num_procs,
         max_attempts=args.max_attempts,
         lease_slack=args.lease_slack,
         retry_backoff=args.retry_backoff,
     )
+
+    if not (args.serial or args.query):
+        try:
+            check_serial_topology(config)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.metrics_json and (args.serial or args.query):
         print("error: --metrics-json requires an engine mode "

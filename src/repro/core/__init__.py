@@ -2,7 +2,6 @@
 
 from .bounds import lower_bound, lower_bound_min, upper_bound, upper_bound_min
 from .domain import TaskDomain, bit_list, bits, is_quasi_clique_masked
-from .maxclique import CliqueSearchStats, is_clique, max_clique, max_clique_size
 from .miner import MiningResult, mine_maximal_quasicliques, mine_root
 from .naive import enumerate_maximal_quasicliques, enumerate_quasicliques
 from .options import (
@@ -12,7 +11,6 @@ from .options import (
     MiningJob,
     MiningStats,
     ResultSink,
-    ThreadSafeResultSink,
 )
 from .postprocess import postprocess_results, remove_non_maximal
 from .quasiclique import (
@@ -29,10 +27,6 @@ from .query import best_community, mine_containing
 from .verify import VerificationReport, verify_results
 
 __all__ = [
-    "CliqueSearchStats",
-    "is_clique",
-    "max_clique",
-    "max_clique_size",
     "DEFAULT_OPTIONS",
     "QUICK_OPTIONS",
     "TaskDomain",
@@ -44,7 +38,6 @@ __all__ = [
     "MiningResult",
     "MiningStats",
     "ResultSink",
-    "ThreadSafeResultSink",
     "ceil_gamma",
     "check_params",
     "degree_floor",

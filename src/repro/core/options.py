@@ -8,7 +8,6 @@ misses the paper documents, and (3) fault isolation in tests.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -92,30 +91,9 @@ class ResultSink:
         return len(self._results)
 
 
-class ThreadSafeResultSink(ResultSink):
-    """Sink shared by concurrent mining threads in the G-thinker engine."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def emit(self, vertices: Iterable[int]) -> None:
-        fs = frozenset(vertices)
-        with self._lock:
-            self._results.add(fs)
-
-    def results(self) -> set[frozenset[int]]:
-        with self._lock:
-            return set(self._results)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._results)
-
-
 @dataclass
 class MiningJob:
-    """Immutable-ish bundle threaded through the recursive algorithms."""
+    """Immutable-ish bundle passed through the recursive algorithms."""
 
     graph: object  # repro.graph.adjacency.Graph
     gamma: float

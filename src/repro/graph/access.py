@@ -6,7 +6,7 @@ Every layer that reads adjacency — task spawning, pull resolution,
 Every executor's machine implements it with one class,
 :class:`~repro.gthinker.vertex_store.RemoteGraphAccess` — one machine's
 vertex store: its partition of the vertex table plus a bounded remote
-cache. The serial, threaded and simulated executors serve a cache miss
+cache. The serial and simulated executors serve a cache miss
 synchronously from the owner's table; a process-pool worker holds the
 whole graph as its one partition, so it never misses; the cluster
 worker fetches a miss over the wire first (``unresolved`` →

@@ -1,12 +1,5 @@
 """The reforged G-thinker runtime and the quasi-clique application."""
 
-from .aggregator import MaxSetAggregator
-from .app_maxclique import (
-    MaxCliqueApp,
-    SharedIncumbent,
-    find_max_clique_parallel,
-    find_max_clique_simulated,
-)
 from .app_protocol import ComputeContext, GThinkerApp, ensure_app, gthinker_app, registered_apps
 from .app_quasiclique import QuasiCliqueApp
 from .chaos import FaultInjection
@@ -40,13 +33,8 @@ from .vertex_store import (
 
 __all__ = [
     "AlwaysExpired",
-    "MaxSetAggregator",
-    "MaxCliqueApp",
-    "SharedIncumbent",
     "SimOutcome",
     "SimulatedClusterEngine",
-    "find_max_clique_parallel",
-    "find_max_clique_simulated",
     "simulate_app",
     "simulate_cluster",
     "ComputeContext",

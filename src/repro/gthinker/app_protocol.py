@@ -13,9 +13,10 @@ two UDFs plus two result/accounting attributes:
 * ``stats`` — a :class:`~repro.core.options.MiningStats` merged into
   the run's :class:`~repro.gthinker.metrics.EngineMetrics`.
 
-Every executor (serial, threaded, simulated cluster) schedules apps
-through the same :mod:`repro.gthinker.scheduler` core, so an app
-written against this protocol runs on all of them unchanged.
+Every executor (serial, simulated cluster, process pool, cluster
+worker) schedules apps through the same
+:mod:`repro.gthinker.scheduler` core, so an app written against this
+protocol runs on all of them unchanged.
 
 Apps *declare* conformance with the :func:`gthinker_app` class
 decorator, which checks the UDF surface at import time and registers

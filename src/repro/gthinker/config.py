@@ -6,6 +6,10 @@ import dataclasses
 from dataclasses import dataclass
 
 
+#: The executors a config can select (``EngineConfig.backend``).
+BACKENDS = ("serial", "process", "cluster", "simulated")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Configuration of one G-thinker job.
@@ -42,13 +46,12 @@ class EngineConfig:
     #: 'balanced_degree' (see repro.gthinker.partition).
     partition: str = "hash"
     #: Executor selection for dispatching front-ends (mine_parallel, the
-    #: CLI): 'auto' keeps the historical rule (serial fast path at 1×1,
-    #: threaded otherwise); 'serial'/'threaded' force one driver;
-    #: 'process' runs workers in a multiprocessing pool (engine_mp);
-    #: 'cluster' runs the TCP master/worker runtime (repro.gthinker.
-    #: cluster) on localhost; 'simulated' marks a config for the
-    #: virtual-time cluster.
-    backend: str = "auto"
+    #: CLI, the service): 'serial' runs one machine × one thread in the
+    #: calling thread (engine); 'process' runs workers in a
+    #: multiprocessing pool (engine_mp); 'cluster' runs the TCP
+    #: master/worker runtime (repro.gthinker.cluster) on localhost;
+    #: 'simulated' runs the virtual-time cluster on M × T.
+    backend: str = "serial"
     #: Process/cluster-backend worker count; 0 means os.cpu_count().
     num_procs: int = 0
     #: Process-backend fault tolerance: how many times a task may be
@@ -86,9 +89,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.num_machines < 1 or self.threads_per_machine < 1:
             raise ValueError("need at least one machine and one thread")
-        if self.backend not in (
-            "auto", "serial", "threaded", "process", "cluster", "simulated"
-        ):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.num_procs < 0:
             raise ValueError("num_procs must be >= 0 (0 = cpu count)")
@@ -180,3 +181,20 @@ class EngineConfig:
             else 0.0
         )
         return per_task * batch_len + self.lease_slack
+
+
+def check_serial_topology(config: EngineConfig) -> None:
+    """Raise ValueError if `config` asks the serial executor for M × T > 1.
+
+    The one place the rule lives: the CLI, :func:`mine_parallel` and the
+    service's job admission all call it. It is not a ``__post_init__``
+    check because simulator configs keep the default backend with any
+    topology.
+    """
+    if config.backend == "serial" and config.total_threads != 1:
+        raise ValueError(
+            f"backend 'serial' runs one machine x one thread, not "
+            f"{config.num_machines}x{config.threads_per_machine}; for an M x T "
+            f"topology use backend 'simulated' (--simulate) or 'process' "
+            f"(--backend process)"
+        )

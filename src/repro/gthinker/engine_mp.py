@@ -1,10 +1,10 @@
 """Process-pool executor: SchedulerCore quanta across worker processes.
 
-The serial and threaded drivers in :mod:`repro.gthinker.engine` share
-one interpreter, so the CPU-bound backtracking that dominates
-quasi-clique mining is serialized by the GIL no matter how many threads
-run. The original G-thinker gets its scalability from one mining comper
-per core; this executor reproduces that with `multiprocessing`:
+The serial driver in :mod:`repro.gthinker.engine` mines in one
+interpreter, where the GIL serializes the CPU-bound backtracking that
+dominates quasi-clique mining however many threads would run it. The
+original G-thinker gets its scalability from one mining comper per
+core; this executor reproduces that with `multiprocessing`:
 
 * the **parent** owns every piece of scheduler state — the spawn
   cursor, Q_global/Q_local, B_global, the L_big/L_small spill lists,
@@ -26,7 +26,7 @@ per core; this executor reproduces that with `multiprocessing`:
 * remainder tasks return to the parent, get fresh task IDs, and re-enter
   the shared routing policy (big → Q_global, small → Q_local), so
   time-delayed decomposition balances load across processes exactly as
-  it does across threads.
+  it does across the simulator's virtual threads.
 
 **Fault tolerance.** Long skewed mining runs are the paper's whole
 motivation, and a production run cannot die because one worker did.
@@ -366,8 +366,8 @@ class MultiprocessEngine:
             raise TypeError(
                 f"the process backend ships the app to every worker, but "
                 f"{type(app).__name__} is not picklable: {exc}. Keep engine "
-                f"apps free of locks, open files, and lambdas, or use the "
-                f"threaded backend."
+                f"apps free of locks, open files, and lambdas, or run it on "
+                f"the serial or simulated backend."
             ) from exc
         available = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -734,7 +734,7 @@ class MultiprocessEngine:
         self._folder.fold(fresh)
         if self._folder.complete(lease_id) is None:
             return
-        # Children first, exactly like the threaded driver: the active
+        # Children first, exactly like the serial engine: the active
         # counter must never hit zero while a finishing parent still has
         # unrouted offspring.
         for blob in child_blobs:

@@ -56,7 +56,7 @@ class WorkerTiming:
 
 @dataclass
 class EngineMetrics:
-    """Aggregated over one engine run (merge per-thread copies at the end)."""
+    """Aggregated over one engine run (merge per-worker copies at the end)."""
 
     wall_seconds: float = 0.0
     virtual_makespan: float = 0.0  # simulated engines only
@@ -98,8 +98,8 @@ class EngineMetrics:
     results: int = 0
     peak_pending_tasks: int = 0
     #: Per-worker wall/mine/idle split (repro.gthinker.obs). Keyed by a
-    #: backend-native worker index: global thread index on the serial/
-    #: threaded engines, worker id on the process pool and cluster.
+    #: backend-native worker index: 0 on the serial engine, worker id
+    #: on the process pool and cluster.
     #: Empty on the simulated backend (its clock is virtual).
     timing: dict[int, WorkerTiming] = field(default_factory=dict)
     task_records: list[TaskRecord] = field(default_factory=list)

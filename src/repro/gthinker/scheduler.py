@@ -1,15 +1,15 @@
 """Backend-agnostic scheduler core (the paper's reforged policy, §5).
 
 One implementation of the reforged G-thinker scheduling rules, shared
-by every executor — the serial fast path and the threaded driver in
-:mod:`repro.gthinker.engine`, and the virtual-time driver in
-:mod:`repro.gthinker.simulation`:
+by every executor — the serial loop in :mod:`repro.gthinker.engine`,
+the virtual-time driver in :mod:`repro.gthinker.simulation`, the
+process pool's parent and the cluster worker:
 
 1. *routing*  — a new task goes to the machine's global big-task queue
    (Q_global, spilling to L_big) iff it is big, else to the picking
    thread's local queue (Q_local, spilling to L_small);
-2. *pick order* — B_global → B_local → Q_global (try-lock, refilled
-   from L_big) → Q_local;
+2. *pick order* — B_global → B_local → Q_global (refilled from L_big)
+   → Q_local;
 3. *refill order* — a low Q_local refills from L_small first, then
    drains B_local, then spawns new tasks from the vertex table;
 4. *spawn batch* — at most one batch of C tasks per refill, stopping
@@ -18,19 +18,19 @@ by every executor — the serial fast path and the threaded driver in
 5. *stealing* — a master plans big-task moves from per-machine pending
    counts and applies them between the machines' global queues.
 
-The core is policy only: it owns no threads and no clock. Executors
-drive it (`pick` → `run_quantum` → route children / re-buffer the
-suspended task) and observe queue transitions through three optional
-hooks (`task_queued`, `task_buffered`, `task_picked`) so each backend
-can keep its own liveness accounting — an active-task counter for the
-real engine, an outstanding-work counter for the simulator — without
-duplicating any scheduling decision.
+The core is policy only: it owns no threads and no clock, and every
+executor drives it from a single thread (`pick` → `run_quantum` →
+route children / re-buffer the suspended task). Executors observe
+queue transitions through three optional hooks (`task_queued`,
+`task_buffered`, `task_picked`) so each backend can keep its own
+liveness accounting — an active-task counter for the serial engine,
+an outstanding-work counter for the simulator — without duplicating
+any scheduling decision.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,11 +61,10 @@ class ThreadSlot:
 class MachineState:
     """One machine: vertex store, queues, spawn cursor.
 
-    The same state object backs the real engine (where its locks are
-    contended), the simulated cluster (single-threaded; the locks are
-    uncontended but harmless) and the cluster worker, so the simulator
-    exercises the identical store and queue/spill structures as the
-    threaded runtime and the wire.
+    The same state object backs the serial engine, the simulated
+    cluster, the process pool's parent and the cluster worker, so the
+    simulator exercises the identical store and queue/spill structures
+    as the wire.
     """
 
     def __init__(self, machine_id: int, data: RemoteGraphAccess, config: EngineConfig):
@@ -79,37 +78,18 @@ class MachineState:
         self.lbig = SpillFileList(config.spill_dir, f"m{machine_id}-big")
         self.qglobal = SpillableQueue(config.queue_capacity, config.batch_size, self.lbig)
         self.bglobal: deque[Task] = deque()
-        self.bglobal_lock = threading.Lock()
         self.threads = [
             ThreadSlot(config, self.lsmall, slot_id=i)
             for i in range(config.threads_per_machine)
         ]
         self.spawn_order = self.table.vertices_sorted()
         self.spawn_pos = 0
-        self.spawn_lock = threading.Lock()
 
     def spawn_exhausted(self) -> bool:
-        with self.spawn_lock:
-            return self.spawn_pos >= len(self.spawn_order)
-
-    def next_spawn_vertices(self, count: int) -> list[int]:
-        with self.spawn_lock:
-            chunk = self.spawn_order[self.spawn_pos : self.spawn_pos + count]
-            self.spawn_pos += len(chunk)
-            return chunk
-
-    def pop_bglobal(self) -> Task | None:
-        with self.bglobal_lock:
-            return self.bglobal.popleft() if self.bglobal else None
-
-    def push_bglobal(self, task: Task) -> None:
-        with self.bglobal_lock:
-            self.bglobal.append(task)
+        return self.spawn_pos >= len(self.spawn_order)
 
     def pending_big(self) -> int:
-        with self.bglobal_lock:
-            ready = len(self.bglobal)
-        return ready + self.qglobal.pending_estimate()
+        return len(self.bglobal) + self.qglobal.pending_estimate()
 
     def cleanup(self) -> None:
         self.lsmall.cleanup()
@@ -176,7 +156,6 @@ class SchedulerCore:
         tracer: Tracer | NullTracer | None = None,
         *,
         metrics: EngineMetrics | None = None,
-        metrics_lock: threading.Lock | None = None,
         task_queued: Callable[[Task], None] | None = None,
         task_buffered: Callable[[Task], None] | None = None,
         task_picked: Callable[[Task], None] | None = None,
@@ -187,15 +166,10 @@ class SchedulerCore:
         # `is not None`, not truthiness: an empty Tracer is falsy (len 0).
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self._metrics_lock = metrics_lock or threading.Lock()
         self._task_queued = task_queued
         self._task_buffered = task_buffered
         self._task_picked = task_picked
         self._task_ids = itertools.count()
-        self._task_id_lock = threading.Lock()
-        #: spawn_batch calls in progress (see all_spawned).
-        self._spawning = 0
-        self._spawning_lock = threading.Lock()
 
     def detach(self) -> None:
         """Drop the executor's hooks once its job has ended.
@@ -210,18 +184,11 @@ class SchedulerCore:
     # -- shared counters ---------------------------------------------------
 
     def next_task_id(self) -> int:
-        with self._task_id_lock:
-            return next(self._task_ids)
+        return next(self._task_ids)
 
     def all_spawned(self) -> bool:
-        """Every vertex is off its cursor and every spawned task routed.
-
-        The cursors are read before the in-flight count: spawn_batch
-        raises the count before it takes a vertex and lowers it only
-        after the task is routed (and counted active), so a vertex in
-        between can never make a concurrent termination check pass.
-        """
-        return all(m.spawn_exhausted() for m in self.machines) and self._spawning == 0
+        """Every vertex is off its machine's spawn cursor."""
+        return all(m.spawn_exhausted() for m in self.machines)
 
     # -- task routing ------------------------------------------------------
 
@@ -257,7 +224,7 @@ class SchedulerCore:
         if self._task_buffered is not None:
             self._task_buffered(task)
         if self.config.use_global_queue and task.is_big(self.config.tau_split):
-            machine.push_bglobal(task)
+            machine.bglobal.append(task)
             self.tracer.emit("ready_global", task.task_id, machine.machine_id)
         else:
             slot.blocal.append(task)
@@ -272,30 +239,19 @@ class SchedulerCore:
         stop (the paper's guard against flooding the global queue with
         big tasks) never skips a vertex. Returns the number spawned.
         """
-        with self._spawning_lock:
-            self._spawning += 1
-        try:
-            return self._spawn_from_cursor(machine, slot)
-        finally:
-            with self._spawning_lock:
-                self._spawning -= 1
-
-    def _spawn_from_cursor(self, machine: MachineState, slot: ThreadSlot) -> int:
         trace = self.tracer.enabled
         t0 = time.monotonic() if trace else 0.0
         spawned = 0
-        while spawned < self.config.batch_size:
-            vertices = machine.next_spawn_vertices(1)
-            if not vertices:
-                break
-            v = vertices[0]
+        order = machine.spawn_order
+        while spawned < self.config.batch_size and machine.spawn_pos < len(order):
+            v = order[machine.spawn_pos]
+            machine.spawn_pos += 1
             adjacency = machine.table.get(v)
             assert adjacency is not None
             task = self.app.spawn(v, adjacency, self.next_task_id())
             if task is None:
                 continue
-            with self._metrics_lock:
-                self.metrics.tasks_spawned += 1
+            self.metrics.tasks_spawned += 1
             self.tracer.emit("spawn", task.task_id, machine.machine_id, detail=f"root={v}")
             self.route(task, machine, slot)
             spawned += 1
@@ -334,13 +290,15 @@ class SchedulerCore:
         """One pick under the reforged priority; None iff no work is visible.
 
         Phase 1 (push): data-ready tasks, big ones first. Phase 2
-        (pop): the machine's global queue (try-lock; refill a batch
-        from L_big when low), then the thread's local queue (refilled
+        (pop): the machine's global queue (refill a batch from L_big
+        when low), then the thread's local queue (refilled
         per `refill_qlocal`). If the local refill spawned only big
         tasks the global queue is re-checked, so a lone thread can
         never strand its own spawn.
         """
-        task = machine.pop_bglobal() if self.config.use_global_queue else None
+        task = None
+        if self.config.use_global_queue and machine.bglobal:
+            task = machine.bglobal.popleft()
         if task is None and slot.blocal:
             task = slot.blocal.popleft()
         if task is None:
@@ -373,11 +331,10 @@ class SchedulerCore:
                     thread=slot.slot_id if slot is not None else -1,
                     detail=f"queue=qglobal loaded={loaded}",
                 )
-        acquired, task = machine.qglobal.try_pop()
-        if acquired and task is not None:
+        task = machine.qglobal.pop()
+        if task is not None:
             self.tracer.emit("pop_global", task.task_id, machine.machine_id)
-            return task
-        return None
+        return task
 
     # -- execution ---------------------------------------------------------
 
@@ -465,8 +422,7 @@ class SchedulerCore:
                 "steal_planned", -1, move.src,
                 detail=f"dst=m{move.dst} count={move.count}",
             )
-            with self._metrics_lock:
-                self.metrics.steals_planned += 1
+            self.metrics.steals_planned += 1
             batch = self.machines[move.src].qglobal.pop_batch(move.count)
             if not batch:
                 continue
@@ -484,11 +440,10 @@ class SchedulerCore:
                     "steal", stolen.task_id, move.dst,
                     detail=f"from=m{move.src}",
                 )
-            with self._metrics_lock:
-                self.metrics.steals += 1
-                self.metrics.stolen_tasks += len(batch)
-                self.metrics.steals_sent += len(batch)
-                self.metrics.steals_received += len(batch)
+            self.metrics.steals += 1
+            self.metrics.stolen_tasks += len(batch)
+            self.metrics.steals_sent += len(batch)
+            self.metrics.steals_received += len(batch)
             moved += len(batch)
         if trace and moved:
             emit_span(

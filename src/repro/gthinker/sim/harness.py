@@ -3,8 +3,8 @@
 :func:`run_sim` builds the *shipping* coordination code — a
 :class:`~repro.gthinker.cluster.reactor.MasterReactor` and N
 :class:`~repro.gthinker.cluster.reactor.WorkerReactor`s — over an
-in-memory :class:`~.net.SimNet`, and drives the whole job single-
-threaded on a virtual clock under a seeded :class:`~.plan.FaultPlan`:
+in-memory :class:`~.net.SimNet`, and drives the whole job in one
+thread on a virtual clock under a seeded :class:`~.plan.FaultPlan`:
 message delay/jitter/reorder/duplication, connection tears, link
 partitions, worker crashes and restarts, wedged workers, stragglers.
 

@@ -1,20 +1,21 @@
 """Discrete-event simulated cluster (scalability experiments).
 
-This box has one physical CPU core and a GIL, so the paper's
-scalability tables (Table 5) cannot be reproduced with wall-clock
-speedups. Instead, every task is executed *once*, serially, while a
-virtual clock schedules it onto M machines × T virtual mining threads.
+The paper's scalability tables (Table 5) need more cores than a test
+box has, so they cannot be reproduced with wall-clock speedups.
+Instead, every task is executed *once*, serially, while a virtual
+clock schedules it onto M machines × T virtual mining threads. This
+is the repo's one executor of the paper's M × T topology.
 
 The scheduling policy is not re-implemented here: the simulator drives
-the same :class:`repro.gthinker.scheduler.SchedulerCore` as the real
-engine — identical big-task routing, B_global → B_local → Q_global →
+the same :class:`repro.gthinker.scheduler.SchedulerCore` as every other
+executor — identical big-task routing, B_global → B_local → Q_global →
 Q_local pick order, L_small/L_big spilling, refill order, spawn-batch
 early stop, and master stealing — over the same machine/thread queue
 state, for any application implementing the
 :class:`~repro.gthinker.app_protocol.GThinkerApp` protocol. A policy
 change in the scheduler therefore applies to every executor at once,
 and the simulator emits the same trace-event vocabulary as the
-threaded engine.
+serial engine.
 
 The virtual cost of a task is its deterministic operation count
 (``ComputeOutcome.cost_ops``), so makespans are exactly reproducible:
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 from ..core.postprocess import postprocess_results
@@ -92,7 +92,6 @@ class SimulatedClusterEngine:
         self.core = SchedulerCore(
             app, config, self.machines, tracer,
             metrics=self.metrics,
-            metrics_lock=threading.Lock(),
             task_queued=self._task_enqueued,
             task_buffered=self._task_enqueued,
             task_picked=self._task_dequeued,

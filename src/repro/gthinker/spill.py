@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-import threading
 import pickle
 import warnings
 
@@ -34,7 +33,6 @@ class SpillFileList:
         self._name = name
         self._files: list[str] = []
         self._counter = 0
-        self._lock = threading.Lock()
         self.bytes_written = 0
         self.bytes_peak = 0
         self.batches_spilled = 0
@@ -42,28 +40,24 @@ class SpillFileList:
         self.batches_skipped = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._files)
+        return len(self._files)
 
     @property
     def live_bytes(self) -> int:
-        with self._lock:
-            return sum(os.path.getsize(p) for p in self._files if os.path.exists(p))
+        return sum(os.path.getsize(p) for p in self._files if os.path.exists(p))
 
     def spill(self, tasks: list[Task]) -> str:
         """Write one batch to a new file; returns the path."""
         blob = pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self._counter += 1
-            path = os.path.join(self._dir, f"{self._name}-{self._counter:08d}.tasks")
+        self._counter += 1
+        path = os.path.join(self._dir, f"{self._name}-{self._counter:08d}.tasks")
         with open(path, "wb") as f:
             f.write(_HEADER.pack(len(blob)))
             f.write(blob)
-        with self._lock:
-            self._files.append(path)
-            self.bytes_written += len(blob)
-            self.batches_spilled += 1
-            self.bytes_peak = max(self.bytes_peak, self.bytes_written)
+        self._files.append(path)
+        self.bytes_written += len(blob)
+        self.batches_spilled += 1
+        self.bytes_peak = max(self.bytes_peak, self.bytes_written)
         return path
 
     def load_batch(self) -> list[Task]:
@@ -76,11 +70,8 @@ class SpillFileList:
         payload still raises a RuntimeError naming the file, because
         losing queued tasks silently would silently lose mining results.
         """
-        while True:
-            with self._lock:
-                if not self._files:
-                    return []
-                path = self._files.pop()
+        while self._files:
+            path = self._files.pop()
             try:
                 with open(path, "rb") as f:
                     raw = f.read()
@@ -103,10 +94,10 @@ class SpillFileList:
                 ) from exc
             if not isinstance(tasks, list) or not all(isinstance(t, Task) for t in tasks):
                 raise RuntimeError(f"spill file {path!r} did not decode to a task batch")
-            with self._lock:
-                self.batches_loaded += 1
+            self.batches_loaded += 1
             os.remove(path)
             return tasks
+        return []
 
     def _skip(self, path: str, reason: str) -> None:
         """Drop one unloadable spill file, loudly."""
@@ -117,8 +108,7 @@ class SpillFileList:
             RuntimeWarning,
             stacklevel=3,
         )
-        with self._lock:
-            self.batches_skipped += 1
+        self.batches_skipped += 1
         if os.path.exists(path):
             os.remove(path)
 
@@ -138,8 +128,7 @@ class SpillFileList:
         return len(self) * batch_size
 
     def cleanup(self) -> None:
-        with self._lock:
-            files, self._files = self._files, []
+        files, self._files = self._files, []
         for path in files:
             if os.path.exists(path):
                 os.remove(path)
@@ -160,7 +149,6 @@ class SpillableQueue:
         capacity: int,
         batch_size: int,
         spill: SpillFileList,
-        lock: threading.Lock | None = None,
     ):
         if batch_size < 1 or capacity < batch_size:
             raise ValueError("need capacity >= batch_size >= 1")
@@ -168,11 +156,9 @@ class SpillableQueue:
         self._capacity = capacity
         self._batch = batch_size
         self._spill = spill
-        self._lock = lock or threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     @property
     def spill_list(self) -> SpillFileList:
@@ -183,49 +169,31 @@ class SpillableQueue:
         return self._batch
 
     def push(self, task: Task) -> None:
-        with self._lock:
-            if len(self._items) >= self._capacity:
-                batch = self._items[-self._batch :]
-                del self._items[-self._batch :]
-                self._spill.spill(batch)
-            self._items.append(task)
+        if len(self._items) >= self._capacity:
+            batch = self._items[-self._batch :]
+            del self._items[-self._batch :]
+            self._spill.spill(batch)
+        self._items.append(task)
 
     def pop(self) -> Task | None:
-        with self._lock:
-            if self._items:
-                return self._items.pop(0)
-        return None
-
-    def try_pop(self) -> tuple[bool, Task | None]:
-        """(acquired, task): try-lock semantics for the global queue."""
-        if not self._lock.acquire(blocking=False):
-            return False, None
-        try:
-            task = self._items.pop(0) if self._items else None
-            return True, task
-        finally:
-            self._lock.release()
+        return self._items.pop(0) if self._items else None
 
     def needs_refill(self) -> bool:
-        with self._lock:
-            return len(self._items) < self._batch
+        return len(self._items) < self._batch
 
     def refill_from_spill(self) -> int:
         """Load one spilled batch back into the queue; returns #tasks."""
         batch = self._spill.load_batch()
-        if batch:
-            with self._lock:
-                self._items[:0] = batch
+        self._items[:0] = batch
         return len(batch)
 
     def pop_batch(self, count: int) -> list[Task]:
         """Remove up to `count` tasks from the back (stealing donor side)."""
-        with self._lock:
-            if count <= 0 or not self._items:
-                return []
-            taken = self._items[-count:]
-            del self._items[-count:]
-            return taken
+        if count <= 0 or not self._items:
+            return []
+        taken = self._items[-count:]
+        del self._items[-count:]
+        return taken
 
     def push_batch(self, tasks: list[Task]) -> None:
         for t in tasks:
@@ -233,6 +201,4 @@ class SpillableQueue:
 
     def pending_estimate(self) -> int:
         """In-memory + on-disk task estimate (stealing planner input)."""
-        with self._lock:
-            mem = len(self._items)
-        return mem + self._spill.pending_task_estimate(self._batch)
+        return len(self._items) + self._spill.pending_task_estimate(self._batch)

@@ -61,7 +61,7 @@ KINDS = (
 )
 
 #: Kinds emitted by the stealing path. They fire on wall-clock timing in
-#: the threaded engine, on virtual time in the simulator, and on real
+#: the process pool, on virtual time in the simulator, and on real
 #: network round-trips in the cluster runtime, so cross-executor
 #: vocabulary comparisons must treat them as timing-dependent.
 STEAL_KINDS = frozenset({"steal", "steal_planned", "steal_sent", "steal_received"})

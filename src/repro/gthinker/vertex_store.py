@@ -12,7 +12,7 @@ Every machine of every partitioned executor reads through one store,
 shortcut, pins standing in for the paper's in-flight-task refcounts,
 and the message count. Only where a cache miss is served differs:
 
-* in-process machines (serial/threaded/simulated executors, the process
+* in-process machines (serial and simulated executors, the process
   pool's parent and each of its workers) pass a synchronous ``fetch``
   that reads the owner's table — all partitions share one address
   space (a pool worker's one partition is its whole-graph replica);
@@ -23,7 +23,6 @@ and the message count. Only where a cache miss is served differs:
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
@@ -117,38 +116,33 @@ class RemoteVertexCache:
     def __init__(self, capacity: int):
         self.capacity = max(1, capacity)
         self._entries: OrderedDict[int, Sequence[int]] = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get(self, vertex: int) -> Sequence[int] | None:
-        with self._lock:
-            entry = self._entries.get(vertex)
-            if entry is not None:
-                self._entries.move_to_end(vertex)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return entry
+        entry = self._entries.get(vertex)
+        if entry is not None:
+            self._entries.move_to_end(vertex)
+            self.hits += 1
+        else:
+            self.misses += 1
+        return entry
 
     def peek(self, vertex: int) -> Sequence[int] | None:
         """Probe without touching hit/miss counters or LRU order (used
         by availability checks that precede a real lookup)."""
-        with self._lock:
-            return self._entries.get(vertex)
+        return self._entries.get(vertex)
 
     def put(self, vertex: int, adjacency: Sequence[int]) -> None:
-        with self._lock:
-            self._entries[vertex] = adjacency
-            self._entries.move_to_end(vertex)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self._entries[vertex] = adjacency
+        self._entries.move_to_end(vertex)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 class RemoteGraphAccess:
@@ -356,7 +350,7 @@ def in_process_stores(
 ) -> list[RemoteGraphAccess]:
     """One store per table of `partitioner`'s partitioning, all in one
     address space: each serves a cache miss synchronously from the
-    owner's table (the serial/threaded/simulated executors' machines,
+    owner's table (the serial and simulated executors' machines,
     and a process-pool worker's one whole-graph partition)."""
     owner = owner_function(len(tables), partitioner)
 

@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 
+from ..gthinker.config import BACKENDS
 from .client import ServiceClient, ServiceError
 
 EXIT_OK = 0
@@ -115,13 +116,12 @@ def submit_cli(argv: list[str]) -> int:
     src.add_argument("--dataset", help="built-in synthetic dataset analog")
     parser.add_argument("--gamma", type=float, required=True)
     parser.add_argument("--min-size", type=int, required=True)
-    parser.add_argument("--backend", default=None,
-                        choices=["auto", "serial", "threaded", "process",
-                                 "cluster"],
+    parser.add_argument("--backend", default=None, choices=BACKENDS,
                         help="executor for this job's chunks")
     parser.add_argument("--num-procs", type=int, default=None, metavar="N")
     parser.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="threads per machine (threaded backend)")
+                        help="threads per machine of the M x T topology "
+                        "(simulated and process backends)")
     parser.add_argument("--chunk-roots", type=int, default=None, metavar="N",
                         help="override the service's checkpoint chunk size")
     parser.add_argument("--label", default="")

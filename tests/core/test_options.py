@@ -4,7 +4,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.core.options import (
     MiningJob,
     MiningStats,
     ResultSink,
-    ThreadSafeResultSink,
 )
 from repro.graph.adjacency import Graph
 
@@ -102,17 +100,3 @@ class TestSinks:
         out = sink.results()
         out.add(frozenset({9}))
         assert len(sink) == 1
-
-    def test_thread_safe_sink_under_contention(self):
-        sink = ThreadSafeResultSink()
-
-        def writer(base):
-            for i in range(200):
-                sink.emit([base * 1000 + i, base * 1000 + i + 500])
-
-        threads = [threading.Thread(target=writer, args=(b,)) for b in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(sink) == 4 * 200

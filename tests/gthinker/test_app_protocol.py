@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.options import MiningStats, ResultSink
-from repro.gthinker.app_maxclique import MaxCliqueApp
 from repro.gthinker.app_protocol import (
     GThinkerApp,
     ensure_app,
@@ -17,16 +16,31 @@ from repro.gthinker.simulation import SimulatedClusterEngine
 from repro.graph.adjacency import Graph
 
 
+@gthinker_app
+class LocalApp:
+    """A test-local app: declares the protocol and never spawns."""
+
+    def __init__(self):
+        self.sink = ResultSink()
+        self.stats = MiningStats()
+
+    def spawn(self, vertex, adjacency, task_id):
+        return None
+
+    def compute(self, task, frontier, ctx):
+        raise AssertionError("never runs")
+
+
 class TestRegistry:
     def test_bundled_apps_declared(self):
         apps = registered_apps()
-        for cls in (QuasiCliqueApp, MaxCliqueApp):
+        for cls in (QuasiCliqueApp, LocalApp):
             assert cls in apps
 
     def test_registered_instances_satisfy_protocol(self):
         instances = [
             QuasiCliqueApp(gamma=0.75, min_size=3, sink=ResultSink()),
-            MaxCliqueApp(),
+            LocalApp(),
         ]
         for app in instances:
             assert isinstance(app, GThinkerApp)

@@ -70,6 +70,8 @@ class TestDecompositionModes:
 
 
 class TestThreadedEngine:
+    """M machines × T threads, on the simulator (the one M × T executor)."""
+
     @pytest.mark.parametrize("machines,threads", [(1, 2), (2, 1), (2, 2), (3, 2)])
     def test_matches_oracle(self, machines, threads):
         rng = random.Random(machines * 10 + threads)
@@ -77,13 +79,13 @@ class TestThreadedEngine:
         gamma = rng.choice(GAMMAS)
         min_size = rng.randint(2, 4)
         config = EngineConfig(
+            backend="simulated",
             num_machines=machines,
             threads_per_machine=threads,
             decompose="timed",
             tau_time=10,
             time_unit="ops",
             tau_split=3,
-            steal_period_seconds=0.005,
         )
         out = mine_parallel(g, gamma, min_size, config)
         assert out.maximal == oracle(g, gamma, min_size)
@@ -91,7 +93,8 @@ class TestThreadedEngine:
     def test_remote_messages_counted(self):
         g = make_random_graph(16, 0.5, seed=4)
         out = mine_parallel(
-            g, 0.6, 3, EngineConfig(num_machines=4, decompose="none")
+            g, 0.6, 3,
+            EngineConfig(backend="simulated", num_machines=4, decompose="none"),
         )
         assert out.metrics.remote_messages > 0
 
@@ -152,7 +155,11 @@ class TestJobReleasesItsState:
 
     @pytest.mark.parametrize(
         "backend,machines,threads",
-        [("serial", 1, 1), ("threaded", 2, 2), ("simulated", 2, 1)],
+        [
+            ("serial", 1, 1),
+            pytest.param("simulated", 2, 2, id="sim-2x2"),
+            ("simulated", 2, 1),
+        ],
     )
     def test_no_table_or_graph_outlives_the_job(self, backend, machines, threads):
         def tracked():

@@ -47,7 +47,7 @@ class TestProtocolConformance:
             # cluster worker: misses come off the wire
             RemoteGraphAccess(tables[0], RemoteVertexCache(4),
                               owner=owner_function(2)),
-            # serial/threaded/simulated machine: synchronous owner fetch
+            # serial or simulated machine: synchronous owner fetch
             in_process_stores(tables, 4)[0],
             # process-pool worker: the whole graph as one partition
             _resolve_graph(("direct", g), EngineConfig()),

@@ -74,8 +74,9 @@ class TestEnginesWithPartitioners:
     def test_engine_results_invariant(self, strategy):
         g = make_random_graph(12, 0.55, seed=6)
         config = EngineConfig(
-            num_machines=3, threads_per_machine=1, partition=strategy,
-            decompose="timed", tau_time=10, time_unit="ops", tau_split=3,
+            backend="simulated", num_machines=3, threads_per_machine=1,
+            partition=strategy, decompose="timed", tau_time=10,
+            time_unit="ops", tau_split=3,
         )
         out = mine_parallel(g, 0.75, 3, config)
         assert out.maximal == enumerate_maximal_quasicliques(g, 0.75, 3)

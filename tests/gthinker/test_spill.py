@@ -186,23 +186,6 @@ class TestSpillableQueue:
         assert q.refill_from_spill() == 2
         assert [q.pop().task_id for _ in range(2)] == [2, 3]
 
-    def test_try_pop_semantics(self, tmp_path):
-        q, _ = self.make_queue(tmp_path)
-        acquired, task = q.try_pop()
-        assert acquired and task is None
-        q.push(make_tasks(1)[0])
-        acquired, task = q.try_pop()
-        assert acquired and task.task_id == 0
-
-    def test_try_pop_contended_lock(self, tmp_path):
-        q, _ = self.make_queue(tmp_path)
-        q._lock.acquire()
-        try:
-            acquired, task = q.try_pop()
-            assert not acquired and task is None
-        finally:
-            q._lock.release()
-
     def test_pop_batch_from_back(self, tmp_path):
         q, _ = self.make_queue(tmp_path, capacity=10, batch=2)
         for t in make_tasks(5):

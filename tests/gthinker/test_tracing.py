@@ -171,8 +171,9 @@ class TestPolicyViaTrace:
 
 class TestSimulatorTracing:
     """The simulator traces through the shared scheduler core, so the
-    same workload must produce the same event vocabulary as the threaded
-    engine — not merely "some events"."""
+    same workload must produce the same event vocabulary as the serial
+    engine — not merely "some events". The engine runs it on 1 x 1, the
+    simulator on 2 x 2."""
 
     WORKLOAD = dict(
         decompose="timed", tau_time=10, time_unit="ops", tau_split=3,
@@ -183,9 +184,12 @@ class TestSimulatorTracing:
         g = make_random_graph(16, 0.5, seed=11)
         app_args = dict(gamma=0.75, min_size=3)
         eng_tracer, sim_tracer = Tracer(), Tracer()
+        serial = EngineConfig(
+            **{**self.WORKLOAD, "num_machines": 1, "threads_per_machine": 1}
+        )
         GThinkerEngine(
             g, QuasiCliqueApp(**app_args, sink=ResultSink()),
-            EngineConfig(**self.WORKLOAD), tracer=eng_tracer,
+            serial, tracer=eng_tracer,
         ).run()
         SimulatedClusterEngine(
             g, QuasiCliqueApp(**app_args, sink=ResultSink()),
@@ -197,9 +201,9 @@ class TestSimulatorTracing:
         eng_tracer, sim_tracer = self.traced_pair()
         eng_kinds = set(eng_tracer.counts())
         sim_kinds = set(sim_tracer.counts())
-        # Steal rounds fire on wall-clock time in the threaded engine but
-        # on virtual time in the simulator (and on real network round
-        # trips in the cluster runtime), so only those kinds may differ.
+        # Steal rounds fire only with two or more machines, on virtual
+        # time in the simulator (and on real network round trips in the
+        # cluster runtime), so only those kinds may differ.
         # Observability kinds are timing-dependent too (which spans fire
         # depends on wall-clock spill/steal behaviour), so they are
         # likewise excluded from the vocabulary equality.

@@ -1,7 +1,7 @@
 """Worker/application failure semantics per backend.
 
-In-process backends (serial, threaded) share fate with the app: a
-failing compute() aborts the job loudly, never hangs it. The process
+The serial backend shares fate with the app: a failing compute()
+aborts the job loudly, never hangs it. The process
 backend is supervised instead: worker failure costs a retry — and at
 worst a quarantined task — never the run.
 """
@@ -39,15 +39,6 @@ class FaultyApp:
 
 
 class TestWorkerFailure:
-    def test_threaded_job_raises_instead_of_hanging(self):
-        g = make_random_graph(20, 0.3, seed=1)
-        engine = GThinkerEngine(
-            g, FaultyApp(), EngineConfig(num_machines=1, threads_per_machine=2)
-        )
-        with pytest.raises(RuntimeError, match="mining thread failed") as excinfo:
-            engine.run()
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
     def test_serial_job_propagates_directly(self):
         g = make_random_graph(20, 0.3, seed=2)
         engine = GThinkerEngine(g, FaultyApp(), EngineConfig())
@@ -59,7 +50,8 @@ class TestWorkerFailure:
 
         g = make_random_graph(12, 0.5, seed=3)
         out = mine_parallel(
-            g, 0.75, 3, EngineConfig(num_machines=1, threads_per_machine=2)
+            g, 0.75, 3,
+            EngineConfig(backend="simulated", num_machines=1, threads_per_machine=2),
         )
         assert out.metrics.tasks_executed >= 0
 
@@ -102,7 +94,7 @@ class TestProcessWorkerFailure:
         assert faulty.candidates == clean.candidates
 
     def test_app_exception_warns_instead_of_raising(self):
-        """The same fault that aborts the threaded backend is survived
+        """The same fault that aborts the serial backend is survived
         here: raising compute() costs the poison task, not the job."""
         g = make_random_graph(8, 0.4, seed=6)
         poison = min(g.vertices())

@@ -94,6 +94,15 @@ class TestJobSpecValidation:
          "chunk_roots must be"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]], "chunk_roots": 2.7},
          "chunk_roots must be"),
+        # The serial backend runs 1 x 1; an M x T job would fail in its thread.
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"backend": "serial", "num_machines": 2}}, "one machine x one thread"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"threads_per_machine": 2}}, "one machine x one thread"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"backend": "threaded"}}, "unknown backend"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"backend": "auto"}}, "unknown backend"),
     ]
 
     @pytest.mark.parametrize("payload,match", BAD)
@@ -105,7 +114,7 @@ class TestJobSpecValidation:
     def test_roundtrip(self):
         payload = {
             "gamma": 0.8, "min_size": 4, "edges": [[0, 1], [1, 2]],
-            "vertices": [0, 1, 2, 3], "engine": {"backend": "threaded"},
+            "vertices": [0, 1, 2, 3], "engine": {"backend": "simulated"},
             "chunk_roots": 7, "label": "x",
         }
         spec = JobSpec.parse(payload)

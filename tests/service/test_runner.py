@@ -30,9 +30,10 @@ class TestOracleParity:
         assert out.maximal == {frozenset({0, 1}), frozenset({2})}
 
     def test_threaded_backend(self, tmp_path):
+        """One machine x two threads, on the simulator."""
         g = make_random_graph(14, 0.5, seed=4)
         config = EngineConfig.from_payload(
-            {"backend": "threaded", "threads_per_machine": 2}
+            {"backend": "simulated", "threads_per_machine": 2}
         )
         out = run_checkpointed(
             g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=4

@@ -205,6 +205,10 @@ class TestErrors:
         {"batch_size": 0},
         {"queue_capacity": 2, "batch_size": 4},
         {"cache_capacity": 0},
+        {"backend": "serial", "num_machines": 2},
+        {"threads_per_machine": 2},
+        {"backend": "threaded"},
+        {"backend": "auto"},
     ])
     def test_unrunnable_engine_knobs_400(self, live, engine):
         _, client = live

@@ -98,7 +98,7 @@ class TestMain:
 
     def test_decompose_and_threads_flags(self, graph_file, capsys):
         assert main(
-            [graph_file, "--gamma", "1.0", "--min-size", "3",
+            [graph_file, "--gamma", "1.0", "--min-size", "3", "--simulate",
              "--threads", "2", "--decompose", "size", "--tau-split", "2", "--quiet"]
         ) == 0
         assert "results=1" in capsys.readouterr().out
@@ -236,14 +236,30 @@ class TestBackendSelection:
         assert "virtual_makespan" in capsys.readouterr().out
 
     def test_backend_serial_and_threaded(self, graph_file, capsys):
-        for backend in ("serial", "threaded"):
+        """The serial backend, and its M x T twin on the simulator."""
+        for flags in (["--backend", "serial"],
+                      ["--backend", "simulated", "--machines", "2", "--threads", "2"]):
             assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
-                         "--backend", backend, "--quiet"]) == 0
+                         *flags, "--quiet"]) == 0
             assert "results=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--machines", "2"], ["--threads", "2"],
+                                       ["--machines", "2", "--checkpoint-dir"]])
+    def test_topology_without_simulate_exits_2(self, graph_file, flags, tmp_path, capsys):
+        """M x T > 1 needs the simulator or the pool; it is never remapped."""
+        if flags[-1] == "--checkpoint-dir":
+            flags = [*flags, str(tmp_path / "ckpt")]
+        assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
+                     *flags, "--quiet"]) == 2
+        out, err = capsys.readouterr()
+        assert "--simulate" in err and "--backend process" in err
+        assert "results=" not in out
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unknown_backend_rejected(self, graph_file):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([graph_file, "--backend", "mpi"])
+        for name in ("mpi", "threaded", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([graph_file, "--backend", name])
 
     def test_simulate_conflicts_with_other_backend(self, graph_file, capsys):
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
@@ -280,7 +296,7 @@ class TestCheckpointMode:
     def test_any_backend_matches_serial(self, random_graph_file, tmp_path, capsys):
         serial, ckpt_out = tmp_path / "serial.txt", tmp_path / "ckpt.txt"
         assert self._mine(random_graph_file, "--serial", "--output", str(serial)) == 0
-        assert self._mine(random_graph_file, "--backend", "threaded",
+        assert self._mine(random_graph_file, "--backend", "simulated",
                           "--threads", "2", "--checkpoint-dir",
                           str(tmp_path / "ckpt"), "--output", str(ckpt_out)) == 0
         assert ckpt_out.read_text() == serial.read_text()

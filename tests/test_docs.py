@@ -205,3 +205,28 @@ def test_observability_metrics_table_matches_engine_metrics():
     assert not missing, f"EngineMetrics fields missing from docs: {missing}"
     extra = documented - fields
     assert not extra, f"documented fields not on EngineMetrics: {extra}"
+
+
+def test_backend_sets_agree():
+    """The CLI's ``--backend`` choices, the values ``EngineConfig``
+    accepts and the executors docs/BACKENDS.md's first table lists are
+    one set."""
+    from repro.cli import build_parser
+    from repro.gthinker.config import EngineConfig
+
+    (action,) = [a for a in build_parser()._actions if a.dest == "backend"]
+    cli = set(action.choices)
+    text = _read_doc("docs/BACKENDS.md")
+    table = text[text.index("| backend "):]
+    table = table[: table.index("\n\n")]
+    documented = set(re.findall(r"^\| `([a-z_]+)` +\|", table, re.M))
+
+    def accepted(name):
+        try:
+            EngineConfig(backend=name)
+        except ValueError:
+            return False
+        return True
+
+    candidates = cli | documented | {"threaded", "auto"}
+    assert {b for b in candidates if accepted(b)} == cli == documented

@@ -6,8 +6,8 @@ example, the diameter-2 argument, Lemma 1, Lemma 2, and the parameter
 arithmetic behind the Table 2 runs.
 
 The mining-based examples run as a backend-conformance corpus: each is
-parametrized over all five executors (serial, threaded, process,
-cluster, simulated) via the ``mine`` fixture, which also cross-checks
+parametrized over all four executors (serial, process, cluster,
+simulated) via the ``mine`` fixture, which also cross-checks
 every backend's output against the reference enumerator — the paper's
 claims must hold identically no matter which engine produced the
 result.
@@ -30,7 +30,7 @@ from repro.gthinker.simulation import simulate_cluster
 # Vertex labels of Figure 4 mapped onto IDs used by the fixture.
 A, B, C, D, E, F, G, H, I = range(9)
 
-BACKENDS = ("serial", "threaded", "process", "cluster", "simulated")
+BACKENDS = ("serial", "process", "cluster", "simulated")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -41,11 +41,6 @@ def mine(request):
     def _mine(graph, gamma, min_size):
         if backend == "serial":
             out = mine_parallel(graph, gamma, min_size, EngineConfig())
-        elif backend == "threaded":
-            out = mine_parallel(
-                graph, gamma, min_size,
-                EngineConfig(num_machines=1, threads_per_machine=2),
-            )
         elif backend == "process":
             out = mine_multiprocess(
                 graph, gamma, min_size,
@@ -63,7 +58,8 @@ def mine(request):
         else:
             out = simulate_cluster(
                 graph, gamma, min_size,
-                EngineConfig(num_machines=2, threads_per_machine=2),
+                EngineConfig(backend="simulated", num_machines=2,
+                             threads_per_machine=2),
             )
         expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
         assert out.maximal == expected, f"{backend} diverges from the enumerator"
