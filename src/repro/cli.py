@@ -41,7 +41,7 @@ from .core.query import mine_containing
 from .core.resultsio import postprocess_file
 from .datasets.registry import build_dataset, dataset_names, get_dataset
 from .graph.io import read_edge_list
-from .gthinker.config import BACKENDS, EngineConfig, check_serial_topology
+from .gthinker.config import BACKENDS, EngineConfig, check_topology
 from .gthinker.engine import mine_parallel
 from .gthinker.engine_mp import mine_multiprocess
 from .gthinker.simulation import simulate_cluster
@@ -111,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="minimum quasi-clique size τ_size")
     parser.add_argument("--machines", type=int, default=1,
                         help="machines M of the M x T topology that "
-                        "--simulate and --backend process schedule onto "
-                        "(default: 1)")
+                        "--simulate schedules onto (default: 1; the other "
+                        "backends run one machine x one thread per worker)")
     parser.add_argument("--threads", type=int, default=1,
                         help="mining threads T per machine of the M x T "
-                        "topology (default: 1)")
+                        "topology; --simulate only (default: 1)")
     parser.add_argument("--tau-split", type=int, default=64,
                         help="big-task routing / split threshold")
     parser.add_argument("--tau-time", type=float, default=float("inf"),
@@ -129,9 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=BACKENDS,
                         default=None,
                         help="executor: 'serial' (default; the engine on "
-                        "one machine x one thread), 'process' "
-                        "(multiprocessing worker pool; true multi-core), "
+                        "one machine x one thread), 'process' (the cluster "
+                        "runtime on localhost with warm-start workers that "
+                        "hold the whole graph; true multi-core), "
                         "'cluster' (localhost TCP master/worker runtime; "
+                        "workers get a partition and fetch the rest; "
                         "multi-host via the cluster-master/cluster-worker "
                         "subcommands), 'simulated' (virtual-time M x T "
                         "cluster)")
@@ -140,22 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = cpu count)")
     parser.add_argument("--mp-start-method", default=None,
                         choices=["fork", "spawn", "forkserver"],
-                        help="process-backend start method (default: fork "
-                        "where available, else spawn)")
+                        help="process/cluster-backend start method "
+                        "(default: fork where available, else spawn)")
     parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                        help="process-backend fault tolerance: dispatches "
-                        "per task before it is quarantined as poisoned "
-                        "(default: 3)")
-    parser.add_argument("--lease-slack", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="process-backend fault tolerance: slack added "
-                        "to each batch's lease deadline before its worker "
-                        "is declared wedged (default: 10)")
+                        help="process/cluster fault tolerance: dispatches "
+                        "per work unit before it is quarantined as "
+                        "poisoned (default: 3)")
     parser.add_argument("--retry-backoff", type=float, default=0.05,
                         metavar="SECONDS",
-                        help="process-backend fault tolerance: base delay "
-                        "before redispatching a reclaimed task; doubles "
-                        "per attempt (default: 0.05)")
+                        help="process/cluster fault tolerance: base delay "
+                        "before redispatching a reclaimed work unit; "
+                        "doubles per attempt (default: 0.05)")
     parser.add_argument("--simulate", action="store_true",
                         help="run on the discrete-event simulated cluster "
                         "(same as --backend simulated)")
@@ -271,13 +268,12 @@ def main(argv: list[str] | None = None) -> int:
         backend=backend or "serial",
         num_procs=args.num_procs,
         max_attempts=args.max_attempts,
-        lease_slack=args.lease_slack,
         retry_backoff=args.retry_backoff,
     )
 
     if not (args.serial or args.query):
         try:
-            check_serial_topology(config)
+            check_topology(config)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

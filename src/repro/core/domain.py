@@ -20,8 +20,8 @@ operations::
 where a dict/set representation would loop per element. The local→global
 table ``verts`` is carried once per domain, so a pickled domain is a
 tuple of ints — far smaller than a ``Graph`` (which pickles a neighbor
-list *and* a neighbor set per vertex), which is what the process-pool
-and cluster backends ship over their wire formats.
+list *and* a neighbor set per vertex), which is what the process and
+cluster backends ship over their wire format.
 
 Results stay frozensets of *global* IDs: :meth:`TaskDomain.globals_of`
 translates a mask back at emission time only.

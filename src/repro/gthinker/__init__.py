@@ -7,7 +7,7 @@ from .clock import AlwaysExpired, NeverExpires, OpBudget, WallClockBudget, make_
 from .cluster import ClusterMaster, ClusterWorker, mine_cluster, run_cluster_app
 from .config import EngineConfig
 from .engine import GThinkerEngine, MiningRunResult, mine_parallel
-from .engine_mp import MultiprocessEngine, mine_multiprocess
+from .engine_mp import mine_multiprocess
 from .runtime import Lease
 from .scheduler import (
     MachineState,
@@ -60,7 +60,6 @@ __all__ = [
     "GThinkerEngine",
     "LocalVertexTable",
     "MiningRunResult",
-    "MultiprocessEngine",
     "NeverExpires",
     "OpBudget",
     "QuasiCliqueApp",

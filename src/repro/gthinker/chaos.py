@@ -1,7 +1,7 @@
-"""Fault-injection hooks for the fault-tolerant process backend.
+"""Fault-injection hooks for the fault-tolerant process and cluster backends.
 
-Chaos testing the supervisor in :mod:`repro.gthinker.engine_mp` needs
-faults that are (a) *deterministic* — seeded test schedules must replay
+Chaos testing the master and the launcher's supervisor
+(:mod:`repro.gthinker.cluster.launcher`) needs faults that are (a) *deterministic* — seeded test schedules must replay
 — and (b) *picklable/importable* — under the ``spawn`` start method a
 worker process re-imports everything it is handed, so the injection
 spec and the misbehaving test applications must live in an importable
@@ -16,9 +16,10 @@ Three fault flavours cover the failure modes the supervisor handles:
   poisoned root dies, so retries keep failing until the batch is
   quarantined;
 * :class:`WedgeOnRootApp` — a wedged worker: mining the poisoned root
-  blocks far past any lease, exercising lease-expiry reclaim;
+  blocks, so the worker stops heartbeating and is reclaimed after
+  ``heartbeat_timeout``;
 * :class:`ErrorOnRootApp` — an application bug: ``compute`` raises, the
-  worker reports the traceback and exits (the soft-failure path).
+  worker prints the traceback and exits (the soft-failure path).
 
 Every app here spawns one trivial iteration-3 task per vertex and emits
 the singleton ``{v}`` for healthy roots, so expected results are
@@ -56,12 +57,13 @@ def die_hard() -> None:
 class FaultInjection:
     """Chaos schedule: worker `worker_id` SIGKILLs itself mid-run.
 
-    The worker's *first* incarnation dies the moment it receives a batch
-    after having completed `after_batches` of them (``after_batches=0``
-    → it dies holding its very first batch). Respawned incarnations
-    ignore the injection, modeling a transient fault — an OOM-kill, a
+    `worker_id` is a launch slot of the localhost launcher. The slot's
+    *first* incarnation dies the moment it receives a work unit after
+    having completed `after_batches` of them (``after_batches=0`` → it
+    dies holding its very first unit). Respawned incarnations ignore the
+    injection, modeling a transient fault — an OOM-kill, a
     preempted container — rather than a permanently broken host. If the
-    job is too small for the worker ever to receive a batch, the fault
+    job is too small for the worker ever to receive a unit, the fault
     simply never fires; chaos tests must hold either way.
     """
 
@@ -75,8 +77,8 @@ class FaultInjection:
 
         Only the targeted slot's *first* incarnation (generation 0) is
         armed; respawned incarnations must run clean or the supervisor's
-        recovery could never converge. Drivers call this instead of
-        re-encoding the gating rule.
+        recovery could never converge. The launcher calls this instead
+        of re-encoding the gating rule.
         """
         if worker_id == self.worker_id and generation == 0:
             return self
@@ -114,10 +116,10 @@ class KillOnRootApp(_SingletonRootApp):
 
 
 class WedgeOnRootApp(_SingletonRootApp):
-    """Blocks on `poison_root` far past any lease deadline.
+    """Blocks on `poison_root` far past any heartbeat timeout.
 
-    The sleep stands in for a runaway task; the parent must declare the
-    lease expired, terminate this worker, and move on.
+    The sleep stands in for a runaway task; the master must declare the
+    silent worker dead, and the launcher terminate and replace it.
     """
 
     def __init__(self, poison_root: int, wedge_seconds: float = 60.0):
@@ -131,8 +133,8 @@ class WedgeOnRootApp(_SingletonRootApp):
 
 
 class ErrorOnRootApp(_SingletonRootApp):
-    """Raises on `poison_root`: the worker ships the traceback to the
-    parent and exits — the application-bug flavour of a poisoned task."""
+    """Raises on `poison_root`: the worker prints the traceback and
+    exits — the application-bug flavour of a poisoned task."""
 
     def _trip(self, task):
         raise ValueError(f"injected fault mining root {task.root}")

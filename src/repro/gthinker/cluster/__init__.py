@@ -1,17 +1,20 @@
-"""Distributed cluster runtime: TCP master/worker engine.
+"""Distributed runtime: TCP master/worker engine of two backends.
 
 The real-network counterpart of the simulated cluster
-(:mod:`repro.gthinker.simulation`) and the process pool
-(:mod:`repro.gthinker.engine_mp`): a master process owns the work
+(:mod:`repro.gthinker.simulation`): a master process owns the work
 ledger and the big-task stealing plan, workers own local schedulers
 built from the same :class:`~repro.gthinker.scheduler.SchedulerCore`
 as every other executor, and everything in between is a small framed
 pickle protocol over TCP (:mod:`.protocol`).
 
-Select it with ``EngineConfig(backend='cluster')`` through
-:func:`repro.gthinker.engine.mine_parallel`, call
-:func:`mine_cluster` directly, or run the ``repro cluster-master`` /
-``repro cluster-worker`` CLI entry points across hosts.
+``EngineConfig(backend='cluster')`` runs it on localhost with cold
+workers that receive a partition and fetch the rest
+(:func:`mine_cluster`); ``backend='process'`` runs it with warm-start
+workers that hold the whole graph (:mod:`repro.gthinker.engine_mp`).
+Both go through :func:`run_cluster_app`, which supervises the worker
+processes, or through :func:`repro.gthinker.engine.mine_parallel`;
+the ``repro cluster-master`` / ``repro cluster-worker`` CLI entry
+points run the same master and workers across hosts.
 """
 
 from .launcher import mine_cluster, run_cluster_app

@@ -84,7 +84,8 @@ class Welcome:
 
     worker_id: int
     config: EngineConfig
-    #: Pickled application instance (same shipping rule as engine_mp).
+    #: Pickled application instance (checked picklable by the master
+    #: before any worker starts).
     app_blob: bytes
     #: Pickled ``{vertex: (neighbor, ...)}`` dict — the adjacency
     #: entries of this worker's partition — or None when the worker

@@ -162,9 +162,10 @@ class MasterReactor:
             self._app_blob = pickle.dumps(app, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             raise TypeError(
-                f"the cluster backend ships the app to every worker, but "
-                f"{type(app).__name__} is not picklable: {exc}. Keep engine "
-                f"apps free of locks, open files, and lambdas."
+                f"the process and cluster backends ship the app to every "
+                f"worker, but {type(app).__name__} is not picklable: {exc}. "
+                f"Keep engine apps free of locks, open files, and lambdas, "
+                f"or run it on the serial or simulated backend."
             ) from exc
         #: Per-partition Welcome payloads ({vertex: adjacency} pickles),
         #: built lazily per partition and cached for rejoining workers.
@@ -202,6 +203,10 @@ class MasterReactor:
         self._last_progress: float | None = None
         self._registered_any = False
         self.shutdown_started = False
+        #: The launcher that respawns failed workers, when there is one
+        #: (see :mod:`.launcher`): told of every death, asked before the
+        #: job is declared lost.
+        self.supervisor: Any = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -330,8 +335,7 @@ class MasterReactor:
         enforce_window: bool = True,
     ) -> None:
         self.ledger.grant(
-            unit.work_id, worker.worker_id, [unit], now,
-            self.config.lease_timeout(unit.size),
+            unit.work_id, worker.worker_id, [unit],
             enforce_window=enforce_window,
         )
         if unit.kind == "range":
@@ -371,6 +375,8 @@ class MasterReactor:
                 metrics=self.metrics, tracer=self.tracer,
                 on_quarantine=self._on_quarantine,
             )
+        if self.supervisor is not None and worker.hello is not None and not self.done:
+            self.supervisor.worker_failed(worker.hello.pid)
 
     def _on_quarantine(self, unit: _WorkUnit, attempts: int) -> None:
         self.quarantined.append(unit)
@@ -382,13 +388,29 @@ class MasterReactor:
             self.fail_worker(worker, reason, now)
 
     def check_liveness(self, now: float) -> None:
-        """Declare the job lost once the full expected complement has
-        registered and then died; with stragglers still connecting, a
-        late joiner may yet rescue the work."""
+        """Raise once no live worker is left to finish the job.
+
+        Under a supervisor the job is lost when every launched process
+        has either died after registering or exited before it: while one
+        is still starting (a replacement, or a first incarnation not yet
+        connected), it may rescue the work. Without one, the job is lost
+        once the full expected complement has registered and then died;
+        with stragglers still connecting, a late joiner may yet rescue
+        it."""
         self._registered_any = self._registered_any or (
             len(self.registry) >= self.num_workers
         )
-        if self._registered_any and not self._alive() and not self.done:
+        if self.done or self._alive():
+            return
+        if self.supervisor is None:
+            lost = self._registered_any
+        else:
+            registered = {
+                w.hello.pid for w in self._by_channel.values()
+                if w.hello is not None
+            }
+            lost = not self.supervisor.starting(registered)
+        if lost:
             raise RuntimeError(
                 f"all cluster workers died with work outstanding "
                 f"({len(self._pending)} pending, "
@@ -607,6 +629,11 @@ class MasterReactor:
             ),
             now,
         )
+        if self.shutdown_started:
+            # The job ended while this worker was connecting: release it
+            # now, or the Goodbye collection waits out its whole grace.
+            self._send(worker, Shutdown(), now)  # type: ignore[arg-type]
+            return
         self._pump(now)
 
     def _serve_vertices(
@@ -867,6 +894,10 @@ class WorkerReactor:
 
     def _task_queued(self, task: Task) -> None:
         self._active += 1
+        # The worker-local high-water mark; the master keeps the max.
+        self.metrics.peak_pending_tasks = max(
+            self.metrics.peak_pending_tasks, self._active
+        )
 
     # -- message handling --------------------------------------------------
 

@@ -1,7 +1,6 @@
 """Cluster worker: the TCP driver of the worker reactor.
 
-A worker is the distributed twin of an `engine_mp` worker process, but
-it owns a real local scheduler instead of receiving pre-picked batches.
+A worker owns a real local scheduler and is leased work by the master.
 All of that behaviour — handshake, leased work units, master-driven
 spawning, big-remainder shipping, steal serving, incremental candidate
 flushes — lives in the transport-free
@@ -22,10 +21,17 @@ real process needs:
 * chaos wiring: :class:`~repro.gthinker.chaos.FaultInjection` arms the
   reactor's unit hook with :func:`~repro.gthinker.chaos.die_hard`.
 
+A worker started with ``graph`` is a warm start: it reads every vertex
+from that local copy, so the master ships it no partition (the process
+backend's workers, and ``cluster-worker --graph``).
+
 Death needs no protocol: a SIGKILLed worker simply stops heartbeating
 and its socket EOFs; the master reclaims every work unit it still
-leased. Candidates are flushed incrementally and deduplicated
-master-side, so at-least-once re-mining never changes the result set.
+leased. A crash is a death like any other; the worker prints its
+traceback to stderr before its socket closes, because once the master
+sees the EOF a supervising launcher may terminate the process.
+Candidates are flushed incrementally and deduplicated master-side, so
+at-least-once re-mining never changes the result set.
 """
 
 from __future__ import annotations
@@ -93,7 +99,8 @@ class ClusterWorker:
             self._run(channel)
         except BaseException:
             # A crash here is a worker death by definition; the master
-            # sees the EOF and reclaims. Leave a trace for the operator.
+            # sees the EOF and reclaims. Leave a trace for the operator
+            # while the process is still certain to be running.
             traceback.print_exc(file=sys.stderr)
             raise
         finally:

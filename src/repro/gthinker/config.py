@@ -47,43 +47,41 @@ class EngineConfig:
     partition: str = "hash"
     #: Executor selection for dispatching front-ends (mine_parallel, the
     #: CLI, the service): 'serial' runs one machine × one thread in the
-    #: calling thread (engine); 'process' runs workers in a
-    #: multiprocessing pool (engine_mp); 'cluster' runs the TCP
-    #: master/worker runtime (repro.gthinker.cluster) on localhost;
-    #: 'simulated' runs the virtual-time cluster on M × T.
+    #: calling thread (engine); 'cluster' runs the TCP master/worker
+    #: runtime (repro.gthinker.cluster) on localhost; 'process' runs the
+    #: same runtime with warm-start workers that hold the whole graph
+    #: (engine_mp); 'simulated' runs the virtual-time cluster on M × T.
     backend: str = "serial"
     #: Process/cluster-backend worker count; 0 means os.cpu_count().
     num_procs: int = 0
-    #: Process-backend fault tolerance: how many times a task may be
-    #: dispatched before its batch is quarantined as poisoned.
+    #: Process/cluster fault tolerance: how many times a work unit may
+    #: be dispatched before it is quarantined as poisoned.
     max_attempts: int = 3
-    #: Wall-clock slack (seconds) added to a batch lease on top of its
-    #: tau_time-derived budget; past the deadline the worker is treated
-    #: as wedged and its leases are reclaimed.
-    lease_slack: float = 10.0
     #: Base (seconds) of the exponential backoff between dispatch
-    #: attempts of a reclaimed task.
+    #: attempts of a reclaimed work unit.
     retry_backoff: float = 0.05
     #: Leases kept in flight per worker on the distributed backends
     #: (pipelining without hoarding: a dead worker forfeits at most this
     #: many leases' worth of work).
     lease_window: int = 2
-    #: Cluster backend: how often a worker reports liveness and its
-    #: pending-big count to the master (the stealing planner's input).
+    #: Process/cluster backends: how often a worker reports liveness
+    #: and its pending-big count to the master (the stealing planner's
+    #: input).
     heartbeat_period: float = 0.25
-    #: Cluster backend: a worker whose last heartbeat is older than this
-    #: is declared dead and its leased work is reclaimed (socket EOF is
-    #: the fast path; this is the backup for wedged-but-connected
-    #: workers).
+    #: Process/cluster backends: a worker whose last heartbeat is older
+    #: than this is declared dead and its leased work is reclaimed
+    #: (socket EOF is the fast path; this catches wedged-but-connected
+    #: workers, including one stuck in compute, since a worker's driver
+    #: is single-threaded).
     heartbeat_timeout: float = 10.0
-    #: Cluster backend: spawn vertices per SpawnRange work unit; 0 sizes
-    #: chunks automatically (~8 units per worker) so dead-worker
-    #: reassignment has useful granularity.
+    #: Process/cluster backends: spawn vertices per SpawnRange work
+    #: unit; 0 sizes chunks automatically (~8 units per worker) so
+    #: dead-worker reassignment has useful granularity.
     cluster_chunk_size: int = 0
-    #: Seconds between live-progress snapshots emitted by the process-pool
-    #: parent and the cluster master (`progress` trace event + on_progress
-    #: callback). 0 = automatic: 1s whenever a callback or tracer is
-    #: attached, otherwise off.
+    #: Seconds between live-progress snapshots emitted by the master of
+    #: the process and cluster backends (`progress` trace event +
+    #: on_progress callback). 0 = automatic: 1s whenever a callback or
+    #: tracer is attached, otherwise off.
     progress_interval: float = 0.0
 
     def __post_init__(self) -> None:
@@ -107,8 +105,6 @@ class EngineConfig:
             raise ValueError(f"unknown partition strategy {self.partition!r}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.lease_slack < 0:
-            raise ValueError("lease_slack must be non-negative")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
         if self.lease_window < 1:
@@ -153,10 +149,8 @@ class EngineConfig:
 
         return os.cpu_count() or 1
 
-    # -- fault-tolerance arithmetic (process backend) ----------------------
-
     def retry_delay(self, attempt: int) -> float:
-        """Backoff before re-dispatching a task that failed `attempt` times.
+        """Backoff before re-dispatching a unit that failed `attempt` times.
 
         Exponential: ``retry_backoff × 2^(attempt−1)`` seconds, so the
         sequence for the default base is 0.05, 0.1, 0.2, … (delegates to
@@ -166,35 +160,22 @@ class EngineConfig:
 
         return backoff_delay(self.retry_backoff, attempt)
 
-    def lease_timeout(self, batch_len: int) -> float:
-        """Wall-clock lease granted to a dispatched batch of `batch_len` tasks.
 
-        Time-delayed decomposition (Alg. 10) promises no task legitimately
-        runs past its tau_time budget, so when tau_time is a wall-clock
-        bound the lease is one budget per task plus `lease_slack` for
-        shipping and scheduling; with an ops-based or unbounded tau_time
-        only the slack applies.
-        """
-        per_task = (
-            self.tau_time
-            if self.time_unit == "wall" and self.tau_time != float("inf")
-            else 0.0
-        )
-        return per_task * batch_len + self.lease_slack
+def check_topology(config: EngineConfig) -> None:
+    """Raise ValueError if `config` asks for M × T > 1 off the simulator.
 
-
-def check_serial_topology(config: EngineConfig) -> None:
-    """Raise ValueError if `config` asks the serial executor for M × T > 1.
-
-    The one place the rule lives: the CLI, :func:`mine_parallel` and the
-    service's job admission all call it. It is not a ``__post_init__``
-    check because simulator configs keep the default backend with any
-    topology.
+    The one place the rule lives: the CLI, :func:`mine_parallel`, the
+    localhost launcher and the service's job admission all call it. Only
+    the simulated cluster schedules onto M machines × T threads; the
+    serial executor runs one machine × one thread, and each process or
+    cluster worker runs one local scheduler (scale those with
+    ``num_procs``). It is not a ``__post_init__`` check because
+    simulator configs keep the default backend with any topology.
     """
-    if config.backend == "serial" and config.total_threads != 1:
+    if config.backend != "simulated" and config.total_threads != 1:
         raise ValueError(
-            f"backend 'serial' runs one machine x one thread, not "
-            f"{config.num_machines}x{config.threads_per_machine}; for an M x T "
-            f"topology use backend 'simulated' (--simulate) or 'process' "
-            f"(--backend process)"
+            f"backend {config.backend!r} runs one machine x one thread, not "
+            f"{config.num_machines}x{config.threads_per_machine} (process and "
+            f"cluster workers scale with num_procs); for an M x T topology "
+            f"use backend 'simulated' (--simulate)"
         )

@@ -6,7 +6,8 @@ store, the thread's local task queue, the machine's global big-task
 queue, and disk spilling (L_small / L_big). The paper's M machines × T
 threads topology runs on the simulated cluster
 (:mod:`repro.gthinker.simulation`), which mines for real on virtual
-time, and on the process pool (:mod:`repro.gthinker.engine_mp`).
+time; the process and cluster backends run one such scheduler per
+worker process (:mod:`repro.gthinker.cluster`).
 
 All scheduling *policy* — routing, pick priority, local-queue refill
 order, spawn batching with big-task early stop, steal planning — lives
@@ -32,7 +33,7 @@ from ..core.postprocess import postprocess_results
 from ..graph.adjacency import Graph
 from .app_protocol import GThinkerApp
 from .app_quasiclique import QuasiCliqueApp
-from .config import EngineConfig, check_serial_topology
+from .config import EngineConfig, check_topology
 from .metrics import EngineMetrics, WorkerTiming
 from .scheduler import SchedulerCore, build_machines, collect_machine_metrics
 from .task import Task
@@ -89,7 +90,7 @@ class GThinkerEngine:
         backend = self.config.backend
         if backend != "serial":
             executor = {
-                "process": "MultiprocessEngine",
+                "process": "mine_multiprocess",
                 "cluster": "ClusterMaster",
                 "simulated": "SimulatedClusterEngine",
             }[backend]
@@ -97,7 +98,7 @@ class GThinkerEngine:
                 f"GThinkerEngine is the serial executor; for "
                 f"backend={backend!r} use {executor} (or mine_parallel)"
             )
-        check_serial_topology(self.config)
+        check_topology(self.config)
         start = time.perf_counter()
         try:
             self._run_serial()
@@ -151,7 +152,7 @@ def mine_parallel(
     """Convenience front-end: mine `graph` on the reforged engine.
 
     Dispatches on ``config.backend``: 'serial' runs here, on one
-    machine × one thread (:func:`~repro.gthinker.config.check_serial_topology`);
+    machine × one thread (:func:`~repro.gthinker.config.check_topology`);
     ``backend='process'`` delegates to
     :func:`repro.gthinker.engine_mp.mine_multiprocess`, ``'cluster'`` to
     :func:`repro.gthinker.cluster.mine_cluster` and ``'simulated'`` to
@@ -160,6 +161,7 @@ def mine_parallel(
     mines :func:`~repro.core.miner.quasiclique_core` of `graph`.
     """
     config = config or EngineConfig()
+    check_topology(config)
     if config.backend == "simulated":
         from .simulation import simulate_cluster
 
@@ -178,7 +180,6 @@ def mine_parallel(
         return mine_cluster(
             graph, gamma, min_size, config, options=options, tracer=tracer
         )
-    check_serial_topology(config)
     options = options or DEFAULT_OPTIONS
     graph = quasiclique_core(graph, gamma, min_size, options)
     app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)

@@ -99,7 +99,7 @@ class EngineMetrics:
     peak_pending_tasks: int = 0
     #: Per-worker wall/mine/idle split (repro.gthinker.obs). Keyed by a
     #: backend-native worker index: 0 on the serial engine, worker id
-    #: on the process pool and cluster.
+    #: on the process and cluster backends.
     #: Empty on the simulated backend (its clock is virtual).
     timing: dict[int, WorkerTiming] = field(default_factory=dict)
     task_records: list[TaskRecord] = field(default_factory=list)

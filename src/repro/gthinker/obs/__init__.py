@@ -8,7 +8,7 @@ Three capabilities, all riding channels the engines already had
   emitted through the normal :class:`~repro.gthinker.tracing.Tracer`
   on every backend;
 * **progress** — periodic :class:`ProgressSnapshot` emission from the
-  process-pool parent and the cluster master (``progress`` trace event
+  master of the process and cluster backends (``progress`` trace event
   + ``on_progress`` callback + on-demand ``StatusRequest`` wire query);
 * **trace-report** — ``repro trace-report run.jsonl`` folds any trace
   into per-worker timelines, phase times, fault/steal counts, and a
@@ -17,7 +17,7 @@ Three capabilities, all riding channels the engines already had
 Import note: :func:`query_master_status` lives in
 :mod:`repro.gthinker.obs.status` and pulls in the cluster protocol;
 it is imported lazily here so ``obs`` itself stays usable from the
-leanest contexts (process-pool workers, the simulator).
+leanest contexts (the simulator, tests of the snapshot format).
 """
 
 from __future__ import annotations

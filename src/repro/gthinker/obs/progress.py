@@ -2,8 +2,8 @@
 
 A :class:`ProgressSnapshot` is the coordinator's answer to "how far
 along is this job right now": work-item counts by lifecycle stage,
-candidates found so far, and pool liveness. The process-pool parent
-and the cluster master build one every ``config.progress_interval``
+candidates found so far, and worker liveness. The master of the
+process and cluster backends builds one every ``config.progress_interval``
 seconds, then
 
 * emit it as a ``progress`` trace event (``detail`` holds the counters
@@ -13,10 +13,9 @@ seconds, then
   flag renders it to stderr; the cluster master additionally serves it
   on demand over the wire (``StatusRequest``/``StatusReply``).
 
-Counts are in each backend's native work granularity: *tasks* on the
-process pool, master-side *work units* (spawn-range chunks / task
-batches) for pending/leased on the cluster — ``tasks_done`` is always
-executed tasks as reported by workers.
+Pending/leased counts are master-side *work units* (spawn-range chunks
+/ task batches); ``tasks_done`` is always executed tasks as reported
+by workers.
 """
 
 from __future__ import annotations

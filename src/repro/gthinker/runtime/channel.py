@@ -2,33 +2,27 @@
 
 The control plane (:mod:`repro.gthinker.runtime`) never talks to a
 transport directly — it sees a :class:`Channel`: something that can
-``send`` a message, ``recv`` one, report readability, and die. Two
-implementations cover the two distributed backends:
+``send`` a message, ``recv`` one, and die. Two implementations exist:
 
-* :class:`PipeChannel` — the process backend's parent-side view of one
-  worker *incarnation*: sends go to the worker's private task queue,
-  receives come off its private one-writer result pipe. EOF and torn
-  frames (the worker was SIGKILLed mid-send) poison only this channel.
-* :class:`StreamChannel` — the cluster backend's framed-pickle TCP
-  stream (:class:`repro.gthinker.cluster.protocol.MessageStream`), with
-  the same failure contract: protocol errors and socket teardown both
-  surface as :class:`ChannelClosed`.
+* :class:`StreamChannel` — the framed-pickle TCP stream
+  (:class:`repro.gthinker.cluster.protocol.MessageStream`) the process
+  and cluster backends run over, locally and across hosts;
+* :class:`~repro.gthinker.sim.net.SimChannel` — the deterministic
+  simulator's in-memory link, with the same failure contract.
 
-The shared contract is the fault-domain rule PR 5 bought with private
-pipes: one writer per channel, so a dead peer can corrupt its own
-channel and nothing else. Every failure mode a peer can inflict —
-clean EOF, torn frame, reset socket — surfaces as the single
-:class:`ChannelClosed` exception, and the channel marks itself closed,
-so supervision code has exactly one "this peer is gone" signal to
-handle regardless of transport.
+The shared contract: one writer per channel, so a dead peer can
+corrupt its own channel and nothing else. Every failure mode a peer
+can inflict — clean EOF, torn frame, reset socket — surfaces as the
+single :class:`ChannelClosed` exception, and the channel marks itself
+closed, so supervision code has exactly one "this peer is gone" signal
+to handle regardless of transport.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Protocol, runtime_checkable
 
-__all__ = ["Channel", "ChannelClosed", "PipeChannel", "StreamChannel"]
+__all__ = ["Channel", "ChannelClosed", "StreamChannel"]
 
 
 class ChannelClosed(Exception):
@@ -48,10 +42,6 @@ class Channel(Protocol):
         EOF or a torn frame (the channel is closed as a side effect)."""
         ...
 
-    def poll(self) -> bool:
-        """True if a recv() would not block."""
-        ...
-
     def close(self) -> None:
         """Tear down this side of the transport (idempotent)."""
         ...
@@ -60,86 +50,8 @@ class Channel(Protocol):
     def closed(self) -> bool: ...
 
 
-class PipeChannel:
-    """Process-backend channel: task queue out, private result pipe in.
-
-    The parent holds one of these per worker *incarnation*. The worker
-    is the pipe's only writer, so a SIGKILL can never leave a shared
-    write lock held (the fault-domain violation a shared
-    ``multiprocessing.Queue`` used to have) — a killed worker tears
-    only its own channel.
-    """
-
-    def __init__(self, task_queue: Any, result_conn: Any):
-        self._task_queue = task_queue
-        self._conn = result_conn
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def fileno(self) -> int:
-        """The result pipe's descriptor, for multiplexed waits."""
-        return self._conn.fileno()  # type: ignore[no-any-return]
-
-    @property
-    def waitable(self) -> Any:
-        """The raw object `multiprocessing.connection.wait` accepts."""
-        return self._conn
-
-    def send(self, message: Any) -> None:
-        if self._closed:
-            raise ChannelClosed("channel already closed")
-        try:
-            self._task_queue.put(message)
-        except (ValueError, OSError) as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def recv(self) -> Any:
-        if self._closed:
-            raise ChannelClosed("channel already closed")
-        try:
-            return self._conn.recv()
-        except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            # EOF: the worker exited. Torn frame: it died mid-send.
-            # Either way only this incarnation's channel is poisoned.
-            self.close()
-            raise ChannelClosed(str(exc) or type(exc).__name__) from exc
-
-    def poll(self) -> bool:
-        if self._closed:
-            return False
-        try:
-            return bool(self._conn.poll())
-        except (OSError, ValueError):
-            self.close()
-            return False
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-    def discard_task_queue(self) -> None:
-        """Abandon the outbound queue of a dead incarnation.
-
-        Anything still sitting on it is covered by the worker's leases;
-        the queue itself must not block interpreter shutdown.
-        """
-        try:
-            self._task_queue.cancel_join_thread()
-            self._task_queue.close()
-        except (OSError, ValueError):
-            pass
-
-
 class StreamChannel:
-    """Cluster-backend channel over one framed-pickle TCP stream."""
+    """Channel over one framed-pickle TCP stream."""
 
     def __init__(self, stream: Any):
         self._stream = stream
@@ -180,12 +92,6 @@ class StreamChannel:
         if msg is None:
             self.close()
         return msg
-
-    def poll(self) -> bool:
-        # Framed TCP streams are consumed by a dedicated reader thread
-        # (see ClusterMaster._read_loop); polling is not part of their
-        # usage pattern.
-        return False
 
     def close(self) -> None:
         if self._closed:

@@ -3,8 +3,8 @@
 Retry makes execution at-least-once, so the coordinator will sooner or
 later see the same work twice: a worker presumed dead flushes a result
 for a lease already reclaimed and re-dispatched, or an ack arrives from
-a previous incarnation's era. :class:`ResultFolder` is the one place
-both distributed backends decide what survives a duplicate:
+a dead worker's era. :class:`ResultFolder` is the one place the
+coordinator decides what survives a duplicate:
 
 * **candidates always fold** — the dedup key is the candidate vertex
   set itself (:meth:`ResultFolder.fold` normalizes every candidate to a
@@ -20,8 +20,8 @@ both distributed backends decide what survives a duplicate:
   events into the coordinator's tracer, optionally filtered to an
   allow-list, attributed by the one worker-origin rule
   (:func:`~.registry.worker_attribution`): ``machine=worker id`` on
-  every backend, ``thread`` the worker-local thread when the backend
-  ships one (cluster 4-tuples) and -1 otherwise (pool 3-tuples).
+  every backend, ``thread`` the worker-local thread when the event
+  carries one (4-tuples) and -1 otherwise (3-tuples).
 """
 
 from __future__ import annotations

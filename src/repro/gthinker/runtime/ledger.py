@@ -2,11 +2,11 @@
 
 One implementation of the paper's coordination discipline, shared by
 every distributed backend. A *lease* records work shipped to a worker:
-the process backend leases batches of :class:`~repro.gthinker.task.
-Task` objects (many members per lease, attempts tracked per task id),
-the cluster backend leases work units — spawn-vertex chunks and
-encoded-task batches — one member per lease, attempts tracked per work
-id. Both are the same ledger parameterized by a member *key*:
+the master reactor of the process and cluster backends leases work
+units — spawn-vertex chunks and encoded-task batches — one member per
+lease, attempts tracked per work id. The ledger itself is
+parameterized by a member *key*, and a lease may carry several
+members (a batch of tasks, attempts tracked per task id):
 
 * **grant**    — a lease ships to a worker; every member's dispatch
   count bumps, and granting past ``max_attempts`` or past the
@@ -18,10 +18,11 @@ id. Both are the same ledger parameterized by a member *key*:
   different worker — is a *stale at-least-once duplicate* and returns
   None so the caller can drop everything but the (idempotent)
   candidates;
-* **reclaim**  — the worker died or the lease's deadline passed; the
-  members split into those to retry (dispatched fewer than
-  ``max_attempts`` times) and those to quarantine as poisoned. A
-  quarantined member is never granted again.
+* **reclaim**  — the worker died (EOF, a failed send, or heartbeat
+  silence, which is how a wedged worker is caught); the members split
+  into those to retry (dispatched fewer than ``max_attempts`` times)
+  and those to quarantine as poisoned. A quarantined member is never
+  granted again.
 
 Conservation is the invariant everything hangs from: every member ever
 granted is, at all times, exactly one of *leased*, *awaiting retry*
@@ -31,9 +32,9 @@ the stateful Hypothesis model in ``tests/gthinker/
 test_property_stateful.py`` checks the whole cycle against an
 in-memory model through both grant styles.
 
-Single-owner by design: only the coordinating loop (the engine_mp
-dispatch loop, the cluster master's run loop) touches a ledger, exactly
-as only that loop owns the rest of the scheduler state.
+Single-owner by design: only the coordinating loop (the master
+reactor, advanced from one thread by its TCP driver or by the
+simulator) touches a ledger.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ class Lease(Generic[T]):
     items: list[T]
     #: Highest per-member dispatch count in the lease at grant time (1-based).
     attempt: int
-    #: Monotonic-clock deadline; past it the worker is presumed wedged.
-    deadline: float
     keys: tuple[int, ...] = field(default_factory=tuple)
 
 
@@ -65,7 +64,7 @@ class WorkLedger(Generic[T]):
 
     Parameterized by ``key`` (member → stable int identity; attempts
     are counted per key) and ``size`` (member → task count, feeding the
-    task-granular metrics both backends report). ``lease_window``, when
+    task-granular metrics the backends report). ``lease_window``, when
     set, caps concurrent leases per worker — pipelining without
     hoarding: a dead worker forfeits at most window × lease-size work.
     """
@@ -149,8 +148,6 @@ class WorkLedger(Generic[T]):
         lease_id: int,
         worker_id: int,
         items: list[T],
-        now: float,
-        timeout: float,
         *,
         enforce_window: bool = True,
     ) -> Lease[T]:
@@ -186,7 +183,6 @@ class WorkLedger(Generic[T]):
             worker_id=worker_id,
             items=list(items),
             attempt=attempt,
-            deadline=now + timeout,
             keys=tuple(keys),
         )
         self._leases[lease_id] = lease
@@ -220,9 +216,6 @@ class WorkLedger(Generic[T]):
             for lease_id in sorted(self._open.get(worker_id, ()))
             if lease_id in self._leases
         ]
-
-    def expired(self, now: float) -> list[Lease[T]]:
-        return [lease for lease in self._leases.values() if now >= lease.deadline]
 
     def reclaim(self, lease: Lease[T]) -> tuple[list[tuple[T, int]], list[tuple[T, int]]]:
         """Take back a failed lease; returns (to_retry, to_quarantine).

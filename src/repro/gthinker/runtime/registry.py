@@ -1,35 +1,33 @@
 """Worker registry: slots, incarnations, liveness, death accounting.
 
-The coordinator's view of its pool, shared by both distributed
-backends. A :class:`WorkerSlot` is one logical worker identity; the
-process underneath it may die and be replaced — each replacement bumps
-the slot's *generation* (incarnation number), which is what lets chaos
-injection arm only a worker's first life and lets stale results from a
-previous incarnation be recognized as such.
+The coordinator's view of its workers, shared by every distributed
+backend. A :class:`WorkerSlot` is one registered worker connection; a
+worker that dies stays dead, and a replacement process (the localhost
+launcher starts one) registers as a new slot under a fresh id, so
+stale results from the dead one are recognized as such.
 
 Liveness has two signals, and the registry handles both:
 
 * **channel EOF** — the transport itself reports the peer gone
   (:class:`~.channel.ChannelClosed`); the driver calls :meth:`
   WorkerRegistry.fail`;
-* **silence** — a wedged-but-connected worker stops heartbeating (the
-  cluster) or outruns its lease deadline (the process pool);
-  :meth:`WorkerRegistry.stale` surfaces the silent ones for the driver
-  to fail.
+* **silence** — a wedged-but-connected worker stops heartbeating
+  (a worker's driver is single-threaded, so one stuck in ``compute``
+  is silent too); :meth:`WorkerRegistry.stale` surfaces the silent
+  ones for the driver to fail.
 
 :meth:`WorkerRegistry.fail` is the single place a worker death is
 accounted: ``metrics.workers_died`` and the ``worker_died`` trace event
 (machine=-1, thread=worker id) come from here for every backend, so
 fault observability cannot drift between them. What happens *next* —
 reclaiming the dead worker's leases (:func:`~.retry.reclaim_lease`) and
-whether the slot is revived with a fresh process (the pool respawns;
-the cluster does not) — is the driver's transport policy.
+whether a replacement process is started — is the driver's policy.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
 from .channel import Channel
@@ -46,37 +44,26 @@ def worker_attribution(worker_id: int, thread: int = -1) -> tuple[int, int]:
     One rule for every backend: worker-origin events (forwarded
     scheduler events, spans measured inside a worker) are attributed
     ``machine=worker id``, with ``thread`` the worker-local thread when
-    the backend ships one and -1 otherwise. Control-plane events *about*
+    the event carries one and -1 otherwise. Control-plane events *about*
     a worker (``worker_died``, ``task_retried``, …) are the mirror
     image — ``machine=-1, thread=worker id`` (see
     :meth:`WorkerRegistry.fail`) — so the two origins can never be
-    confused in a trace. The process pool's 3-tuple events historically
-    landed as ``machine=-1, thread=worker`` (indistinguishable from
-    control-plane rows); routing both backends through this helper is
-    what closed that gap.
+    confused in a trace.
     """
     return worker_id, thread
 
 
 @dataclass
 class WorkerSlot:
-    """One logical worker identity, across all its incarnations."""
+    """One registered worker connection."""
 
     worker_id: int
     channel: Channel | None = None
-    #: Backend handle for the current incarnation: a
-    #: ``multiprocessing.Process`` (pool) or the registration ``Hello``
-    #: (cluster). The registry never touches it.
-    transport: Any = None
     alive: bool = True
-    #: Incarnation number: 0 for the first process in this slot, +1 per
-    #: respawn. Chaos injection arms generation 0 only.
-    generation: int = 0
     last_seen: float = 0.0
     # -- load-report fields (heartbeats feed the steal planner) ------------
     pending_big: int = 0
     active: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 class WorkerRegistry:
@@ -107,20 +94,11 @@ class WorkerRegistry:
         return slot
 
     def create(
-        self,
-        *,
-        channel: Channel | None = None,
-        transport: Any = None,
-        now: float = 0.0,
+        self, *, channel: Channel | None = None, now: float = 0.0
     ) -> WorkerSlot:
         """Register a newly-connected worker under the next free id."""
         return self.add(
-            WorkerSlot(
-                worker_id=next(self._ids),
-                channel=channel,
-                transport=transport,
-                last_seen=now,
-            )
+            WorkerSlot(worker_id=next(self._ids), channel=channel, last_seen=now)
         )
 
     def get(self, worker_id: int) -> WorkerSlot | None:
@@ -131,19 +109,6 @@ class WorkerRegistry:
 
     def alive(self) -> list[WorkerSlot]:
         return [s for s in self._slots.values() if s.alive]
-
-    def channels(self) -> list[Channel]:
-        """Every open channel, regardless of slot liveness.
-
-        A just-failed slot's channel is closed (excluded here), but a
-        dead-but-undetected worker's channel must stay readable — its
-        final messages are done work the driver still folds in.
-        """
-        return [
-            s.channel
-            for s in self._slots.values()
-            if s.channel is not None and not s.channel.closed
-        ]
 
     # -- liveness ----------------------------------------------------------
 
@@ -163,7 +128,7 @@ class WorkerRegistry:
 
         The one emission point for ``workers_died`` and the
         ``worker_died`` trace kind on every backend. Closes the slot's
-        channel; lease reclaim and any respawn are the caller's move.
+        channel; lease reclaim and any replacement are the caller's move.
         """
         if not slot.alive:
             return False
@@ -175,19 +140,3 @@ class WorkerRegistry:
         if slot.channel is not None:
             slot.channel.close()
         return True
-
-    def revive(
-        self,
-        slot: WorkerSlot,
-        *,
-        channel: Channel | None = None,
-        transport: Any = None,
-    ) -> WorkerSlot:
-        """Bring a slot back with a fresh incarnation (generation + 1)."""
-        slot.generation += 1
-        slot.alive = True
-        if channel is not None:
-            slot.channel = channel
-        if transport is not None:
-            slot.transport = transport
-        return slot

@@ -1,19 +1,19 @@
 """Retry-backoff-quarantine policy for reclaimed work.
 
-One policy, both backends: work reclaimed from a dead or wedged worker
+One policy for every distributed backend: work reclaimed from a dead
+or wedged worker
 is re-dispatched after an exponential backoff — ``retry_backoff *
 2^(attempt-1)`` seconds, so a task that keeps landing on sick workers
 backs off doubling — until it has been dispatched ``max_attempts``
 times, at which point the :class:`~.ledger.WorkLedger` quarantines it
-as poisoned instead of letting it death-spiral the pool.
+as poisoned instead of letting it death-spiral the job.
 
 :class:`RetryPolicy` owns the *scheduling* half (a due-time heap plus
-the audit ``history`` the engines expose as ``retry_schedule``); the
-ledger owns the *quarantine threshold*; :func:`reclaim_lease` glues
-them together and is the single place the ``task_retried`` and
-``task_quarantined`` trace kinds are emitted — both distributed
-backends get identical fault observability because they share this
-function, not because they agree to mimic each other.
+an audit ``history``); the ledger owns the *quarantine threshold*;
+:func:`reclaim_lease` glues them together and is the single place the
+``task_retried`` and ``task_quarantined`` trace kinds are emitted, so
+the master reactor and the simulator that drives it report faults
+identically.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class RetryPolicy(Generic[T]):
     def __init__(self, backoff: float):
         self.backoff = backoff
         #: Audit log of every scheduled retry: (member key, failed
-        #: attempt number, delay applied). Engines expose this as
-        #: ``retry_schedule``.
+        #: attempt number, delay applied).
         self.history: list[tuple[int, int, float]] = []
         self._heap: list[tuple[float, int, int, T]] = []
         self._seq = itertools.count()
@@ -105,13 +104,13 @@ def reclaim_lease(
 ) -> tuple[list[tuple[T, int]], list[tuple[T, int]]]:
     """Take back a failed lease: schedule retries, quarantine poison.
 
-    The one reclaim path both distributed backends run — worker death
-    and lease expiry alike land here. Splits the lease via
+    The one reclaim path: every worker death lands here, whatever
+    detected it (EOF, a failed send, heartbeat silence). Splits the lease via
     :meth:`WorkLedger.reclaim`, schedules every retryable member on
     `policy`'s backoff heap, and emits the ``task_retried`` /
     ``task_quarantined`` trace events and metrics for each member.
     `on_quarantine(item, attempts)` lets the driver record the poisoned
-    member for post-mortem (e.g. ``engine.quarantined``).
+    member for post-mortem (e.g. ``MasterReactor.quarantined``).
     """
     trace = tracer.enabled
     t0 = time.monotonic() if trace else 0.0

@@ -2,8 +2,8 @@
 
 One implementation of the reforged G-thinker scheduling rules, shared
 by every executor — the serial loop in :mod:`repro.gthinker.engine`,
-the virtual-time driver in :mod:`repro.gthinker.simulation`, the
-process pool's parent and the cluster worker:
+the virtual-time driver in :mod:`repro.gthinker.simulation`, and the
+worker reactor of the process and cluster backends:
 
 1. *routing*  — a new task goes to the machine's global big-task queue
    (Q_global, spilling to L_big) iff it is big, else to the picking
@@ -62,7 +62,7 @@ class MachineState:
     """One machine: vertex store, queues, spawn cursor.
 
     The same state object backs the serial engine, the simulated
-    cluster, the process pool's parent and the cluster worker, so the
+    cluster and every process or cluster worker, so the
     simulator exercises the identical store and queue/spill structures
     as the wire.
     """

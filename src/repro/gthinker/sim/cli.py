@@ -61,7 +61,8 @@ def sim_fuzz_cli(argv: list[str] | None = None) -> int:
         status = "PASS" if report.ok else "FAIL"
         print(f"seed {report.seed}: {status} — {report.events} events, "
               f"virtual t={report.virtual_time:.3f}s, "
-              f"{report.num_workers} workers")
+              f"{report.num_workers} "
+              f"{'warm-start ' if report.warm_start else ''}workers")
         if not report.ok:
             print(f"  failure: {report.failure}")
         _dump_failure(report, args.trace, args.log)

@@ -26,6 +26,12 @@ Checked at quiescence:
 * **no poisoned work** — plans are bounded well below
   ``max_attempts``, so any quarantine is a coordination bug.
 
+A share of seeds (:data:`_WARM_SHARE`) runs the process backend's
+configuration instead of the cluster's: warm-start workers that hold
+the whole graph, ask for no partition and fetch no vertex. That choice
+comes from its own ``random.Random`` derived from the seed, so the
+main stream, and with it every cold seed's schedule, is unchanged.
+
 Everything is deterministic: virtual time only, a single
 ``random.Random(seed)`` per concern, no sockets, no threads, no
 sleeps. The same seed reproduces the same :attr:`SimNet.log`
@@ -69,6 +75,8 @@ _MAX_EVENTS = 200_000
 _GAMMA = 0.75
 _MIN_SIZE = 3
 _GRAPH_POOL = 5
+#: Share of fuzz seeds whose workers start warm (the process backend).
+_WARM_SHARE = 0.25
 
 
 class SimFailure(AssertionError):
@@ -97,6 +105,8 @@ class SimReport:
     #: memory-bound evidence. Keyed by sim worker index; only workers
     #: that completed the Welcome handshake appear.
     resident: dict[int, int] | None = None
+    #: Whether the workers started warm (whole graph, no fetches).
+    warm_start: bool = False
 
 
 def _sim_graph(gseed: int) -> Graph:
@@ -148,7 +158,6 @@ def _sim_config(rng: random.Random, num_workers: int) -> EngineConfig:
         batch_size=2,
         heartbeat_period=0.25,
         heartbeat_timeout=2.0,
-        lease_slack=5.0,
         retry_backoff=0.1,
         lease_window=2,
         max_attempts=10,
@@ -181,13 +190,21 @@ def run_sim(
     num_workers: int | None = None,
     config: EngineConfig | None = None,
     graph_seed: int | None = None,
+    warm_start: bool | None = None,
 ) -> SimReport:
     """Simulate one full cluster job under seed-derived faults.
 
     The keyword overrides exist for pinned regression scenarios: a
     hand-written plan with an explicit worker count and config replays
-    one documented failure class instead of a random draw.
+    one documented failure class instead of a random draw. Such a
+    scenario runs cold workers unless `warm_start` says otherwise; a
+    bare seed draws the choice (see :data:`_WARM_SHARE`).
     """
+    if warm_start is None:
+        warm_start = (
+            plan is None and config is None
+            and random.Random(f"warm-start:{seed}").random() < _WARM_SHARE
+        )
     rng = random.Random(seed)
     gseed = graph_seed if graph_seed is not None else rng.randrange(_GRAPH_POOL)
     n_workers = num_workers or rng.choice([2, 2, 3])
@@ -302,11 +319,11 @@ def run_sim(
         )
         m_end, w_end = net.link(f"link-w{index}", faults, windows)
         m_end.handler = master_handler
-        # graph=None: simulated workers run the real distributed vertex
+        # A cold worker (graph=None) runs the real distributed vertex
         # store — partition table in the Welcome, remote pulls through
-        # VertexRequest/VertexReply — never a full local graph copy.
+        # VertexRequest/VertexReply; a warm one reads the whole graph.
         reactor = WorkerReactor(
-            w_end, None,
+            w_end, graph if warm_start else None,
             pid=index, host=f"sim-{index}",
             clock=lambda: net.now,
         )
@@ -408,6 +425,7 @@ def run_sim(
         result=result,
         stale_steal_grants=master.stale_steal_grants,
         resident=resident,
+        warm_start=warm_start,
     )
 
 

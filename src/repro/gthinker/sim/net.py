@@ -99,9 +99,6 @@ class SimChannel:
             f"recv cannot block; drive deliveries through SimNet.step()"
         )
 
-    def poll(self) -> bool:
-        return bool(self._inbox)
-
     def close(self) -> None:
         if self._closed:
             return

@@ -15,8 +15,7 @@ Iteration-3 mining tasks carry their subgraph as a compact bitmask
 :class:`~repro.core.domain.TaskDomain`: two tuples of ints (the
 local→global ID table once per task, plus one adjacency mask per
 vertex), which pickles far smaller than a ``Graph`` — the blobs shipped
-by the process-pool batches and the cluster wire protocol shrink
-accordingly. The ``graph`` field remains for apps that need mutable
+by the spill files and the cluster wire protocol shrink accordingly. The ``graph`` field remains for apps that need mutable
 adjacency (the maximum-clique app).
 """
 

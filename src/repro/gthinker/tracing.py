@@ -60,9 +60,9 @@ KINDS = (
     "vertex_served",  # master answered a vertex fetch (detail: size=)
 )
 
-#: Kinds emitted by the stealing path. They fire on wall-clock timing in
-#: the process pool, on virtual time in the simulator, and on real
-#: network round-trips in the cluster runtime, so cross-executor
+#: Kinds emitted by the stealing path. They fire on virtual time in the
+#: simulator and on real network round-trips in the process and
+#: cluster backends' runtime, so cross-executor
 #: vocabulary comparisons must treat them as timing-dependent.
 STEAL_KINDS = frozenset({"steal", "steal_planned", "steal_sent", "steal_received"})
 

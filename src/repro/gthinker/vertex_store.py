@@ -12,11 +12,12 @@ Every machine of every partitioned executor reads through one store,
 shortcut, pins standing in for the paper's in-flight-task refcounts,
 and the message count. Only where a cache miss is served differs:
 
-* in-process machines (serial and simulated executors, the process
-  pool's parent and each of its workers) pass a synchronous ``fetch``
-  that reads the owner's table — all partitions share one address
-  space (a pool worker's one partition is its whole-graph replica);
-* the cluster worker passes none: a non-owned, uncached vertex is
+* in-process machines (serial and simulated executors, and each
+  warm-start worker of the process backend) pass a synchronous
+  ``fetch`` that reads the owner's table — all partitions share one
+  address space (a warm worker's one partition is its whole-graph
+  replica);
+* a cold cluster worker passes none: a non-owned, uncached vertex is
   *unresolved* and must be admitted off the wire first
   (``unresolved`` → VertexRequest → :meth:`RemoteGraphAccess.admit`).
 """
@@ -351,7 +352,7 @@ def in_process_stores(
     """One store per table of `partitioner`'s partitioning, all in one
     address space: each serves a cache miss synchronously from the
     owner's table (the serial and simulated executors' machines,
-    and a process-pool worker's one whole-graph partition)."""
+    and a warm-start worker's one whole-graph partition)."""
     owner = owner_function(len(tables), partitioner)
 
     def fetch(vertex: int) -> Sequence[int] | None:

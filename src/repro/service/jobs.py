@@ -44,7 +44,7 @@ from ..core.resultsio import write_results
 from ..datasets.registry import build_dataset, dataset_names
 from ..graph.adjacency import Graph
 from ..graph.io import read_edge_list
-from ..gthinker.config import EngineConfig, check_serial_topology
+from ..gthinker.config import EngineConfig, check_topology
 from ..gthinker.metrics import EngineMetrics
 from ..gthinker.obs.progress import ProgressSnapshot, progress_json
 from .runner import DEFAULT_CHUNK_ROOTS, run_checkpointed
@@ -146,7 +146,7 @@ class JobSpec:
         engine = payload.get("engine") or {}
         try:
             # Reject bad knobs at admission, not inside the job's thread.
-            check_serial_topology(EngineConfig.from_payload(engine))
+            check_topology(EngineConfig.from_payload(engine))
         except (TypeError, ValueError) as exc:
             raise ServiceError(400, f"bad engine config: {exc}") from exc
 

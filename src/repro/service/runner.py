@@ -3,7 +3,7 @@
 One job = one full mining run. Jobs of hours (the paper's YouTube run
 computes for 3.12 hours) must survive ``kill -9`` without restarting
 from scratch, and must be able to run on any existing executor
-(serial, process pool, cluster, simulated) via
+(serial, process, cluster, simulated) via
 :func:`repro.gthinker.engine.mine_parallel`. The mining service and
 the CLI's ``--checkpoint-dir`` both run through :func:`run_checkpointed`.
 Those two requirements meet in *chunked* execution over the spawn-root
@@ -56,7 +56,8 @@ from ..gthinker.obs.progress import ProgressSnapshot
 
 #: Default roots per checkpointed chunk. Small enough that a killed
 #: daemon loses little work, large enough to amortize per-chunk engine
-#: setup (a process pool per chunk on backend='process').
+#: setup (a localhost master and its workers per chunk on
+#: backend='process' or 'cluster').
 DEFAULT_CHUNK_ROOTS = 64
 
 

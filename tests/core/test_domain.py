@@ -130,7 +130,7 @@ class TestMaskAlgebra:
 class TestTwoHopMemo:
     """The memo is a cache: invisible on the wire, to ==, hash and children.
 
-    Pickled domains are what the process pool and the cluster ship per
+    Pickled domains are what the process and cluster backends ship per
     task, so a filled memo must not add a byte to them.
     """
 

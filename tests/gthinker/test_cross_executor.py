@@ -1,9 +1,9 @@
 """Cross-executor equivalence: one scheduling policy, four executors.
 
-The serial engine, the process-pool executor, the TCP cluster runtime,
-and the virtual-time simulator all schedule through
-`repro.gthinker.scheduler.SchedulerCore`. Whatever graph and
-(γ, τ_size) Hypothesis draws, all four must produce exactly the
+The serial engine, the process backend (warm-start workers), the TCP
+cluster backend (cold workers), and the virtual-time simulator all
+schedule through `repro.gthinker.scheduler.SchedulerCore`. Whatever
+graph and (γ, τ_size) Hypothesis draws, all four must produce exactly the
 oracle-checked maximal quasi-clique family — the property that makes
 "a scheduling change can never silently apply to one executor but not
 the other" testable.
@@ -89,8 +89,8 @@ def test_only_roots_that_can_reach_mining_spawn(graph, gamma, min_size, kcore_pr
 )
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_serial_threaded_process_simulated_all_match_oracle(graph, gamma, min_size):
-    """Serial, the process pool and the simulator's 2 x 2 against the
-    oracle on the same draws."""
+    """Serial, the process backend's two workers and the simulator's
+    2 x 2 against the oracle on the same draws."""
     expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
     serial = mine_parallel(graph, gamma, min_size, policy_config())
     process = mine_parallel(
@@ -142,9 +142,9 @@ def test_cluster_backend_matches_oracle(graph, gamma, min_size):
 def test_cluster_backend_chaos_equivalence(
     graph, gamma, min_size, kill_worker, after_batches
 ):
-    """The process-backend chaos property, ported to real sockets: a
-    SIGKILLed cluster worker must be invisible in the result set (the
-    master reclaims its leases; re-mined candidates deduplicate)."""
+    """The chaos property with cold workers: a SIGKILLed cluster worker
+    must be invisible in the result set (the master reclaims its leases;
+    re-mined candidates deduplicate)."""
     expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
     tracer = Tracer()
     out = mine_cluster(
@@ -185,7 +185,7 @@ def test_process_backend_chaos_equivalence(
     graph, gamma, min_size, kill_worker, after_batches
 ):
     """Chaos property: SIGKILLing worker `kill_worker` after it has
-    completed `after_batches` batches must leave the process backend's
+    completed `after_batches` work units must leave the process backend's
     results exactly equal to the serial miner's — the at-least-once
     retry path may re-mine tasks, but dedup and stale-lease dropping
     make the outcome indistinguishable from a fault-free run. (On jobs

@@ -1,4 +1,11 @@
-"""Tests for the process-pool executor (repro.gthinker.engine_mp)."""
+"""Tests for the process backend (repro.gthinker.engine_mp).
+
+``backend="process"`` is the cluster runtime on localhost with
+warm-start workers: every worker holds the whole Theorem 2 core, so no
+partition ships and no vertex is fetched, while the master reactor
+leases work, plans steals and recovers from failures, and the
+launcher respawns dead workers.
+"""
 
 import threading
 
@@ -15,13 +22,10 @@ from repro.gthinker.chaos import (
     WedgeOnRootApp,
 )
 from repro.gthinker.config import EngineConfig
+from repro.gthinker.cluster import run_cluster_app
 from repro.gthinker.engine import mine_parallel
-from repro.gthinker.engine_mp import (
-    MultiprocessEngine,
-    _graph_from_shm,
-    _graph_to_shm,
-    mine_multiprocess,
-)
+from repro.gthinker.engine_mp import mine_multiprocess
+from repro.gthinker.obs.spans import parse_detail
 from repro.gthinker.tracing import Tracer
 
 
@@ -39,6 +43,20 @@ def small_config(**overrides) -> EngineConfig:
     )
     base.update(overrides)
     return EngineConfig(**base)
+
+
+def run_process_app(graph, app, config, **kwargs):
+    """One process-backend job of a raw app (no Theorem 2 peel)."""
+    return run_cluster_app(graph, app, config, warm_start=True, **kwargs)
+
+
+def retry_schedule(tracer: Tracer) -> list[tuple[int, int, float]]:
+    """(work id, failed attempt, backoff delay) per scheduled retry."""
+    return [
+        (e.task_id, int(d["attempt"]), float(d["delay"]))
+        for e in tracer.events(kind="task_retried")
+        for d in [parse_detail(e.detail)]
+    ]
 
 
 class TestConfig:
@@ -79,8 +97,6 @@ class TestConfig:
     def test_fault_tolerance_knob_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             EngineConfig(max_attempts=0)
-        with pytest.raises(ValueError, match="lease_slack"):
-            EngineConfig(lease_slack=-1.0)
         with pytest.raises(ValueError, match="retry_backoff"):
             EngineConfig(retry_backoff=-0.1)
 
@@ -90,36 +106,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.retry_delay(0)
 
-    def test_lease_timeout_scales_with_wall_budget(self):
-        wall = EngineConfig(tau_time=2.0, time_unit="wall", lease_slack=1.0)
-        assert wall.lease_timeout(batch_len=3) == pytest.approx(7.0)
-        # With an ops budget (or no budget) wall time is unbounded by
-        # tau_time, so only the slack bounds the lease.
-        ops = EngineConfig(tau_time=100, time_unit="ops", lease_slack=1.0)
-        assert ops.lease_timeout(batch_len=3) == pytest.approx(1.0)
-
-
-class TestSharedMemoryCodec:
-    def test_round_trip(self):
-        g = Graph.from_edges([(0, 5), (5, 9), (0, 9), (9, 12)], vertices=[0, 5, 7, 9, 12])
-        shm, nbytes = _graph_to_shm(g)
-        try:
-            back = _graph_from_shm(shm.name, nbytes)
-        finally:
-            shm.close()
-            shm.unlink()
-        assert back == g
-        assert back.num_edges == g.num_edges
-
-    def test_empty_graph(self):
-        g = Graph()
-        shm, nbytes = _graph_to_shm(g)
-        try:
-            back = _graph_from_shm(shm.name, nbytes)
-        finally:
-            shm.close()
-            shm.unlink()
-        assert back.num_vertices == 0 and back.num_edges == 0
 
 
 class TestResultEquivalence:
@@ -129,7 +115,8 @@ class TestResultEquivalence:
         assert out.maximal == expected.maximal
 
     def test_matches_oracle_spawn_shared_memory(self, planted):
-        """The spawn path must rebuild the graph from shared memory."""
+        """Under spawn the Theorem 2 core rides pickled as the worker
+        process's argument (there is no fork to inherit it through)."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         out = mine_multiprocess(
             planted.graph, 0.9, 7, small_config(), start_method="spawn"
@@ -148,13 +135,39 @@ class TestResultEquivalence:
         assert out.maximal == expected.maximal
 
     def test_multi_machine_with_stealing(self, planted):
+        """Three worker processes with the steal planner running every
+        millisecond: big tasks move between workers, results do not."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         out = mine_multiprocess(
             planted.graph, 0.9, 7,
-            small_config(num_machines=2, threads_per_machine=2,
-                         steal_period_seconds=0.001),
+            small_config(num_procs=3, steal_period_seconds=0.001),
         )
         assert out.maximal == expected.maximal
+
+    def test_warm_start_ships_no_partition_and_fetches_nothing(
+        self, planted, monkeypatch
+    ):
+        """Every worker holds the whole core: each Welcome carries no
+        vertex table, and no read goes remote."""
+        from repro.gthinker.cluster.protocol import Welcome
+        from repro.gthinker.cluster.reactor import MasterReactor
+
+        sent = []
+        send = MasterReactor._send
+
+        def recording_send(self, worker, message, now):
+            sent.append(message)
+            send(self, worker, message, now)
+
+        monkeypatch.setattr(MasterReactor, "_send", recording_send)
+        expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
+        out = mine_multiprocess(planted.graph, 0.9, 7, small_config())
+        assert out.maximal == expected.maximal
+        assert out.metrics.remote_messages == 0
+        assert out.metrics.remote_vertex_misses == 0
+        welcomes = [m for m in sent if isinstance(m, Welcome)]
+        assert welcomes, "no worker registered"
+        assert all(w.table_blob is None for w in welcomes)
 
 
 class TestMetricsAndTracing:
@@ -182,8 +195,8 @@ class TestMetricsAndTracing:
         kinds = set(tracer.counts())
         assert {"spawn", "execute", "finish"} <= kinds
         # Worker-origin events carry the worker id in the machine field
-        # (the unified worker_attribution rule); pool events have no
-        # worker-local thread, so thread stays -1.
+        # (the unified worker_attribution rule); a worker's events carry
+        # no worker-local thread, so thread stays -1.
         executes = tracer.events(kind="execute")
         assert all(e.machine >= 0 for e in executes)
         assert all(e.thread == -1 for e in executes)
@@ -208,9 +221,7 @@ class TestFailureModes:
     def test_unpicklable_app_raises_at_construction(self, planted):
         """The clear error belongs in the parent, not inside a worker."""
         with pytest.raises(TypeError, match="not picklable"):
-            MultiprocessEngine(
-                planted.graph, _UnpicklableApp(), small_config()
-            )
+            run_process_app(planted.graph, _UnpicklableApp(), small_config())
 
     def test_unknown_start_method_rejected(self, planted):
         from repro.core.options import DEFAULT_OPTIONS
@@ -218,7 +229,7 @@ class TestFailureModes:
 
         app = QuasiCliqueApp(0.9, 7, sink=ResultSink(), options=DEFAULT_OPTIONS)
         with pytest.raises(ValueError, match="start method"):
-            MultiprocessEngine(
+            run_process_app(
                 planted.graph, app, small_config(), start_method="teleport"
             )
 
@@ -229,27 +240,34 @@ class TestFailureModes:
 
         app = QuasiCliqueApp(0.9, 7, sink=ResultSink(), options=DEFAULT_OPTIONS)
         engine = GThinkerEngine(planted.graph, app, small_config())
-        with pytest.raises(ValueError, match="MultiprocessEngine"):
+        with pytest.raises(ValueError, match="mine_multiprocess"):
             engine.run()
 
 
 def one_vertex_graph() -> Graph:
-    """Exactly one task ever exists, so fault accounting is exact —
-    no innocent neighbor can be quarantined as batch collateral."""
+    """Exactly one task (in one work unit) ever exists, so fault
+    accounting is exact — no innocent neighbor can be quarantined as
+    collateral."""
     return Graph.from_edges([], vertices=[0])
 
 
 class TestFaultTolerance:
-    """Worker supervision, task-lease retry, and quarantine."""
+    """Worker supervision: lease reclaim, backoff retry, respawn, and
+    quarantine."""
 
     def test_injected_worker_death_recovers_and_matches_oracle(self, planted):
         """A SIGKILLed worker must cost nothing but a respawn: the job
-        finishes and the results equal the fault-free run's."""
+        finishes and the results equal the fault-free run's.
+
+        One worker, so the kill is certain: it drains its first two
+        units, acknowledges them, and dies on the next one (with a peer,
+        this millisecond job can end before the targeted worker is
+        leased a third unit)."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         tracer = Tracer()
         out = mine_multiprocess(
             planted.graph, 0.9, 7,
-            small_config(retry_backoff=0.001),
+            small_config(retry_backoff=0.001, num_procs=1),
             tracer=tracer,
             fault_injection=FaultInjection(worker_id=0, after_batches=1),
         )
@@ -258,21 +276,26 @@ class TestFaultTolerance:
         assert out.metrics.tasks_retried >= 1
         assert out.metrics.tasks_quarantined == 0
         assert len(tracer.events(kind="worker_died")) == 1
-        assert len(tracer.events(kind="task_retried")) == out.metrics.tasks_retried
+        # One task_retried event per reclaimed work unit, sized in tasks.
+        assert sum(
+            int(parse_detail(e.detail)["size"])
+            for e in tracer.events(kind="task_retried")
+        ) == out.metrics.tasks_retried
 
     def test_injected_death_under_spawn_start_method(self, planted):
-        """Same recovery with spawn workers (shared-memory graph path).
+        """Same recovery with spawn workers: the replacement is spawned
+        too, and gets the Theorem 2 core pickled as its argument.
 
-        Only four roots of the instance's 6-core spawn, so one-task
-        batches are what puts a batch in worker 1's hands at all (with
-        two-task batches worker 0's lease window takes every root).
+        One worker, killed on its first work unit, so the death is
+        certain: with two spawned workers the job can end before the
+        targeted one has even connected.
         """
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         out = mine_multiprocess(
             planted.graph, 0.9, 7,
-            small_config(retry_backoff=0.001, batch_size=1),
+            small_config(retry_backoff=0.001, batch_size=1, num_procs=1),
             start_method="spawn",
-            fault_injection=FaultInjection(worker_id=1, after_batches=0),
+            fault_injection=FaultInjection(worker_id=0, after_batches=0),
         )
         assert out.maximal == expected.maximal
         assert out.metrics.workers_died == 1
@@ -285,56 +308,55 @@ class TestFaultTolerance:
             num_procs=1, batch_size=1, max_attempts=3, retry_backoff=0.01
         )
         tracer = Tracer()
-        engine = MultiprocessEngine(
+        out = run_process_app(
             one_vertex_graph(), KillOnRootApp(poison_root=0), cfg, tracer=tracer
         )
-        out = engine.run()
         assert out.metrics.workers_died == 3  # one death per attempt
         assert out.metrics.tasks_retried == 2
         assert out.metrics.tasks_quarantined == 1
         assert out.candidates == set()
-        # The quarantined task surfaces exactly once, with its root.
-        assert [(t.task_id, t.root) for t in engine.quarantined] == [(0, 0)]
-        assert engine.leases.quarantined_ids == [0]
-        # Attempt counts and the exponential backoff sequence.
-        assert engine.retry_schedule == [(0, 1, 0.01), (0, 2, 0.02)]
+        # The quarantined unit (work id 0, root 0's spawn range)
+        # surfaces exactly once.
         quarantine_events = tracer.events(kind="task_quarantined")
-        assert len(quarantine_events) == 1
+        assert [e.task_id for e in quarantine_events] == [0]
         assert quarantine_events[0].detail == "attempts=3 size=1"
+        # Attempt counts and the exponential backoff sequence.
+        assert retry_schedule(tracer) == [(0, 1, 0.01), (0, 2, 0.02)]
         assert len(tracer.events(kind="worker_died")) == 3
 
     def test_wedged_worker_reclaimed_on_lease_expiry(self):
-        """A worker that blocks forever is declared wedged once its
-        lease deadline passes; the parent terminates and replaces it."""
+        """A worker that blocks forever sends no heartbeat (its driver
+        is single-threaded), so it is declared dead once
+        heartbeat_timeout passes; the launcher terminates and replaces
+        it."""
         cfg = small_config(
-            num_procs=1, batch_size=1, max_attempts=2,
-            lease_slack=0.3, retry_backoff=0.01,
+            num_procs=1, batch_size=1, max_attempts=2, retry_backoff=0.01,
+            heartbeat_period=0.05, heartbeat_timeout=0.3,
         )
-        engine = MultiprocessEngine(
+        out = run_process_app(
             one_vertex_graph(),
             WedgeOnRootApp(poison_root=0, wedge_seconds=60.0),
             cfg,
-        )
-        out = engine.run()  # must return despite the 60s sleeps
+        )  # must return despite the 60s sleeps
         assert out.metrics.workers_died == 2
         assert out.metrics.tasks_quarantined == 1
         assert out.candidates == set()
 
-    def test_app_error_recorded_and_survived(self):
+    def test_app_error_recorded_and_survived(self, capfd):
         """compute() raising inside a worker is a worker failure, not a
-        run failure: traceback recorded, warning emitted, task retried
-        to quarantine, healthy work unaffected."""
+        run failure: traceback on stderr, task retried to quarantine,
+        healthy work unaffected."""
         cfg = small_config(
             num_procs=1, batch_size=1, max_attempts=2, retry_backoff=0.01
         )
-        engine = MultiprocessEngine(
+        out = run_process_app(
             one_vertex_graph(), ErrorOnRootApp(poison_root=0), cfg
         )
-        with pytest.warns(RuntimeWarning, match="worker process 0 failed"):
-            out = engine.run()
         assert out.metrics.tasks_quarantined == 1
-        assert len(engine.worker_errors) == 2  # one traceback per attempt
-        assert all("injected fault" in tb for tb in engine.worker_errors)
+        assert out.metrics.workers_died == 2
+        err = capfd.readouterr().err
+        # One traceback per attempt.
+        assert err.count("ValueError: injected fault mining root 0") == 2
 
     def test_healthy_roots_survive_a_poison_neighbor(self):
         """Multi-task graph with one poison root: every root that is
@@ -342,18 +364,17 @@ class TestFaultTolerance:
         and the poison task is quarantined exactly once."""
         g = Graph.from_edges([(i, i + 1) for i in range(5)], vertices=range(6))
         cfg = small_config(
-            num_procs=2, batch_size=1, max_attempts=2, retry_backoff=0.01
+            num_procs=2, batch_size=1, max_attempts=2, retry_backoff=0.01,
+            cluster_chunk_size=1, lease_window=1,
         )
-        engine = MultiprocessEngine(g, KillOnRootApp(poison_root=0), cfg)
-        out = engine.run()
-        assert engine.leases.quarantined_ids.count(0) == 1
-        assert frozenset([0]) not in out.candidates
-        # Batch-granular leases may quarantine a co-leased neighbor as
-        # collateral; everything else must have been mined.
-        collateral = {t.root for t in engine.quarantined}
-        assert out.candidates == {
-            frozenset([v]) for v in range(1, 6) if v not in collateral
-        }
+        tracer = Tracer()
+        out = run_process_app(g, KillOnRootApp(poison_root=0), cfg, tracer=tracer)
+        assert len(tracer.events(kind="task_quarantined")) == 1
+        assert out.metrics.tasks_quarantined == 1
+        # One spawn vertex per work unit and one unit per lease: no
+        # healthy root is co-leased with the poison one, so every one
+        # of them must have been mined.
+        assert out.candidates == {frozenset([v]) for v in range(1, 6)}
 
     def test_no_injection_means_no_fault_metrics(self, planted):
         out = mine_multiprocess(planted.graph, 0.9, 7, small_config())

@@ -13,6 +13,7 @@ Three properties pin the distributed vertex store's foundation:
    the property the cluster's oracle-equality tests inherit.
 """
 
+import pickle
 import random
 
 import pytest
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 from repro.graph.access import GraphAccess, neighbor_mask
 from repro.graph.adjacency import Graph
 from repro.gthinker.config import EngineConfig
-from repro.gthinker.engine_mp import _graph_from_shm, _graph_to_shm, _resolve_graph
 from repro.gthinker.partition import make_partitioner
+from repro.gthinker.scheduler import build_machines
 from repro.gthinker.vertex_store import (
     LocalVertexTable,
     RemoteGraphAccess,
@@ -49,8 +50,9 @@ class TestProtocolConformance:
                               owner=owner_function(2)),
             # serial or simulated machine: synchronous owner fetch
             in_process_stores(tables, 4)[0],
-            # process-pool worker: the whole graph as one partition
-            _resolve_graph(("direct", g), EngineConfig()),
+            # warm-start (process backend) worker: the whole graph as
+            # one partition
+            build_machines(g, EngineConfig())[0].data,
         ]
         for impl in impls:
             assert isinstance(impl, GraphAccess), type(impl).__name__
@@ -83,12 +85,7 @@ class TestAscendingAdjacency:
             "Graph(adjacency)": Graph({v: shuffled[v] for v in order}),
         }
         graphs["subgraph"] = graphs["from_edges"].subgraph(order[:20])
-        shm, nbytes = _graph_to_shm(graphs["add_edge"])
-        try:
-            graphs["_graph_from_shm"] = _graph_from_shm(shm.name, nbytes)
-        finally:
-            shm.close()
-            shm.unlink()
+        graphs["pickle"] = pickle.loads(pickle.dumps(graphs["add_edge"]))
         served = {
             name: {v: g.neighbors(v) for v in g.vertices()}
             for name, g in graphs.items()
@@ -110,25 +107,17 @@ class TestAscendingAdjacency:
 
 
 class TestPoolWorkerStore:
-    """A process-pool worker reads its whole-graph replica through the
-    same store as every other machine, and never goes remote."""
+    """A warm-start worker (the process backend's) reads its whole-graph
+    replica through the same store as every other machine, and never
+    goes remote."""
 
-    @pytest.mark.parametrize("transport", ["direct", "shm"])
+    @pytest.mark.parametrize("transport", ["direct", "spawn"])
     def test_worker_store_serves_whole_graph_locally(self, transport):
         g = make_random_graph(20, 0.3, seed=5)
-        g.add_vertex(99)  # isolated: the shm rebuild must keep it
-        shm = None
-        if transport == "direct":
-            payload = ("direct", g)
-        else:
-            shm, nbytes = _graph_to_shm(g)
-            payload = ("shm", shm.name, nbytes)
-        try:
-            store = _resolve_graph(payload, EngineConfig(cache_capacity=2))
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        g.add_vertex(99)  # isolated: the spawn path's pickle must keep it
+        if transport == "spawn":  # the graph rides pickled as an argument
+            g = pickle.loads(pickle.dumps(g))
+        store = build_machines(g, EngineConfig(cache_capacity=2))[0].data
         assert isinstance(store, RemoteGraphAccess)
         members = sorted(g.vertices()) + [1000]  # 1000: not in the graph
         assert store.unresolved(members) == []

@@ -125,11 +125,11 @@ class CacheMachine(RuleBasedStateMachine):
 class LeaseTableMachine(RuleBasedStateMachine):
     """Model: the fault-tolerant dispatch cycle around a task WorkLedger.
 
-    Tasks move queued → leased → {completed | back to queued | quarantined}
-    exactly as the MultiprocessEngine drives them: granted in batches to
-    workers, completed when a result lands, reclaimed when a worker dies
-    or a lease's deadline passes. The invariants are the safety net the
-    at-least-once design hangs from:
+    Tasks move queued → leased → {completed | back to queued | quarantined}:
+    granted in batches to workers, completed when a result lands,
+    reclaimed when a worker dies — one at a time (EOF) or all at once
+    (every worker silent past its heartbeat timeout). The invariants
+    are the safety net the at-least-once design hangs from:
 
     * a task is never simultaneously queued and leased;
     * no task's dispatch count ever exceeds max_attempts;
@@ -140,14 +140,12 @@ class LeaseTableMachine(RuleBasedStateMachine):
 
     MAX_ATTEMPTS = 3
     WORKERS = 3
-    LEASE_TIMEOUT = 5.0
 
     def __init__(self):
         super().__init__()
         self.table: WorkLedger[Task] = WorkLedger(
             self.MAX_ATTEMPTS, key=lambda task: task.task_id
         )
-        self.clock = 0.0
         self.next_task = 0
         self.next_batch = 0
         self.queued: list[Task] = []
@@ -172,9 +170,7 @@ class LeaseTableMachine(RuleBasedStateMachine):
         batch, self.queued = self.queued[:size], self.queued[size:]
         bid = self.next_batch
         self.next_batch += 1
-        lease = self.table.grant(
-            bid, worker, batch, now=self.clock, timeout=self.LEASE_TIMEOUT
-        )
+        lease = self.table.grant(bid, worker, batch)
         assert lease.worker_id == worker
         assert set(lease.keys) == {t.task_id for t in batch}
         assert lease.items == batch
@@ -209,18 +205,10 @@ class LeaseTableMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.model_leased)
     @rule()
-    def expire_all_leases(self):
-        """Advance the clock past every deadline; reclaim what expired."""
-        self.clock += self.LEASE_TIMEOUT + 1.0
-        for lease in self.table.expired(self.clock):
-            retry, quarantine = self.table.reclaim(lease)
-            self.model_leased.pop(lease.lease_id)
-            self.queued.extend(t for t, _ in retry)
-            self.model_quarantined |= {t.task_id for t, _ in quarantine}
-
-    @rule()
-    def tick(self):
-        self.clock += 1.0
+    def fail_every_worker(self):
+        """Every worker silent past its heartbeat timeout at once."""
+        for worker in range(self.WORKERS):
+            self.fail_worker(worker)
 
     # -- invariants --------------------------------------------------------
 
@@ -284,11 +272,11 @@ class _Unit:
 
 
 class WorkUnitLedgerMachine(RuleBasedStateMachine):
-    """Model: the same WorkLedger driven socket-style, as the cluster
-    master drives it.
+    """Model: the same WorkLedger driven as the master reactor of the
+    process and cluster backends drives it.
 
-    Where the process pool grants *batches of tasks* (many members per
-    lease, attempts per task id), the cluster grants *work units* (one
+    Where the machine above grants *batches of tasks* (many members per
+    lease, attempts per task id), the master grants *work units* (one
     member per lease, attempts per work id, task-granular sizes) under a
     per-worker lease window — with the deliberate over-commit escape
     hatch used for steal forwarding. Both styles must satisfy the same
@@ -299,7 +287,6 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
     MAX_ATTEMPTS = 3
     WORKERS = 3
     WINDOW = 2
-    LEASE_TIMEOUT = 5.0
 
     def __init__(self):
         super().__init__()
@@ -309,7 +296,6 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
             size=lambda u: u.size,
             lease_window=self.WINDOW,
         )
-        self.clock = 0.0
         self.next_work = 0
         self.pending: list[_Unit] = []
         self.model_leased: dict[int, int] = {}  # work_id -> owner worker
@@ -330,20 +316,14 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
         outright — refusal must leave the ledger untouched."""
         unit = self.pending[0]
         if self.ledger.has_window(worker):
-            lease = self.ledger.grant(
-                unit.work_id, worker, [unit],
-                now=self.clock, timeout=self.LEASE_TIMEOUT,
-            )
+            lease = self.ledger.grant(unit.work_id, worker, [unit])
             self.pending.pop(0)
             assert lease.keys == (unit.work_id,)
             self.model_leased[unit.work_id] = worker
         else:
             before = self.ledger.attempts_snapshot()
             with pytest.raises(ValueError):
-                self.ledger.grant(
-                    unit.work_id, worker, [unit],
-                    now=self.clock, timeout=self.LEASE_TIMEOUT,
-                )
+                self.ledger.grant(unit.work_id, worker, [unit])
             assert self.ledger.attempts_snapshot() == before
 
     @precondition(lambda self: self.pending)
@@ -351,11 +331,7 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
     def grant_over_window(self, worker):
         """The steal-forwarding path: enforce_window=False always lands."""
         unit = self.pending.pop(0)
-        self.ledger.grant(
-            unit.work_id, worker, [unit],
-            now=self.clock, timeout=self.LEASE_TIMEOUT,
-            enforce_window=False,
-        )
+        self.ledger.grant(unit.work_id, worker, [unit], enforce_window=False)
         self.model_leased[unit.work_id] = worker
 
     @precondition(lambda self: self.model_leased)
@@ -395,17 +371,10 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.model_leased)
     @rule()
-    def expire_all_leases(self):
-        self.clock += self.LEASE_TIMEOUT + 1.0
-        for lease in self.ledger.expired(self.clock):
-            retry, quarantine = self.ledger.reclaim(lease)
-            self.model_leased.pop(lease.lease_id)
-            self.pending.extend(u for u, _ in retry)
-            self.model_quarantined |= {u.work_id for u, _ in quarantine}
-
-    @rule()
-    def tick(self):
-        self.clock += 1.0
+    def fail_every_worker(self):
+        """Every worker silent past its heartbeat timeout at once."""
+        for worker in range(self.WORKERS):
+            self.fail_worker(worker)
 
     # -- invariants --------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Unit tests for the shared coordination control plane.
 
-:mod:`repro.gthinker.runtime` is the layer both distributed backends
-(the process pool and the TCP cluster) drive their fault tolerance
-through; these tests pin its contracts directly, below any executor.
+:mod:`repro.gthinker.runtime` is the layer the process and cluster
+backends drive their fault tolerance through; these tests pin its
+contracts directly, below any executor.
 """
 
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from repro.core.options import ResultSink
 from repro.gthinker.metrics import EngineMetrics
 from repro.gthinker.runtime import (
-    ChannelClosed,
     ResultFolder,
     RetryPolicy,
     WorkerRegistry,
@@ -28,7 +27,7 @@ def make_task(task_id: int) -> Task:
 
 
 def task_ledger(max_attempts: int) -> WorkLedger[Task]:
-    """The process pool's ledger: task batches, attempts per task id."""
+    """A task-batch ledger: many tasks per lease, attempts per task id."""
     return WorkLedger(max_attempts, key=lambda task: task.task_id)
 
 
@@ -66,21 +65,21 @@ class TestResultFolder:
 
     def test_complete_counts_stale_drops(self):
         folder, ledger, metrics, _ = make_folder()
-        ledger.grant(0, 1, [make_task(0)], now=0.0, timeout=5.0)
+        ledger.grant(0, 1, [make_task(0)])
         assert folder.complete(0) is not None
         assert metrics.stale_results_dropped == 0
         # Unknown lease → stale.
         assert folder.complete(0) is None
         assert metrics.stale_results_dropped == 1
         # Owner mismatch → stale.
-        ledger.grant(1, 1, [make_task(1)], now=0.0, timeout=5.0)
+        ledger.grant(1, 1, [make_task(1)])
         assert folder.complete(1, worker_id=2) is None
         assert metrics.stale_results_dropped == 2
         assert folder.complete(1, worker_id=1) is not None
 
     def test_forward_events_attribution(self):
         """Worker-origin events get machine=worker id on every backend
-        (the unified worker_attribution rule): 3-tuple pool events carry
+        (the unified worker_attribution rule): 3-tuple events carry
         no thread (-1), 4-tuple cluster events carry their worker-local
         thread. machine=-1 is reserved for control-plane events."""
         folder, _, _, tracer = make_folder()
@@ -135,9 +134,9 @@ class TestReclaimLease:
 
         fresh, stale = make_task(0), make_task(1)
         # Drive `stale` to its attempt ceiling first.
-        lease = ledger.grant(0, 0, [stale], now=0.0, timeout=5.0)
+        lease = ledger.grant(0, 0, [stale])
         ledger.reclaim(lease)  # attempt 1 failed; still retryable
-        lease = ledger.grant(1, 0, [stale, fresh], now=0.0, timeout=5.0)
+        lease = ledger.grant(1, 0, [stale, fresh])
         retry, quarantine = reclaim_lease(
             ledger, lease, policy, now=0.0, metrics=metrics, tracer=tracer,
             on_quarantine=lambda task, attempts: poisoned.append(task.task_id),
@@ -161,13 +160,11 @@ class TestWorkLedgerWindow:
         ledger: WorkLedger[Task] = WorkLedger(
             3, key=lambda t: t.task_id, lease_window=1
         )
-        ledger.grant(0, 0, [make_task(0)], now=0.0, timeout=5.0)
+        ledger.grant(0, 0, [make_task(0)])
         with pytest.raises(ValueError):
-            ledger.grant(1, 0, [make_task(1)], now=0.0, timeout=5.0)
+            ledger.grant(1, 0, [make_task(1)])
         # The steal-forwarding escape hatch over-commits deliberately.
-        ledger.grant(
-            1, 0, [make_task(1)], now=0.0, timeout=5.0, enforce_window=False
-        )
+        ledger.grant(1, 0, [make_task(1)], enforce_window=False)
         assert ledger.open_count(0) == 2
         ledger.check_invariants()
 
@@ -188,14 +185,6 @@ class TestWorkerRegistry:
         assert (event.machine, event.thread) == (-1, 0)
         assert event.detail == "killed"
 
-    def test_revive_bumps_generation(self):
-        registry, _, _ = self.make()
-        slot = registry.add(WorkerSlot(worker_id=0))
-        registry.fail(slot, "gone")
-        registry.revive(slot)
-        assert slot.alive and slot.generation == 1
-        assert registry.alive() == [slot]
-
     def test_stale_detection(self):
         registry, _, _ = self.make()
         slot = registry.add(WorkerSlot(worker_id=0, last_seen=0.0))
@@ -211,22 +200,3 @@ class TestWorkerRegistry:
         assert len(registry) == 2
         assert registry.get(1) is b
 
-
-class TestPipeChannel:
-    def test_closed_pipe_raises_channel_closed(self):
-        import multiprocessing as mp
-
-        from repro.gthinker.runtime import PipeChannel
-
-        ctx = mp.get_context()
-        task_q = ctx.Queue()
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        channel = PipeChannel(task_q, recv_conn)
-        send_conn.send("payload")
-        assert channel.recv() == "payload"
-        send_conn.close()
-        with pytest.raises(ChannelClosed):
-            channel.recv()
-        assert channel.closed
-        channel.discard_task_queue()
-        channel.close()

@@ -191,6 +191,40 @@ class TestDeterminism:
             assert a.ok == b.ok
 
 
+class TestWarmStart:
+    """The process backend's configuration under the simulator: workers
+    that hold the whole graph, ask for no partition, fetch nothing."""
+
+    def test_a_share_of_fuzz_seeds_runs_warm_without_fetching(self):
+        reports = [run_ok(seed) for seed in range(25)]
+        warm = [r for r in reports if r.warm_start]
+        assert 0 < len(warm) < len(reports)
+        for report in warm:
+            counts = report.tracer.counts()
+            assert counts.get("vertex_requested", 0) == 0
+            assert counts.get("vertex_served", 0) == 0
+            assert report.metrics.remote_messages == 0
+
+    def test_warm_choice_leaves_cold_schedules_unchanged(self):
+        """The choice has its own stream: forcing a cold seed cold again
+        replays its event log byte for byte."""
+        cold = next(s for s in range(25) if not run_sim(s).warm_start)
+        assert run_sim(cold).log == run_sim(cold, warm_start=False).log
+
+    def test_crashed_warm_worker_is_replaced(self):
+        """The launcher's respawn, on the virtual clock: a crashed warm
+        worker rejoins as a fresh warm worker and the job still matches
+        the oracle."""
+        plan = FaultPlan(
+            workers=(WorkerFaults(worker=1, crash_at=0.2, restart_at=0.4,
+                                  speed=5.0),),
+        )
+        report = run_ok(2, plan=plan, num_workers=2, config=sim_config(),
+                        graph_seed=1, warm_start=True)
+        assert report.metrics.workers_died == 1
+        assert report.tracer.counts().get("vertex_requested", 0) == 0
+
+
 class TestPinnedRegressions:
     def test_seed_414_duplicated_steal_request(self):
         """Found by `repro sim-fuzz`: a duplicated StealRequest frame
@@ -198,8 +232,9 @@ class TestPinnedRegressions:
         request; the master dropped the resulting stale StealGrant and
         its payload — candidates {5,7,9,10} were permanently lost.
         Fixed by (a) donor-side request-id dedup and (b) re-pending
-        stale grant payloads instead of dropping them."""
-        run_ok(414)
+        stale grant payloads instead of dropping them. Found with cold
+        workers, so it replays with cold workers."""
+        run_ok(414, warm_start=False)
 
     def test_partition_during_steal_with_stale_grant(self):
         """Satellite regression: an all-big (tau_split=0) job where the

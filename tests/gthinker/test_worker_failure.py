@@ -1,9 +1,9 @@
 """Worker/application failure semantics per backend.
 
 The serial backend shares fate with the app: a failing compute()
-aborts the job loudly, never hangs it. The process
-backend is supervised instead: worker failure costs a retry — and at
-worst a quarantined task — never the run.
+aborts the job loudly, never hangs it. The process backend is
+supervised instead: worker failure costs a retry and a respawned
+worker — at worst a quarantined work unit — never the run.
 """
 
 import os
@@ -11,11 +11,20 @@ import os
 import pytest
 
 from repro.core.options import MiningStats, ResultSink
-from repro.gthinker.chaos import ErrorOnRootApp, FaultInjection, KillOnRootApp
+from repro.graph.adjacency import Graph
+from repro.gthinker.chaos import (
+    ErrorOnRootApp,
+    FaultInjection,
+    KillOnRootApp,
+    SleepyBigTaskApp,
+)
+from repro.gthinker.cluster import run_cluster_app
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import GThinkerEngine
-from repro.gthinker.engine_mp import MultiprocessEngine, mine_multiprocess
+from repro.gthinker.engine_mp import mine_multiprocess
+from repro.gthinker.obs.spans import parse_detail
 from repro.gthinker.task import ComputeOutcome, Task
+from repro.gthinker.tracing import Tracer
 
 from conftest import make_random_graph
 
@@ -59,25 +68,36 @@ class TestWorkerFailure:
 def process_config(**overrides) -> EngineConfig:
     base = dict(
         backend="process", num_procs=2, batch_size=1, queue_capacity=4,
-        max_attempts=2, retry_backoff=0.005, lease_slack=10.0,
+        max_attempts=2, retry_backoff=0.005,
     )
     base.update(overrides)
     return EngineConfig(**base)
 
 
 class TestProcessWorkerFailure:
-    """The process backend survives what kills a thread: the parent
-    reclaims the dead worker's leases and respawns it."""
+    """The process backend survives what kills a thread: the master
+    reclaims the dead worker's leases and the launcher respawns it."""
 
     start_method = os.environ.get("REPRO_MP_START_METHOD") or None
 
-    def test_sigkilled_worker_does_not_kill_the_run(self):
-        g = make_random_graph(20, 0.3, seed=4)
-        out = mine_multiprocess(
-            g, 0.75, 3, process_config(),
-            start_method=self.start_method,
-            fault_injection=FaultInjection(worker_id=0, after_batches=0),
+    def run_slow_job(self, fault: FaultInjection):
+        """24 one-vertex work units of 20 ms each: long enough that
+        both workers, spawned or forked, are registered and mid-run
+        when the injected fault fires (a millisecond job can end before
+        the targeted worker has connected). Every vertex's singleton
+        must come back."""
+        g = Graph.from_edges([], vertices=range(24))
+        out = run_cluster_app(
+            g, SleepyBigTaskApp(sleep_seconds=0.02),
+            process_config(cluster_chunk_size=1),
+            start_method=self.start_method, warm_start=True,
+            fault_injection=fault,
         )
+        assert out.candidates == {frozenset([v]) for v in g.vertices()}
+        return out
+
+    def test_sigkilled_worker_does_not_kill_the_run(self):
+        out = self.run_slow_job(FaultInjection(worker_id=0, after_batches=0))
         assert out.metrics.workers_died == 1
         assert out.metrics.tasks_quarantined == 0
 
@@ -93,30 +113,28 @@ class TestProcessWorkerFailure:
         assert faulty.maximal == clean.maximal
         assert faulty.candidates == clean.candidates
 
-    def test_app_exception_warns_instead_of_raising(self):
+    def test_app_exception_warns_instead_of_raising(self, capfd):
         """The same fault that aborts the serial backend is survived
         here: raising compute() costs the poison task, not the job."""
         g = make_random_graph(8, 0.4, seed=6)
         poison = min(g.vertices())
-        engine = MultiprocessEngine(
+        out = run_cluster_app(
             g, ErrorOnRootApp(poison_root=poison),
             process_config(num_procs=1),
-            start_method=self.start_method,
+            start_method=self.start_method, warm_start=True,
         )
-        with pytest.warns(RuntimeWarning, match="will be retried or quarantined"):
-            out = engine.run()
         assert out.metrics.tasks_quarantined >= 1
-        assert poison in {t.root for t in engine.quarantined}
-        assert engine.worker_errors  # full traceback kept for debugging
+        assert frozenset([poison]) not in out.candidates
+        # The full traceback reaches stderr for debugging.
+        assert f"ValueError: injected fault mining root {poison}" in (
+            capfd.readouterr().err
+        )
 
     def test_every_worker_slot_survives_a_kill(self):
         """Killing any single worker mid-run must never raise."""
-        g = make_random_graph(16, 0.35, seed=7)
         for worker_id in range(2):
-            out = mine_multiprocess(
-                g, 0.75, 3, process_config(),
-                start_method=self.start_method,
-                fault_injection=FaultInjection(worker_id=worker_id, after_batches=1),
+            out = self.run_slow_job(
+                FaultInjection(worker_id=worker_id, after_batches=1)
             )
             assert out.metrics.workers_died == 1
 
@@ -125,15 +143,15 @@ class TestProcessWorkerFailure:
 
         With a shared result queue, a SIGKILL landing while the dying
         worker's feeder thread held the queue's write lock left the lock
-        orphaned — every surviving and respawned worker then blocked in
-        `put` until its lease expired, and the pool death-spiralled
-        (workers_died ≈ attempts × tasks, everything quarantined, empty
-        results). The race window is scheduling-dependent, so run the
-        scenario repeatedly; with per-incarnation pipes every iteration
-        must cost exactly the one injected death and nothing else.
+        orphaned — every surviving and respawned worker then blocked on
+        it, and the job death-spiralled (workers_died ≈ attempts × tasks,
+        everything quarantined, empty results). The race window is
+        scheduling-dependent, so run the scenario repeatedly; with one
+        socket per worker every iteration must cost at most the one
+        injected death and nothing else.
         """
         g = make_random_graph(10, 0.47, seed=9)
-        config = process_config(lease_slack=2.0, max_attempts=3)
+        config = process_config(max_attempts=3)
         clean = mine_multiprocess(g, 0.75, 4, config,
                                   start_method=self.start_method)
         for _ in range(12):
@@ -151,13 +169,20 @@ class TestProcessWorkerFailure:
         infinite respawn-retry loop."""
         g = make_random_graph(6, 0.5, seed=8)
         poison = min(g.vertices())
-        engine = MultiprocessEngine(
+        tracer = Tracer()
+        out = run_cluster_app(
             g, KillOnRootApp(poison_root=poison),
-            process_config(num_procs=1, max_attempts=3, retry_backoff=0.002),
-            start_method=self.start_method,
+            # One unit per lease: no healthy root is co-leased with the
+            # poison one and quarantined beside it.
+            process_config(num_procs=1, max_attempts=3, retry_backoff=0.002,
+                           lease_window=1),
+            start_method=self.start_method, warm_start=True, tracer=tracer,
         )
-        out = engine.run()
-        assert engine.leases.quarantined_ids.count(0) == 1
-        attempts = [a for tid, a, _ in engine.retry_schedule if tid == 0]
+        (quarantined,) = tracer.events(kind="task_quarantined")
+        attempts = [
+            int(parse_detail(e.detail)["attempt"])
+            for e in tracer.events(kind="task_retried")
+            if e.task_id == quarantined.task_id
+        ]
         assert attempts == [1, 2]  # then the third strike quarantines
         assert out.metrics.workers_died >= 3

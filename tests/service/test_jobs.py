@@ -103,6 +103,15 @@ class TestJobSpecValidation:
           "engine": {"backend": "threaded"}}, "unknown backend"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
           "engine": {"backend": "auto"}}, "unknown backend"),
+        # A process or cluster worker runs one local scheduler too: only
+        # the simulator takes M x T.
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"backend": "process", "num_machines": 2}}, "--simulate"),
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"backend": "cluster", "threads_per_machine": 2}}, "--simulate"),
+        # The lease deadline is gone; its knob is an unknown key.
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"lease_slack": 5.0}}, "unknown engine config keys: lease_slack"),
     ]
 
     @pytest.mark.parametrize("payload,match", BAD)

@@ -209,6 +209,8 @@ class TestErrors:
         {"threads_per_machine": 2},
         {"backend": "threaded"},
         {"backend": "auto"},
+        {"backend": "process", "num_machines": 2},
+        {"backend": "cluster", "threads_per_machine": 2},
     ])
     def test_unrunnable_engine_knobs_400(self, live, engine):
         _, client = live
