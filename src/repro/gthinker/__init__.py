@@ -8,7 +8,6 @@ from .cluster import ClusterMaster, ClusterWorker, mine_cluster, run_cluster_app
 from .config import EngineConfig
 from .engine import GThinkerEngine, MiningRunResult, mine_parallel
 from .engine_mp import mine_multiprocess
-from .runtime import Lease
 from .scheduler import (
     MachineState,
     QuantumResult,
@@ -56,7 +55,6 @@ __all__ = [
     "EngineConfig",
     "EngineMetrics",
     "FaultInjection",
-    "Lease",
     "GThinkerEngine",
     "LocalVertexTable",
     "MiningRunResult",

@@ -1,11 +1,12 @@
 """Cluster master: the TCP driver of the coordinator reactor.
 
-The master owns no mining compute, and — since the reactor split — no
-coordination logic either. Everything the paper says must be a global
-decision (the work ledger, big-task steal coordination, failure
-recovery) lives in the transport-free
-:class:`~.reactor.MasterReactor`; this module supplies the parts only
-a real deployment needs:
+The master owns no mining compute and no coordination logic.
+Everything the paper says must be a global decision (the work ledger,
+big-task steal coordination, failure recovery, result folding) lives in
+the transport-free :class:`~.reactor.MasterReactor`, reachable as
+``ClusterMaster.reactor``; this module supplies the parts only a real
+deployment needs, behind two calls, :meth:`ClusterMaster.start` and
+:meth:`ClusterMaster.run`:
 
 * a listening socket plus an accept thread that wraps each connection
   in a :class:`~repro.gthinker.runtime.StreamChannel`;
@@ -31,11 +32,10 @@ import warnings
 
 from ..config import EngineConfig
 from ..engine import MiningRunResult
-from ..obs.progress import ProgressSnapshot
 from ..runtime import ChannelClosed, StreamChannel
 from ..tracing import NullTracer, Tracer
 from .protocol import MessageStream
-from .reactor import MasterReactor, _ClusterSlot, _WorkUnit  # noqa: F401
+from .reactor import MasterReactor
 
 __all__ = ["ClusterMaster"]
 
@@ -83,47 +83,6 @@ class ClusterMaster:
         self._accepted: list[tuple[StreamChannel, threading.Thread]] = []
         self._closing = False
 
-    # -- reactor views (the public coordination surface) -------------------
-
-    @property
-    def graph(self):
-        return self.reactor.graph
-
-    @property
-    def app(self):
-        return self.reactor.app
-
-    @property
-    def tracer(self):
-        return self.reactor.tracer
-
-    @property
-    def num_workers(self) -> int:
-        return self.reactor.num_workers
-
-    @property
-    def metrics(self):
-        return self.reactor.metrics
-
-    @property
-    def ledger(self):
-        return self.reactor.ledger
-
-    @property
-    def registry(self):
-        return self.reactor.registry
-
-    @property
-    def progress(self):
-        return self.reactor.progress
-
-    @property
-    def quarantined(self):
-        return self.reactor.quarantined
-
-    def status_snapshot(self) -> ProgressSnapshot:
-        return self.reactor.status_snapshot(time.monotonic())
-
     # -- lifecycle ---------------------------------------------------------
 
     @property
@@ -140,7 +99,7 @@ class ClusterMaster:
         lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         lsock.bind((self._host, self._port))
-        lsock.listen(self.num_workers + 8)
+        lsock.listen(self.reactor.num_workers + 8)
         self._lsock = lsock
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="cluster-master-accept", daemon=True

@@ -43,7 +43,10 @@ MAGIC = b"GTCL"
 #:     (table_blob/partition_id/num_partitions/partition_strategy, the
 #:     full-graph graph_blob is gone) and workers pull non-owned
 #:     adjacency on demand via VertexRequest/VertexReply.
-VERSION = 3
+#: v4: the fields no reader used are gone — Heartbeat.active,
+#:     ResultBatch.active and Goodbye.stats_blob (Goodbye.metrics
+#:     already carries the worker's mining stats).
+VERSION = 4
 _HEADER = struct.Struct("<4sHQ")
 
 #: Refuse frames larger than this (64 GiB): a corrupt length header must
@@ -141,7 +144,6 @@ class ResultBatch:
     candidates: tuple[frozenset[int], ...] = ()
     remainders: tuple[bytes, ...] = ()
     events: tuple[tuple[str, int, int, str], ...] = ()
-    active: int = 0
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,6 @@ class Heartbeat:
 
     worker_id: int
     pending_big: int
-    active: int
 
 
 @dataclass(frozen=True)
@@ -249,11 +250,11 @@ class Shutdown:
 
 @dataclass(frozen=True)
 class Goodbye:
-    """Worker → master: final metrics + mining stats, then disconnect."""
+    """Worker → master: final metrics (mining stats included), then
+    disconnect."""
 
     worker_id: int
     metrics: EngineMetrics
-    stats_blob: bytes
 
 
 MESSAGE_TYPES = (

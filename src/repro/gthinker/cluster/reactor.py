@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable
 
 from ..app_protocol import ensure_app
@@ -49,12 +50,10 @@ from ..partition import make_partitioner
 from ..runtime import (
     Channel,
     ChannelClosed,
-    ResultFolder,
-    RetryPolicy,
-    WorkLedger,
     WorkerRegistry,
     WorkerSlot,
-    reclaim_lease,
+    WorkLedger,
+    WorkUnit,
 )
 from ..scheduler import (
     MachineState,
@@ -89,7 +88,7 @@ from .protocol import (
     Welcome,
 )
 
-__all__ = ["MasterReactor", "WorkerReactor", "_ClusterSlot", "_WorkUnit"]
+__all__ = ["MasterReactor", "WorkerReactor"]
 
 #: Auto chunking target: about this many spawn-range units per worker.
 _UNITS_PER_WORKER = 8
@@ -97,43 +96,12 @@ _UNITS_PER_WORKER = 8
 _PROGRESS_EVERY = 4
 
 
-@dataclass
-class _WorkUnit:
-    """One leasable unit: a spawn-vertex chunk or an encoded-task batch.
-
-    Dispatch counting lives in the master's :class:`WorkLedger` (keyed
-    by ``work_id``, sized by ``size``), not on the unit itself.
-    """
-
-    work_id: int
-    kind: str  # 'range' | 'batch'
-    payload: tuple  # vertices (range) or Task.encode() blobs (batch)
-    origin: str = "spawn"  # 'spawn' | 'remainder' | 'steal'
-    #: Partition whose worker owns this unit's vertices (range units
-    #: only). Dispatch *prefers* the home worker — its spawns read the
-    #: local vertex table instead of fetching — but any worker may take
-    #: the unit when the home worker is busy or dead.
-    home: int | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.payload)
-
-
-@dataclass
-class _ClusterSlot(WorkerSlot):
-    """Master-side worker slot plus the cluster-only wiring fields."""
-
-    hello: Hello | None = None
-    stealing_from: bool = False  # a StealRequest is outstanding
-
-
 class MasterReactor:
     """Coordinator state machine of one distributed mining job.
 
     Owns the three global decisions (the work ledger, big-task steal
-    coordination, failure recovery) plus result folding — everything
-    the old ``ClusterMaster`` decided, minus its sockets and threads.
+    coordination, failure recovery) plus result folding; the TCP master
+    and the simulator add only transport and a clock.
     The driver is responsible for (a) feeding every received message to
     :meth:`on_message`, (b) calling :meth:`on_tick` often enough that
     heartbeat timeouts, retry backoffs, and steal periods fire (any
@@ -173,20 +141,10 @@ class MasterReactor:
         self._parts: list[list[int]] | None = None
         self.metrics = EngineMetrics()
         self.progress: dict[int, ProgressReport] = {}
-        self.quarantined: list[_WorkUnit] = []
-        # -- the shared coordination control plane -------------------------
-        self.ledger: WorkLedger[_WorkUnit] = WorkLedger(
-            config.max_attempts,
-            key=lambda unit: unit.work_id,
-            size=lambda unit: unit.size,
-            lease_window=config.lease_window,
-        )
+        # -- the coordination control plane --------------------------------
+        self.ledger = WorkLedger(config, metrics=self.metrics, tracer=self.tracer)
         self.registry = WorkerRegistry(metrics=self.metrics, tracer=self.tracer)
-        self._retries: RetryPolicy[_WorkUnit] = RetryPolicy(config.retry_backoff)
-        self._folder = ResultFolder(
-            self.app.sink, self.ledger, metrics=self.metrics, tracer=self.tracer
-        )
-        self._pending: list[_WorkUnit] = []
+        self._pending: list[WorkUnit] = []
         self._work_ids = itertools.count()
         self._steal_ids = itertools.count()
         self._pending_steals: dict[int, tuple[int, int, int]] = {}
@@ -196,7 +154,7 @@ class MasterReactor:
         #: the only copy of their tasks — and this counter keeps the
         #: decision observable to tests and the simulator.
         self.stale_steal_grants = 0
-        self._by_channel: dict[Channel, _ClusterSlot] = {}
+        self._by_channel: dict[Channel, WorkerSlot] = {}
         # -- timers (all derived from driver-supplied `now` values) --------
         self._run_start = 0.0
         self._next_steal: float | None = None
@@ -231,10 +189,7 @@ class MasterReactor:
         it (grant arrives, entry cleared) or dies (entry voided by
         :meth:`fail_worker`, tasks covered by its reclaimed leases).
         """
-        return not (
-            self._pending or self.ledger or self._retries
-            or self._pending_steals
-        )
+        return self.ledger.idle and not (self._pending or self._pending_steals)
 
     # -- the work ledger ---------------------------------------------------
 
@@ -260,7 +215,7 @@ class MasterReactor:
                 if item and item[1]:
                     pid, vertices = item
                     self._pending.append(
-                        _WorkUnit(
+                        WorkUnit(
                             work_id=next(self._work_ids),
                             kind="range",
                             payload=tuple(vertices),
@@ -289,14 +244,11 @@ class MasterReactor:
             self._partition_blobs[partition_id] = blob
         return blob
 
-    def _alive(self) -> list[_ClusterSlot]:
-        return self.registry.alive()  # type: ignore[return-value]
-
     def _pump(self, now: float) -> None:
         """Lease pending units to workers with open window slots."""
         while self._pending:
             targets = sorted(
-                (w for w in self._alive() if self.ledger.has_window(w.worker_id)),
+                (w for w in self.registry.alive() if self.ledger.has_window(w.worker_id)),
                 key=lambda w: (self.ledger.open_count(w.worker_id), w.worker_id),
             )
             if not targets:
@@ -317,7 +269,7 @@ class MasterReactor:
             if not progressed:
                 return
 
-    def _take_pending(self, worker: _ClusterSlot) -> _WorkUnit:
+    def _take_pending(self, worker: WorkerSlot) -> WorkUnit:
         """Pop the best pending unit for `worker`: a unit homed on its
         partition first (spawns hit the local vertex table), else the
         oldest unit — locality is a preference, never a stall."""
@@ -329,15 +281,12 @@ class MasterReactor:
 
     def _lease(
         self,
-        unit: _WorkUnit,
-        worker: _ClusterSlot,
+        unit: WorkUnit,
+        worker: WorkerSlot,
         now: float,
         enforce_window: bool = True,
     ) -> None:
-        self.ledger.grant(
-            unit.work_id, worker.worker_id, [unit],
-            enforce_window=enforce_window,
-        )
+        self.ledger.grant(unit, worker.worker_id, enforce_window=enforce_window)
         if unit.kind == "range":
             msg: Any = SpawnRange(work_id=unit.work_id, vertices=unit.payload)
         else:
@@ -346,7 +295,7 @@ class MasterReactor:
             )
         self._send(worker, msg, now)
 
-    def _send(self, worker: _ClusterSlot, message: Any, now: float) -> None:
+    def _send(self, worker: WorkerSlot, message: Any, now: float) -> None:
         try:
             worker.channel.send(message)
         except ChannelClosed:
@@ -354,7 +303,7 @@ class MasterReactor:
 
     # -- failure recovery --------------------------------------------------
 
-    def fail_worker(self, worker: _ClusterSlot, reason: str, now: float) -> None:
+    def fail_worker(self, worker: WorkerSlot, reason: str, now: float) -> None:
         if not self.registry.fail(worker, reason):
             return  # already dead
         # Steal requests this worker was *donating* for are void: the
@@ -369,17 +318,9 @@ class MasterReactor:
             for rid, (src, dst, n) in self._pending_steals.items()
             if src != worker.worker_id
         }
-        for lease in self.ledger.leases_for(worker.worker_id):
-            reclaim_lease(
-                self.ledger, lease, self._retries, now,
-                metrics=self.metrics, tracer=self.tracer,
-                on_quarantine=self._on_quarantine,
-            )
+        self.ledger.reclaim(worker.worker_id, now)
         if self.supervisor is not None and worker.hello is not None and not self.done:
             self.supervisor.worker_failed(worker.hello.pid)
-
-    def _on_quarantine(self, unit: _WorkUnit, attempts: int) -> None:
-        self.quarantined.append(unit)
 
     def _check_heartbeats(self, now: float) -> None:
         for worker, reason in self.registry.stale(
@@ -400,7 +341,7 @@ class MasterReactor:
         self._registered_any = self._registered_any or (
             len(self.registry) >= self.num_workers
         )
-        if self.done or self._alive():
+        if self.done or self.registry.alive():
             return
         if self.supervisor is None:
             lost = self._registered_any
@@ -415,13 +356,13 @@ class MasterReactor:
                 f"all cluster workers died with work outstanding "
                 f"({len(self._pending)} pending, "
                 f"{len(self.ledger)} leased, "
-                f"{len(self.quarantined)} quarantined)"
+                f"{len(self.ledger.quarantined_ids)} quarantined)"
             )
 
     # -- stealing ----------------------------------------------------------
 
     def _plan_steals(self, now: float) -> None:
-        alive = sorted(self._alive(), key=lambda w: w.worker_id)
+        alive = sorted(self.registry.alive(), key=lambda w: w.worker_id)
         if len(alive) < 2:
             return
         counts = [w.pending_big for w in alive]
@@ -444,7 +385,7 @@ class MasterReactor:
             )
 
     def _handle_steal_grant(
-        self, worker: _ClusterSlot, msg: StealGrant, now: float
+        self, worker: WorkerSlot, msg: StealGrant, now: float
     ) -> None:
         entry = self._pending_steals.pop(msg.request_id, None)
         worker.stealing_from = False
@@ -455,10 +396,10 @@ class MasterReactor:
             # have acked the evicted units complete — releasing their
             # leases — before the grant landed, so dropping here loses
             # candidates. Re-pend instead; if another copy is mined too,
-            # the folder's dedup makes the duplicate invisible.
+            # the fold's dedup makes the duplicate invisible.
             self.stale_steal_grants += 1
             if msg.tasks:
-                self._pending.insert(0, _WorkUnit(
+                self._pending.insert(0, WorkUnit(
                     work_id=next(self._work_ids),
                     kind="batch",
                     payload=tuple(msg.tasks),
@@ -478,7 +419,7 @@ class MasterReactor:
                     "steal_sent", Task.decode(blob).task_id, worker.worker_id,
                     detail=f"dst=m{dst}",
                 )
-        unit = _WorkUnit(
+        unit = WorkUnit(
             work_id=next(self._work_ids),
             kind="batch",
             payload=tuple(msg.tasks),
@@ -489,7 +430,7 @@ class MasterReactor:
             # A stolen batch must land on its planned recipient even if
             # that briefly over-commits the window — that is what the
             # ledger's enforce_window escape hatch exists for.
-            self._lease(unit, recipient, now, enforce_window=False)  # type: ignore[arg-type]
+            self._lease(unit, recipient, now, enforce_window=False)
             self.metrics.steals_received += len(msg.tasks)
             if self.tracer.enabled:
                 for blob in msg.tasks:
@@ -522,7 +463,7 @@ class MasterReactor:
             tasks_leased=self.ledger.leased_task_count(),
             tasks_done=sum(p.tasks_executed for p in self.progress.values()),
             candidates=len(self.app.sink),
-            workers_alive=len(self._alive()),
+            workers_alive=len(self.registry.alive()),
             workers_died=self.metrics.workers_died,
         )
 
@@ -583,10 +524,9 @@ class MasterReactor:
                 RuntimeWarning,
             )
             return
-        self.registry.heartbeat(worker, now)
+        worker.last_seen = now
         if isinstance(msg, Heartbeat):
             worker.pending_big = msg.pending_big
-            worker.active = msg.active
         elif isinstance(msg, ProgressReport):
             self.progress[worker.worker_id] = msg
         elif isinstance(msg, ResultBatch):
@@ -599,15 +539,8 @@ class MasterReactor:
             self._handle_goodbye(worker, msg)
 
     def _register(self, channel: Channel, hello: Hello, now: float) -> None:
-        worker = self.registry.add(
-            _ClusterSlot(
-                worker_id=self.registry.new_id(),
-                channel=channel,
-                hello=hello,
-                last_seen=now,
-            )
-        )
-        self._by_channel[channel] = worker  # type: ignore[assignment]
+        worker = self.registry.register(channel, hello, now)
+        self._by_channel[channel] = worker
         # Partition ids wrap, so a worker rejoining after a death (fresh
         # worker_id) inherits a partition that already exists — the
         # store never grows past num_workers partitions.
@@ -616,7 +549,7 @@ class MasterReactor:
         if hello.needs_graph:
             table_blob = self._partition_blob(partition_id)
         self._send(
-            worker,  # type: ignore[arg-type]
+            worker,
             Welcome(
                 worker_id=worker.worker_id,
                 config=self.config,
@@ -632,12 +565,12 @@ class MasterReactor:
         if self.shutdown_started:
             # The job ended while this worker was connecting: release it
             # now, or the Goodbye collection waits out its whole grace.
-            self._send(worker, Shutdown(), now)  # type: ignore[arg-type]
+            self._send(worker, Shutdown(), now)
             return
         self._pump(now)
 
     def _serve_vertices(
-        self, worker: _ClusterSlot, msg: VertexRequest, now: float
+        self, worker: WorkerSlot, msg: VertexRequest, now: float
     ) -> None:
         """Answer a worker's remote-adjacency fetch from the full graph.
 
@@ -657,16 +590,12 @@ class MasterReactor:
         self._send(worker, VertexReply(request_id=msg.request_id, entries=entries), now)
 
     def _handle_results(
-        self, worker: _ClusterSlot, msg: ResultBatch, now: float
+        self, worker: WorkerSlot, msg: ResultBatch, now: float
     ) -> None:
-        # Candidates are folded even from stale/dead senders: dedup makes
-        # them idempotent, and dropping mined truth would be wasteful.
-        self._folder.fold(msg.candidates)
-        self._folder.forward_events(worker.worker_id, msg.events)
-        worker.active = msg.active
+        self._fold(worker, msg)
         for blob in msg.remainders:
             self._pending.append(
-                _WorkUnit(
+                WorkUnit(
                     work_id=next(self._work_ids),
                     kind="batch",
                     payload=(blob,),
@@ -675,11 +604,39 @@ class MasterReactor:
             )
         for work_id in msg.completed:
             # A stale ack (unit reclaimed, possibly re-leased elsewhere)
-            # is dropped by the folder — at-least-once bookkeeping.
-            self._folder.complete(work_id, worker_id=worker.worker_id)
+            # is an at-least-once duplicate: counted and dropped.
+            if not self.ledger.complete(work_id, worker.worker_id):
+                self.metrics.stale_results_dropped += 1
         self._pump(now)
 
-    def _handle_goodbye(self, worker: _ClusterSlot, msg: Goodbye) -> None:
+    def _fold(self, worker: WorkerSlot, msg: ResultBatch) -> None:
+        """Fold a batch's candidates into the sink; forward its events.
+
+        Candidates fold even from a stale or dying sender: the sink
+        keys on ``frozenset(candidate)``, so a re-mined unit's output
+        folds to the same results and mined truth is never thrown away.
+        Worker-origin trace events are attributed ``machine=worker id``
+        with the worker-local thread they carry, the mirror image of the
+        control plane's ``machine=-1, thread=worker id``.
+        """
+        tracer, sink = self.tracer, self.app.sink
+        t0 = time.monotonic() if tracer.enabled else 0.0
+        before = len(sink)
+        for candidate in msg.candidates:
+            sink.emit(frozenset(candidate))
+        if not tracer.enabled:
+            return
+        if msg.candidates:
+            emit_span(
+                tracer, "result_fold", t0, time.monotonic(),
+                detail=f"candidates={len(msg.candidates)} new={len(sink) - before}",
+            )
+        for kind, task_id, thread, detail in msg.events:
+            tracer.emit(
+                kind, task_id, machine=worker.worker_id, thread=thread, detail=detail
+            )
+
+    def _handle_goodbye(self, worker: WorkerSlot, msg: Goodbye) -> None:
         # A clean exit, not a death: no workers_died accounting, so this
         # deliberately bypasses registry.fail(). A Goodbye for a slot
         # already accounted dead (or a duplicated frame) is stale — its
@@ -697,11 +654,11 @@ class MasterReactor:
         """One housekeeping pass: liveness, retries, dispatch, steals,
         progress. Drivers call this between message deliveries."""
         self._check_heartbeats(now)
-        # Reclaimed units sit out their exponential backoff in the retry
-        # policy's heap; only the tick moves them back to pending — an
+        # Reclaimed units sit out their exponential backoff in the
+        # ledger's retry heap; only the tick moves them back to pending — an
         # idle survivor generates no result traffic, so the tick itself
         # must offer the work around.
-        for unit, _attempts in self._retries.pop_due(now):
+        for unit in self.ledger.pop_due(now):
             self._pending.insert(0, unit)
         self._pump(now)
         progress_every = self.progress_interval()
@@ -722,15 +679,15 @@ class MasterReactor:
     def begin_shutdown(self, now: float) -> None:
         """Job done: ask every live worker to flush and say Goodbye."""
         self.shutdown_started = True
-        for worker in self._alive():
+        for worker in self.registry.alive():
             self._send(worker, Shutdown(), now)
 
-    def awaiting_goodbye(self) -> list[_ClusterSlot]:
-        return self._alive()
+    def awaiting_goodbye(self) -> list[WorkerSlot]:
+        return self.registry.alive()
 
     def abandon_stragglers(self) -> None:
         """Give up on workers that never said Goodbye (metrics are lost)."""
-        for worker in self._alive():
+        for worker in self.registry.alive():
             warnings.warn(
                 f"worker {worker.worker_id} never said Goodbye; its final "
                 f"metrics are lost",
@@ -1057,10 +1014,6 @@ class WorkerReactor:
     def next_heartbeat(self) -> float:
         return self._next_heartbeat
 
-    @property
-    def active(self) -> int:
-        return self._active
-
     def on_tick(self, now: float) -> None:
         """Send the heartbeat (and periodic flush/progress) when due."""
         if not self.started or self.stopped or now < self._next_heartbeat:
@@ -1068,11 +1021,7 @@ class WorkerReactor:
         self._next_heartbeat = now + self.config.heartbeat_period
         self._heartbeats_sent += 1
         self.channel.send(
-            Heartbeat(
-                worker_id=self.worker_id,
-                pending_big=self.machine.pending_big(),
-                active=self._active,
-            )
+            Heartbeat(worker_id=self.worker_id, pending_big=self.machine.pending_big())
         )
         if self._fresh_candidates() or self._remainders:
             self.flush()
@@ -1177,7 +1126,6 @@ class WorkerReactor:
                 candidates=tuple(fresh),
                 remainders=remainders,
                 events=self._new_events(),
-                active=self._active,
             )
         )
 
@@ -1194,13 +1142,7 @@ class WorkerReactor:
         self.flush(completed_all=True)
         collect_machine_metrics(self.metrics, [self.machine])
         self.metrics.mining_stats.merge(self.app.stats)
-        self.channel.send(
-            Goodbye(
-                worker_id=self.worker_id,
-                metrics=self.metrics,
-                stats_blob=pickle.dumps(self.app.stats),
-            )
-        )
+        self.channel.send(Goodbye(worker_id=self.worker_id, metrics=self.metrics))
         self.stopped = True
 
     def cleanup(self) -> None:

@@ -154,9 +154,9 @@ class EngineConfig:
 
         Exponential: ``retry_backoff × 2^(attempt−1)`` seconds, so the
         sequence for the default base is 0.05, 0.1, 0.2, … (delegates to
-        the control plane's :func:`~repro.gthinker.runtime.backoff_delay`).
+        the work ledger's :func:`~repro.gthinker.runtime.ledger.backoff_delay`).
         """
-        from .runtime.retry import backoff_delay
+        from .runtime.ledger import backoff_delay
 
         return backoff_delay(self.retry_backoff, attempt)
 

@@ -1,50 +1,33 @@
 """The fault-tolerant coordination control plane.
 
-The paper's system contribution is one coordination design — task
-leasing, big-task stealing, and at-least-once result folding — and this
-package is its single implementation. The master reactor
-(:class:`repro.gthinker.cluster.reactor.MasterReactor`) drives it for
-the process and cluster backends, over TCP from
-:mod:`repro.gthinker.cluster.master` and over in-memory links from the
-deterministic simulator (:mod:`repro.gthinker.sim`); everything
-fault-semantic lives here:
+The bookkeeping behind the paper's coordination design — task leasing,
+big-task stealing, and at-least-once result folding — whose one driver
+is the master reactor (:class:`repro.gthinker.cluster.reactor.
+MasterReactor`), run over TCP for the process and cluster backends and
+over in-memory links by the deterministic simulator:
 
-* :class:`~.ledger.WorkLedger` — grant/complete/reclaim lease
-  bookkeeping with per-worker windows, per-member attempt counts, and
-  conservation invariants;
-* :class:`~.registry.WorkerRegistry` — worker slots, heartbeat/EOF
-  liveness, and the single ``worker_died`` accounting path;
-* :class:`~.retry.RetryPolicy` + :func:`~.retry.reclaim_lease` — the
-  ``retry_backoff * 2^(attempt-1)`` backoff schedule and the one
-  reclaim path that emits ``task_retried`` / ``task_quarantined``;
-* :class:`~.folding.ResultFolder` — at-least-once folding: frozenset
-  candidate dedup, stale-lease drops, worker trace-event forwarding;
+* :class:`~.ledger.WorkLedger` — one :class:`~.ledger.WorkUnit` per
+  lease, per-worker windows, per-unit attempts, the retry backoff heap,
+  final quarantine, and the one ``task_retried``/``task_quarantined``
+  emission point;
+* :class:`~.registry.WorkerRegistry` — :class:`~.registry.WorkerSlot`
+  roster, heartbeat/EOF liveness, and the one ``worker_died`` path;
 * :class:`~.channel.Channel` — the transport protocol
-  (:class:`~.channel.StreamChannel` over TCP), with every peer-loss
-  mode surfacing as one :class:`~.channel.ChannelClosed` signal.
-
-Every driver gets identical fault observability *by construction*: the
-``worker_died``, ``task_retried``, and ``task_quarantined`` trace kinds
-and their metrics counters are emitted only from this package.
+  (:class:`~.channel.StreamChannel` over TCP, the simulator's
+  ``SimChannel``), every peer loss surfacing as
+  :class:`~.channel.ChannelClosed`.
 """
 
 from .channel import Channel, ChannelClosed, StreamChannel
-from .folding import ResultFolder
-from .ledger import Lease, WorkLedger
-from .registry import WorkerRegistry, WorkerSlot, worker_attribution
-from .retry import RetryPolicy, backoff_delay, reclaim_lease
+from .ledger import WorkLedger, WorkUnit
+from .registry import WorkerRegistry, WorkerSlot
 
 __all__ = [
     "Channel",
     "ChannelClosed",
-    "Lease",
-    "ResultFolder",
-    "RetryPolicy",
     "StreamChannel",
     "WorkLedger",
+    "WorkUnit",
     "WorkerRegistry",
     "WorkerSlot",
-    "backoff_delay",
-    "reclaim_lease",
-    "worker_attribution",
 ]

@@ -58,10 +58,6 @@ class StreamChannel:
         self._closed = False
 
     @property
-    def stream(self) -> Any:
-        return self._stream
-
-    @property
     def peer(self) -> str:
         return str(getattr(self._stream, "peer", "<unknown>"))
 

@@ -196,22 +196,6 @@ class SchedulerCore:
         """Queue a task: big → machine's global queue, small → the thread's."""
         if self._task_queued is not None:
             self._task_queued(task)
-        self._enqueue(task, machine, slot)
-
-    def requeue(self, task: Task, machine: MachineState, slot: ThreadSlot) -> None:
-        """Re-route a reclaimed task for another dispatch attempt.
-
-        The retry twin of :meth:`route`: same big/small policy, but the
-        task was already counted when first queued, so the `task_queued`
-        liveness hook must not fire again — a retry is the same unit of
-        work re-entering the queues, not new work. Retry accounting
-        (``tasks_retried``, the ``task_retried`` trace event) happened
-        at reclaim time in :func:`repro.gthinker.runtime.reclaim_lease`;
-        this is pure re-enqueue.
-        """
-        self._enqueue(task, machine, slot)
-
-    def _enqueue(self, task: Task, machine: MachineState, slot: ThreadSlot) -> None:
         if self.config.use_global_queue and task.is_big(self.config.tau_split):
             machine.qglobal.push(task)
             self.tracer.emit("route_global", task.task_id, machine.machine_id)

@@ -17,7 +17,7 @@ Checked at quiescence:
 
 * **oracle equality** — the run's maximal family and raw candidate
   set equal a serial reference run of the same graph and parameters
-  (candidate-set equality *is* dedup exactness: the folder's frozenset
+  (candidate-set equality *is* dedup exactness: the master's frozenset
   dedup must make at-least-once re-mining invisible);
 * **metrics/trace consistency** — the fault and steal counters agree
   with their trace-event counts per docs/OBSERVABILITY.md
@@ -492,9 +492,10 @@ def _check_consistency(master: MasterReactor, tracer: Tracer) -> None:
         f"tasks_retried={m.tasks_retried} != "
         f"traced sizes={_traced_size(tracer, 'task_retried')}"
     )
-    assert m.tasks_quarantined == 0 and not master.quarantined, (
+    quarantined = master.ledger.quarantined_ids
+    assert m.tasks_quarantined == 0 and not quarantined, (
         f"work quarantined under a bounded plan: "
-        f"{m.tasks_quarantined} tasks, {len(master.quarantined)} units"
+        f"{m.tasks_quarantined} tasks, {len(quarantined)} units"
     )
     assert m.steals_planned == counts.get("steal_planned", 0), (
         f"steals_planned={m.steals_planned} != "

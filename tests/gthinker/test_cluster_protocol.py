@@ -71,11 +71,10 @@ SAMPLE_MESSAGES = [
         candidates=(frozenset({1, 2, 3}),),
         remainders=(b"blob",),
         events=(("spawn", 4, 0, "root=1"),),
-        active=2,
     ),
     StealRequest(request_id=9, count=4),
     StealGrant(request_id=9, worker_id=0, tasks=(b"t1", b"t2")),
-    Heartbeat(worker_id=0, pending_big=11, active=13),
+    Heartbeat(worker_id=0, pending_big=11),
     TaskBatch(work_id=8, tasks=(b"t3",), origin="remainder"),
     ProgressReport(
         worker_id=1, tasks_executed=5, tasks_decomposed=1, candidates_emitted=4
@@ -86,7 +85,7 @@ SAMPLE_MESSAGES = [
         candidates=3, workers_alive=2, workers_died=1,
     ),
     Shutdown(reason="job complete"),
-    Goodbye(worker_id=0, metrics=EngineMetrics(), stats_blob=b"stats"),
+    Goodbye(worker_id=0, metrics=EngineMetrics()),
 ]
 
 # The sample set exercises the whole vocabulary, so a new message type
@@ -142,7 +141,7 @@ class TestTruncationTolerance:
 
     def test_truncated_payload_warns_and_disconnects(self):
         left, right = stream_pair()
-        frame = encode_frame(Heartbeat(worker_id=0, pending_big=5, active=1))
+        frame = encode_frame(Heartbeat(worker_id=0, pending_big=5))
         left._sock.sendall(frame[:-3])  # all but the last 3 payload bytes
         left.close()
         with pytest.warns(RuntimeWarning, match="truncated payload"):
@@ -153,7 +152,7 @@ class TestTruncationTolerance:
         """A master closing a channel at job end wakes its reader mid-frame;
         that is a local teardown, not a dying peer, so no warning."""
         left, right = stream_pair()
-        frame = encode_frame(Heartbeat(worker_id=0, pending_big=5, active=1))
+        frame = encode_frame(Heartbeat(worker_id=0, pending_big=5))
         left._sock.sendall(frame[:-3])  # the peer is alive, mid-write
         got: dict = {}
 
@@ -183,14 +182,14 @@ class TestInvalidFrames:
         return right
 
     def test_bad_magic(self):
-        payload = pickle.dumps(Heartbeat(worker_id=0, pending_big=0, active=0))
+        payload = pickle.dumps(Heartbeat(worker_id=0, pending_big=0))
         right = self.send_raw(_HEADER.pack(b"NOPE", VERSION, len(payload)) + payload)
         with pytest.raises(ProtocolError, match="bad frame magic"):
             right.recv()
         right.close()
 
     def test_version_mismatch(self):
-        payload = pickle.dumps(Heartbeat(worker_id=0, pending_big=0, active=0))
+        payload = pickle.dumps(Heartbeat(worker_id=0, pending_big=0))
         right = self.send_raw(
             _HEADER.pack(MAGIC, VERSION + 1, len(payload)) + payload
         )
@@ -227,7 +226,7 @@ class TestInvalidFrames:
 def test_header_layout_is_stable():
     """The on-wire header is part of the compatibility contract."""
     assert _HEADER.size == 4 + 2 + 8
-    frame = encode_frame(Heartbeat(worker_id=1, pending_big=2, active=3))
+    frame = encode_frame(Heartbeat(worker_id=1, pending_big=2))
     magic, version, length = struct.unpack_from("<4sHQ", frame)
     assert magic == MAGIC
     assert version == VERSION

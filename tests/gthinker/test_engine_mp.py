@@ -195,8 +195,8 @@ class TestMetricsAndTracing:
         kinds = set(tracer.counts())
         assert {"spawn", "execute", "finish"} <= kinds
         # Worker-origin events carry the worker id in the machine field
-        # (the unified worker_attribution rule); a worker's events carry
-        # no worker-local thread, so thread stays -1.
+        # (the master reactor's fold attributes them); a worker's events
+        # carry no worker-local thread, so thread stays -1.
         executes = tracer.events(kind="execute")
         assert all(e.machine >= 0 for e in executes)
         assert all(e.thread == -1 for e in executes)

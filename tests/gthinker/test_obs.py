@@ -1,9 +1,8 @@
 """Tests for the observability layer (repro.gthinker.obs).
 
 Pins the span contract (pairing, nesting, vocabulary), per-worker
-timing accounting, live-progress snapshots, and the unified
-worker-attribution rule — the parts of docs/OBSERVABILITY.md that are
-behaviour, not prose.
+timing accounting and live-progress snapshots — the parts of
+docs/OBSERVABILITY.md that are behaviour, not prose.
 """
 
 import pytest
@@ -22,7 +21,6 @@ from repro.gthinker.obs import (
     progress_detail,
     span,
 )
-from repro.gthinker.runtime import worker_attribution
 from repro.gthinker.simulation import simulate_cluster
 from repro.gthinker.tracing import NullTracer, Tracer
 
@@ -250,9 +248,3 @@ class TestProcessProgress:
         out = mine_multiprocess(graph, 0.75, 3, config)
         assert out.maximal is not None
         assert calls == []
-
-
-class TestWorkerAttribution:
-    def test_worker_origin_rule(self):
-        assert worker_attribution(4) == (4, -1)
-        assert worker_attribution(4, 2) == (4, 2)

@@ -1,22 +1,24 @@
 """Hypothesis stateful (model-based) tests for the engine's data structures.
 
-The spillable queue, the remote vertex cache, and the task-lease table
+The spillable queue, the remote vertex cache, and the work ledger
 sit under every task the engine moves; these machines compare them
 against trivially-correct in-memory models under arbitrary operation
 interleavings.
 """
 
 import tempfile
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.gthinker.runtime import WorkLedger
+from repro.gthinker.config import EngineConfig
+from repro.gthinker.metrics import EngineMetrics
+from repro.gthinker.runtime import WorkLedger, WorkUnit
 from repro.gthinker.spill import SpillableQueue, SpillFileList
 from repro.gthinker.task import Task
+from repro.gthinker.tracing import NullTracer
 from repro.gthinker.vertex_store import RemoteVertexCache
 
 
@@ -122,192 +124,60 @@ class CacheMachine(RuleBasedStateMachine):
         assert len(self.cache) == len(self.model)
 
 
-class LeaseTableMachine(RuleBasedStateMachine):
-    """Model: the fault-tolerant dispatch cycle around a task WorkLedger.
-
-    Tasks move queued → leased → {completed | back to queued | quarantined}:
-    granted in batches to workers, completed when a result lands,
-    reclaimed when a worker dies — one at a time (EOF) or all at once
-    (every worker silent past its heartbeat timeout). The invariants
-    are the safety net the at-least-once design hangs from:
-
-    * a task is never simultaneously queued and leased;
-    * no task's dispatch count ever exceeds max_attempts;
-    * conservation — queued + leased + completed + quarantined always
-      equals every task ever spawned (nothing is lost or duplicated);
-    * a quarantined task never re-enters circulation.
-    """
-
-    MAX_ATTEMPTS = 3
-    WORKERS = 3
-
-    def __init__(self):
-        super().__init__()
-        self.table: WorkLedger[Task] = WorkLedger(
-            self.MAX_ATTEMPTS, key=lambda task: task.task_id
-        )
-        self.next_task = 0
-        self.next_batch = 0
-        self.queued: list[Task] = []
-        self.model_leased: dict[int, set[int]] = {}  # lease_id -> task ids
-        self.model_completed: set[int] = set()
-        self.model_quarantined: set[int] = set()
-
-    # -- rules -------------------------------------------------------------
-
-    @rule(n=st.integers(min_value=1, max_value=3))
-    def spawn_tasks(self, n):
-        for _ in range(n):
-            self.queued.append(
-                Task(task_id=self.next_task, root=self.next_task, iteration=3)
-            )
-            self.next_task += 1
-
-    @precondition(lambda self: self.queued)
-    @rule(worker=st.integers(min_value=0, max_value=WORKERS - 1),
-          size=st.integers(min_value=1, max_value=2))
-    def grant(self, worker, size):
-        batch, self.queued = self.queued[:size], self.queued[size:]
-        bid = self.next_batch
-        self.next_batch += 1
-        lease = self.table.grant(bid, worker, batch)
-        assert lease.worker_id == worker
-        assert set(lease.keys) == {t.task_id for t in batch}
-        assert lease.items == batch
-        self.model_leased[bid] = {t.task_id for t in batch}
-
-    @precondition(lambda self: self.model_leased)
-    @rule(pick=st.integers(min_value=0, max_value=99))
-    def complete(self, pick):
-        bid = sorted(self.model_leased)[pick % len(self.model_leased)]
-        lease = self.table.complete(bid)
-        assert lease is not None and lease.lease_id == bid
-        self.model_completed |= self.model_leased.pop(bid)
-
-    @rule(bid=st.integers(min_value=0, max_value=500))
-    def complete_stale(self, bid):
-        """Completing a never-granted or already-settled batch is the
-        at-least-once duplicate: it must be a detectable no-op."""
-        if bid in self.model_leased:
-            return
-        assert self.table.complete(bid) is None
-
-    @precondition(lambda self: self.model_leased)
-    @rule(worker=st.integers(min_value=0, max_value=WORKERS - 1))
-    def fail_worker(self, worker):
-        for lease in self.table.leases_for(worker):
-            retry, quarantine = self.table.reclaim(lease)
-            ids = self.model_leased.pop(lease.lease_id)
-            got = {t.task_id for t, _ in retry} | {t.task_id for t, _ in quarantine}
-            assert got == ids
-            self.queued.extend(t for t, _ in retry)
-            self.model_quarantined |= {t.task_id for t, _ in quarantine}
-
-    @precondition(lambda self: self.model_leased)
-    @rule()
-    def fail_every_worker(self):
-        """Every worker silent past its heartbeat timeout at once."""
-        for worker in range(self.WORKERS):
-            self.fail_worker(worker)
-
-    # -- invariants --------------------------------------------------------
-
-    @invariant()
-    def never_both_queued_and_leased(self):
-        queued_ids = {t.task_id for t in self.queued}
-        leased_ids = self.table.leased_task_ids()
-        assert not (queued_ids & leased_ids)
-        assert leased_ids == set().union(set(), *self.model_leased.values())
-
-    @invariant()
-    def attempts_bounded(self):
-        counts = self.table.attempts_snapshot().values()
-        assert all(1 <= c <= self.MAX_ATTEMPTS for c in counts)
-
-    @invariant()
-    def conservation(self):
-        queued_ids = {t.task_id for t in self.queued}
-        leased_ids = self.table.leased_task_ids()
-        accounted = (
-            queued_ids | leased_ids | self.model_completed | self.model_quarantined
-        )
-        assert accounted == set(range(self.next_task))
-        # The four states partition the task population.
-        assert (
-            len(queued_ids) + len(leased_ids)
-            + len(self.model_completed) + len(self.model_quarantined)
-            == self.next_task
-        )
-
-    @invariant()
-    def quarantine_is_terminal(self):
-        queued_ids = {t.task_id for t in self.queued}
-        assert not (self.model_quarantined & queued_ids)
-        assert not (self.model_quarantined & self.table.leased_task_ids())
-        # Counted exactly once, ever.
-        assert len(self.table.quarantined_ids) == len(set(self.table.quarantined_ids))
-        assert self.table.tasks_quarantined == len(self.model_quarantined)
-
-    @invariant()
-    def table_counters_agree(self):
-        assert self.table.tasks_completed == len(self.model_completed)
-        assert len(self.table) == len(self.model_leased)
-        assert self.table.outstanding == set(self.model_leased)
-
-    @invariant()
-    def ledger_internal_invariants(self):
-        self.table.check_invariants()
-
-
-@dataclass
-class _Unit:
-    """Stand-in for the cluster master's _WorkUnit: one member per lease."""
-
-    work_id: int
-    payload: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.payload)
-
-
 class WorkUnitLedgerMachine(RuleBasedStateMachine):
-    """Model: the same WorkLedger driven as the master reactor of the
-    process and cluster backends drives it.
+    """Model: the fault-tolerant dispatch cycle around the WorkLedger.
 
-    Where the machine above grants *batches of tasks* (many members per
-    lease, attempts per task id), the master grants *work units* (one
-    member per lease, attempts per work id, task-granular sizes) under a
-    per-worker lease window — with the deliberate over-commit escape
-    hatch used for steal forwarding. Both styles must satisfy the same
-    conservation/attempt/quarantine laws; this machine checks the
-    second, including owner-identified stale completions.
+    The master reactor of the process and cluster backends leases work
+    units one per lease, attempts counted per work id, under a
+    per-worker lease window with a deliberate over-commit for steal
+    forwarding. Units move pending → leased → {completed | awaiting
+    retry | quarantined}, and awaiting retry → pending once their
+    backoff elapses: granted to workers, completed when the owner's ack
+    lands, reclaimed when a worker dies — one at a time (EOF) or all at
+    once (every worker silent past its heartbeat timeout). The
+    invariants are the safety net the at-least-once design hangs from:
+
+    * conservation — pending + leased + awaiting retry + completed +
+      quarantined always partition every unit ever made;
+    * no unit's dispatch count ever exceeds max_attempts, and a reclaim
+      waits ``backoff * 2^(attempt-1)`` before the unit is due again;
+    * stale acks (unknown unit, or not from its owner) retire nothing;
+    * a quarantined unit never re-enters circulation, and the metrics
+      count retried and quarantined tasks exactly once.
     """
 
     MAX_ATTEMPTS = 3
     WORKERS = 3
     WINDOW = 2
+    BACKOFF = 1.0
 
     def __init__(self):
         super().__init__()
-        self.ledger: WorkLedger[_Unit] = WorkLedger(
-            self.MAX_ATTEMPTS,
-            key=lambda u: u.work_id,
-            size=lambda u: u.size,
+        self.metrics = EngineMetrics()
+        config = EngineConfig(
+            max_attempts=self.MAX_ATTEMPTS, retry_backoff=self.BACKOFF,
             lease_window=self.WINDOW,
         )
-        self.next_work = 0
-        self.pending: list[_Unit] = []
+        self.ledger = WorkLedger(config, metrics=self.metrics, tracer=NullTracer())
+        self.now = 0.0
+        self.reclaims = 0
+        self.units: list[WorkUnit] = []
+        self.pending: list[WorkUnit] = []
         self.model_leased: dict[int, int] = {}  # work_id -> owner worker
-        self.model_completed: dict[int, int] = {}  # work_id -> size
-        self.model_quarantined: set[int] = set()
+        self.model_awaiting: list[tuple[float, int, int]] = []  # (due, seq, id)
+        self.model_completed: set[int] = set()
+        self.model_quarantined: list[int] = []
+        self.model_attempts: dict[int, int] = {}
+        self.retried_tasks = 0
+        self.quarantined_tasks = 0
 
     # -- rules -------------------------------------------------------------
 
     @rule(size=st.integers(min_value=1, max_value=3))
     def make_unit(self, size):
-        self.pending.append(_Unit(self.next_work, tuple(range(size))))
-        self.next_work += 1
+        unit = WorkUnit(len(self.units), "range", tuple(range(size)))
+        self.units.append(unit)
+        self.pending.append(unit)
 
     @precondition(lambda self: self.pending)
     @rule(worker=st.integers(min_value=0, max_value=WORKERS - 1))
@@ -316,33 +186,39 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
         outright — refusal must leave the ledger untouched."""
         unit = self.pending[0]
         if self.ledger.has_window(worker):
-            lease = self.ledger.grant(unit.work_id, worker, [unit])
+            self.ledger.grant(unit, worker)
             self.pending.pop(0)
-            assert lease.keys == (unit.work_id,)
             self.model_leased[unit.work_id] = worker
+            self.model_attempts[unit.work_id] = self.model_attempts.get(unit.work_id, 0) + 1
         else:
-            before = self.ledger.attempts_snapshot()
+            before = self.ledger.outstanding()
             with pytest.raises(ValueError):
-                self.ledger.grant(unit.work_id, worker, [unit])
-            assert self.ledger.attempts_snapshot() == before
+                self.ledger.grant(unit, worker)
+            assert self.ledger.outstanding() == before
 
     @precondition(lambda self: self.pending)
     @rule(worker=st.integers(min_value=0, max_value=WORKERS - 1))
     def grant_over_window(self, worker):
         """The steal-forwarding path: enforce_window=False always lands."""
         unit = self.pending.pop(0)
-        self.ledger.grant(unit.work_id, worker, [unit], enforce_window=False)
+        self.ledger.grant(unit, worker, enforce_window=False)
         self.model_leased[unit.work_id] = worker
+        self.model_attempts[unit.work_id] = self.model_attempts.get(unit.work_id, 0) + 1
+
+    @precondition(lambda self: self.model_quarantined)
+    @rule(pick=st.integers(min_value=0, max_value=99))
+    def regrant_quarantined_is_refused(self, pick):
+        unit = self.units[self.model_quarantined[pick % len(self.model_quarantined)]]
+        with pytest.raises(ValueError):
+            self.ledger.grant(unit, 0, enforce_window=False)
 
     @precondition(lambda self: self.model_leased)
     @rule(pick=st.integers(min_value=0, max_value=99))
     def complete_by_owner(self, pick):
         work_id = sorted(self.model_leased)[pick % len(self.model_leased)]
-        owner = self.model_leased[work_id]
-        lease = self.ledger.complete(work_id, worker_id=owner)
-        assert lease is not None and lease.worker_id == owner
-        del self.model_leased[work_id]
-        self.model_completed[work_id] = sum(u.size for u in lease.items)
+        assert self.ledger.complete(work_id, self.model_leased.pop(work_id))
+        self.model_completed.add(work_id)
+        del self.model_attempts[work_id]
 
     @precondition(lambda self: self.model_leased)
     @rule(pick=st.integers(min_value=0, max_value=99))
@@ -351,23 +227,37 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
         the at-least-once duplicate: dropped, nothing retired."""
         work_id = sorted(self.model_leased)[pick % len(self.model_leased)]
         wrong = self.model_leased[work_id] + self.WORKERS  # never a real owner
-        assert self.ledger.complete(work_id, worker_id=wrong) is None
-        assert work_id in self.ledger.outstanding
+        assert not self.ledger.complete(work_id, wrong)
+        assert work_id in self.ledger.outstanding()
 
-    @rule(work_id=st.integers(min_value=0, max_value=500))
-    def complete_unknown_is_stale(self, work_id):
+    @rule(work_id=st.integers(min_value=0, max_value=500),
+          worker=st.integers(min_value=0, max_value=WORKERS - 1))
+    def complete_unleased_is_stale(self, work_id, worker):
+        """Completed, awaiting retry, quarantined or never made: stale."""
         if work_id in self.model_leased:
             return
-        assert self.ledger.complete(work_id) is None
+        assert not self.ledger.complete(work_id, worker)
 
     @precondition(lambda self: self.model_leased)
     @rule(worker=st.integers(min_value=0, max_value=WORKERS - 1))
     def fail_worker(self, worker):
-        for lease in self.ledger.leases_for(worker):
-            retry, quarantine = self.ledger.reclaim(lease)
-            assert self.model_leased.pop(lease.lease_id) == worker
-            self.pending.extend(u for u, _ in retry)
-            self.model_quarantined |= {u.work_id for u, _ in quarantine}
+        retry, quarantine = self.ledger.reclaim(worker, self.now)
+        lost = sorted(w for w, owner in self.model_leased.items() if owner == worker)
+        assert sorted(u.work_id for u in retry + quarantine) == lost
+        for work_id in lost:
+            del self.model_leased[work_id]
+            attempts = self.model_attempts[work_id]
+            size = self.units[work_id].size
+            if attempts >= self.MAX_ATTEMPTS:
+                assert self.units[work_id] in quarantine
+                self.model_quarantined.append(work_id)
+                del self.model_attempts[work_id]
+                self.quarantined_tasks += size
+            else:
+                due = self.now + self.BACKOFF * 2 ** (attempts - 1)
+                self.model_awaiting.append((due, self.reclaims, work_id))
+                self.reclaims += 1
+                self.retried_tasks += size
 
     @precondition(lambda self: self.model_leased)
     @rule()
@@ -376,44 +266,54 @@ class WorkUnitLedgerMachine(RuleBasedStateMachine):
         for worker in range(self.WORKERS):
             self.fail_worker(worker)
 
+    @rule(dt=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    def tick(self, dt):
+        """The master's tick: due retries go back to the pending front."""
+        self.now += dt
+        due = sorted(entry for entry in self.model_awaiting if entry[0] <= self.now)
+        self.model_awaiting = [e for e in self.model_awaiting if e[0] > self.now]
+        popped = self.ledger.pop_due(self.now)
+        assert [u.work_id for u in popped] == [work_id for _, _, work_id in due]
+        for unit in popped:
+            self.pending.insert(0, unit)
+
     # -- invariants --------------------------------------------------------
 
     @invariant()
     def conservation(self):
-        pending_ids = {u.work_id for u in self.pending}
-        leased_ids = set(self.model_leased)
-        accounted = (
-            pending_ids | leased_ids
-            | set(self.model_completed) | self.model_quarantined
-        )
-        assert accounted == set(range(self.next_work))
-        assert (
-            len(pending_ids) + len(leased_ids)
-            + len(self.model_completed) + len(self.model_quarantined)
-            == self.next_work
-        )
+        states = [
+            {u.work_id for u in self.pending},
+            set(self.model_leased),
+            {work_id for _, _, work_id in self.model_awaiting},
+            self.model_completed,
+            set(self.model_quarantined),
+        ]
+        assert set().union(*states) == set(range(len(self.units)))
+        assert sum(map(len, states)) == len(self.units)
 
     @invariant()
     def ledger_agrees_with_model(self):
-        assert self.ledger.outstanding == set(self.model_leased)
-        for work_id, worker in self.model_leased.items():
-            lease = self.ledger.get(work_id)
-            assert lease is not None and lease.worker_id == worker
-        assert self.ledger.tasks_completed == sum(self.model_completed.values())
-        assert self.ledger.tasks_quarantined >= len(self.model_quarantined)
+        assert self.ledger.outstanding() == self.model_leased
+        assert self.ledger.idle == (not self.model_leased and not self.model_awaiting)
+        assert self.ledger.leased_task_count() == sum(
+            self.units[w].size for w in self.model_leased
+        )
+        assert self.metrics.tasks_retried == self.retried_tasks
+        assert self.metrics.tasks_quarantined == self.quarantined_tasks
 
     @invariant()
     def attempts_bounded(self):
-        counts = self.ledger.attempts_snapshot().values()
-        assert all(1 <= c <= self.MAX_ATTEMPTS for c in counts)
+        # The ledger's own counts are checked through their effects:
+        # fail_worker's quarantine split and tick's due times.
+        assert all(1 <= c <= self.MAX_ATTEMPTS for c in self.model_attempts.values())
 
     @invariant()
     def quarantine_is_terminal(self):
-        assert not (self.model_quarantined & {u.work_id for u in self.pending})
-        assert not (self.model_quarantined & set(self.model_leased))
-        assert len(self.ledger.quarantined_ids) == len(
-            set(self.ledger.quarantined_ids)
-        )
+        live = {u.work_id for u in self.pending} | set(self.model_leased)
+        live |= {work_id for _, _, work_id in self.model_awaiting}
+        assert not (set(self.model_quarantined) & live)
+        # Recorded exactly once, ever, in quarantine order.
+        assert self.ledger.quarantined_ids == self.model_quarantined
 
     @invariant()
     def ledger_internal_invariants(self):
@@ -424,7 +324,5 @@ TestSpillableQueueStateful = SpillableQueueMachine.TestCase
 TestSpillableQueueStateful.settings = settings(max_examples=40, deadline=None)
 TestCacheStateful = CacheMachine.TestCase
 TestCacheStateful.settings = settings(max_examples=40, deadline=None)
-TestLeaseTableStateful = LeaseTableMachine.TestCase
-TestLeaseTableStateful.settings = settings(max_examples=60, deadline=None)
 TestWorkUnitLedgerStateful = WorkUnitLedgerMachine.TestCase
 TestWorkUnitLedgerStateful.settings = settings(max_examples=60, deadline=None)
