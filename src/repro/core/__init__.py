@@ -1,7 +1,7 @@
 """Core mining algorithms: pruning rules, bounds, recursive miner."""
 
 from .bounds import lower_bound, lower_bound_min, upper_bound, upper_bound_min
-from .domain import TaskDomain, bit_list, bits, is_quasi_clique_masked
+from .domain import TaskDomain, bit_list, is_quasi_clique_masked
 from .miner import MiningResult, mine_maximal_quasicliques, mine_root
 from .naive import enumerate_maximal_quasicliques, enumerate_quasicliques
 from .options import (
@@ -31,7 +31,6 @@ __all__ = [
     "QUICK_OPTIONS",
     "TaskDomain",
     "bit_list",
-    "bits",
     "is_quasi_clique_masked",
     "MinerOptions",
     "MiningJob",

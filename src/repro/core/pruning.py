@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .degrees import DegreeView
-from .domain import TaskDomain, bits
+from .domain import TaskDomain, bit_list
 from .quasiclique import ceil_gamma
 
 
@@ -170,7 +170,7 @@ def cover_set_masked(
         if non_adjacent & weak:
             continue
         covered = gamma_ext_u
-        for v in bits(non_adjacent):
+        for v in bit_list(non_adjacent):
             covered &= adj[v]
             if covered.bit_count() <= best_size:
                 break

@@ -107,6 +107,10 @@ class MasterReactor:
     heartbeat timeouts, retry backoffs, and steal periods fire (any
     cadence at or below ``config.heartbeat_period`` is safe), and
     (c) running the shutdown handshake once :attr:`done` turns true.
+
+    ``clock`` times the ``result_fold`` and ``lease_reclaim`` spans and
+    nothing else: ``time.monotonic`` on the real runtime, the virtual
+    clock in simulation.
     """
 
     def __init__(
@@ -117,6 +121,8 @@ class MasterReactor:
         tracer: Tracer | NullTracer | None = None,
         num_workers: int | None = None,
         on_progress: Callable[[ProgressSnapshot], None] | None = None,
+        *,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.graph = graph
         self.app = ensure_app(app)
@@ -142,7 +148,10 @@ class MasterReactor:
         self.metrics = EngineMetrics()
         self.progress: dict[int, ProgressReport] = {}
         # -- the coordination control plane --------------------------------
-        self.ledger = WorkLedger(config, metrics=self.metrics, tracer=self.tracer)
+        self._clock = clock
+        self.ledger = WorkLedger(
+            config, metrics=self.metrics, tracer=self.tracer, clock=clock
+        )
         self.registry = WorkerRegistry(metrics=self.metrics, tracer=self.tracer)
         self._pending: list[WorkUnit] = []
         self._work_ids = itertools.count()
@@ -620,7 +629,7 @@ class MasterReactor:
         control plane's ``machine=-1, thread=worker id``.
         """
         tracer, sink = self.tracer, self.app.sink
-        t0 = time.monotonic() if tracer.enabled else 0.0
+        t0 = self._clock() if tracer.enabled else 0.0
         before = len(sink)
         for candidate in msg.candidates:
             sink.emit(frozenset(candidate))
@@ -628,7 +637,7 @@ class MasterReactor:
             return
         if msg.candidates:
             emit_span(
-                tracer, "result_fold", t0, time.monotonic(),
+                tracer, "result_fold", t0, self._clock(),
                 detail=f"candidates={len(msg.candidates)} new={len(sink) - before}",
             )
         for kind, task_id, thread, detail in msg.events:
@@ -720,9 +729,10 @@ class WorkerReactor:
     returns ``'ok'``, ``'stop'`` (Shutdown received — the driver calls
     :meth:`finish`), or ``'lost'`` (the master is gone).
 
-    ``clock`` feeds only the worker-timing split and trace spans; on
-    the real runtime it is ``time.perf_counter``-like, on the simulator
-    it is the virtual clock, and no scheduling decision reads it.
+    ``clock`` feeds only the worker-timing split and trace spans, the
+    scheduler core's included; on the real runtime it is
+    ``time.monotonic``, the master's clock, on the simulator it is the
+    virtual clock, and no scheduling decision reads it.
 
     ``unit_hook`` is called with the completed-unit count every time a
     work unit arrives — the chaos kill switch on the real runtime
@@ -739,14 +749,14 @@ class WorkerReactor:
         pid: int = 0,
         host: str = "local",
         unit_hook: Callable[[int], None] | None = None,
-        clock: Callable[[], float] | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.channel = channel
         self.graph = graph
         self._pid = pid
         self._host = host
         self._unit_hook = unit_hook
-        self._clock = clock if clock is not None else _default_clock
+        self._clock = clock
         self.worker_id = -1
         self.metrics = EngineMetrics()
         self._active = 0
@@ -837,7 +847,7 @@ class WorkerReactor:
         self.tracer = Tracer() if welcome.trace else NullTracer()
         self.core = SchedulerCore(
             app, local_config, [self.machine], self.tracer,
-            task_queued=self._task_queued,
+            task_queued=self._task_queued, clock=self._clock,
         )
         self.metrics = self.core.metrics
         self._next_heartbeat = now + config.heartbeat_period
@@ -1150,9 +1160,3 @@ class WorkerReactor:
             self.machine.cleanup()
         if self.core is not None:
             self.core.detach()
-
-
-def _default_clock() -> float:
-    import time
-
-    return time.perf_counter()

@@ -23,7 +23,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..obs.spans import emit_span
 
@@ -71,14 +71,25 @@ class WorkLedger:
     ``config.lease_window`` caps concurrent leases per worker —
     pipelining without hoarding: a dead worker forfeits at most a
     window's worth of units.
+
+    ``clock`` times the ``lease_reclaim`` spans only: the host's
+    monotonic clock on the real runtime, the virtual one in simulation.
     """
 
-    def __init__(self, config: EngineConfig, *, metrics: EngineMetrics, tracer: Any):
+    def __init__(
+        self,
+        config: EngineConfig,
+        *,
+        metrics: EngineMetrics,
+        tracer: Any,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.max_attempts = config.max_attempts
         self.retry_backoff = config.retry_backoff
         self.lease_window = config.lease_window
         self.metrics = metrics
         self.tracer = tracer
+        self._clock = clock
         self._leased: dict[int, tuple[int, WorkUnit]] = {}  # id -> (owner, unit)
         self._open: dict[int, set[int]] = {}  # worker_id -> leased ids
         self._attempts: dict[int, int] = {}  # id -> dispatch count, while live
@@ -163,7 +174,7 @@ class WorkLedger:
         retried: list[WorkUnit] = []
         quarantined: list[WorkUnit] = []
         for work_id in sorted(self._open.pop(worker_id, ())):
-            t0 = time.monotonic() if tracer.enabled else 0.0
+            t0 = self._clock() if tracer.enabled else 0.0
             _, unit = self._leased.pop(work_id)
             attempts = self._attempts[work_id]
             size = unit.size
@@ -191,7 +202,7 @@ class WorkLedger:
                 split = f"retried={size} quarantined=0"
             if tracer.enabled:
                 emit_span(
-                    tracer, "lease_reclaim", t0, time.monotonic(),
+                    tracer, "lease_reclaim", t0, self._clock(),
                     thread=worker_id, detail=split,
                 )
         return retried, quarantined

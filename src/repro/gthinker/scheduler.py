@@ -18,9 +18,10 @@ worker reactor of the process and cluster backends:
 5. *stealing* — a master plans big-task moves from per-machine pending
    counts and applies them between the machines' global queues.
 
-The core is policy only: it owns no threads and no clock, and every
-executor drives it from a single thread (`pick` → `run_quantum` →
-route children / re-buffer the suspended task). Executors observe
+The core is policy only: it owns no threads, its injected clock times
+trace spans and nothing else, and every executor drives it from a
+single thread (`pick` → `run_quantum` → route children / re-buffer
+the suspended task). Executors observe
 queue transitions through three optional hooks (`task_queued`,
 `task_buffered`, `task_picked`) so each backend can keep its own
 liveness accounting — an active-task counter for the serial engine,
@@ -159,6 +160,7 @@ class SchedulerCore:
         task_queued: Callable[[Task], None] | None = None,
         task_buffered: Callable[[Task], None] | None = None,
         task_picked: Callable[[Task], None] | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.app = ensure_app(app)
         self.config = config
@@ -169,6 +171,8 @@ class SchedulerCore:
         self._task_queued = task_queued
         self._task_buffered = task_buffered
         self._task_picked = task_picked
+        #: Times the trace spans only; no scheduling decision reads it.
+        self._clock = clock
         self._task_ids = itertools.count()
 
     def detach(self) -> None:
@@ -224,7 +228,7 @@ class SchedulerCore:
         big tasks) never skips a vertex. Returns the number spawned.
         """
         trace = self.tracer.enabled
-        t0 = time.monotonic() if trace else 0.0
+        t0 = self._clock() if trace else 0.0
         spawned = 0
         order = machine.spawn_order
         while spawned < self.config.batch_size and machine.spawn_pos < len(order):
@@ -243,7 +247,7 @@ class SchedulerCore:
                 break
         if trace and spawned:
             emit_span(
-                self.tracer, "root_spawn", t0, time.monotonic(),
+                self.tracer, "root_spawn", t0, self._clock(),
                 machine=machine.machine_id, thread=slot.slot_id,
                 detail=f"spawned={spawned}",
             )
@@ -252,12 +256,12 @@ class SchedulerCore:
     def refill_qlocal(self, machine: MachineState, slot: ThreadSlot) -> None:
         """Refill priority: L_small, then B_local, then spawn new tasks."""
         trace = self.tracer.enabled
-        t0 = time.monotonic() if trace else 0.0
+        t0 = self._clock() if trace else 0.0
         loaded = slot.qlocal.refill_from_spill()
         if loaded:
             if trace:
                 emit_span(
-                    self.tracer, "spill_refill", t0, time.monotonic(),
+                    self.tracer, "spill_refill", t0, self._clock(),
                     machine=machine.machine_id, thread=slot.slot_id,
                     detail=f"queue=qlocal loaded={loaded}",
                 )
@@ -306,11 +310,11 @@ class SchedulerCore:
             return None
         if machine.qglobal.needs_refill():
             trace = self.tracer.enabled
-            t0 = time.monotonic() if trace else 0.0
+            t0 = self._clock() if trace else 0.0
             loaded = machine.qglobal.refill_from_spill()
             if trace and loaded:
                 emit_span(
-                    self.tracer, "spill_refill", t0, time.monotonic(),
+                    self.tracer, "spill_refill", t0, self._clock(),
                     machine=machine.machine_id,
                     thread=slot.slot_id if slot is not None else -1,
                     detail=f"queue=qglobal loaded={loaded}",
@@ -343,11 +347,11 @@ class SchedulerCore:
         side channel.
         """
         trace = self.tracer.enabled
-        t0 = time.monotonic() if trace else 0.0
+        t0 = self._clock() if trace else 0.0
         result = self._run_quantum(task, machine, record)
         if trace:
             emit_span(
-                self.tracer, "batch_mine", t0, time.monotonic(),
+                self.tracer, "batch_mine", t0, self._clock(),
                 task_id=task.task_id, machine=machine.machine_id,
                 thread=slot.slot_id if slot is not None else -1,
                 detail=f"finished={int(result.finished)} "
@@ -397,7 +401,7 @@ class SchedulerCore:
     def apply_steals(self) -> int:
         """Plan and apply one stealing period; returns tasks moved."""
         trace = self.tracer.enabled
-        t_start = time.monotonic() if trace else 0.0
+        t_start = self._clock() if trace else 0.0
         counts = [m.pending_big() for m in self.machines]
         moves = plan_steals(counts, self.config.batch_size)
         moved = 0
@@ -431,7 +435,7 @@ class SchedulerCore:
             moved += len(batch)
         if trace and moved:
             emit_span(
-                self.tracer, "steal_transfer", t_start, time.monotonic(),
+                self.tracer, "steal_transfer", t_start, self._clock(),
                 detail=f"moves={len(moves)} moved={moved}",
             )
         return moved

@@ -24,7 +24,9 @@ Checked at quiescence:
   (``worker_died``/``task_retried``/``task_quarantined`` sizes,
   ``steal_planned``/``steal_sent``/``steal_received``);
 * **no poisoned work** — plans are bounded well below
-  ``max_attempts``, so any quarantine is a coordination bug.
+  ``max_attempts``, so any quarantine is a coordination bug;
+* **one clock** — every traced span time lies inside the run's virtual
+  time: master, ledger and workers all read the virtual clock.
 
 A share of seeds (:data:`_WARM_SHARE`) runs the process backend's
 configuration instead of the cluster's: warm-start workers that hold
@@ -224,7 +226,8 @@ def run_sim(
         options=DEFAULT_OPTIONS,
     )
     master = MasterReactor(
-        graph, app, cfg, tracer=tracer, num_workers=n_workers
+        graph, app, cfg, tracer=tracer, num_workers=n_workers,
+        clock=lambda: net.now,
     )
     master.start_work(0.0)
 
@@ -403,6 +406,7 @@ def run_sim(
             result = master.finalize(net.now)
             _check_oracle(result, oracle)
             _check_consistency(master, tracer)
+            _check_trace_times(tracer, net.now)
             resident = _check_memory_bounded(workers, graph, n_workers)
         except AssertionError as exc:
             fail(f"quiescence check failed: {exc}")
@@ -513,6 +517,20 @@ def _check_consistency(master: MasterReactor, tracer: Tracer) -> None:
         f"more steals received ({m.steals_received}) than sent "
         f"({m.steals_sent})"
     )
+
+
+def _check_trace_times(tracer: Tracer, end: float) -> None:
+    """Every event that carries a time (``t=``) read the virtual clock.
+
+    Spans print ``t`` to 6 decimals, so one that ends at `end` may read
+    up to half a microsecond past it.
+    """
+    for event in tracer.events():
+        t = parse_detail(event.detail).get("t")
+        assert t is None or 0.0 <= float(t) <= end + 1e-6, (
+            f"{event.kind} at t={t} lies outside the run's virtual time "
+            f"[0, {end:.6f}]: {event.detail}"
+        )
 
 
 def fuzz(seeds: int, base: int = 0) -> tuple[int, list[SimReport]]:

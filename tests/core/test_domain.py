@@ -3,8 +3,10 @@
 import pickle
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.core.domain import TaskDomain, bit_list, bits, is_quasi_clique_masked
+from repro.core.domain import TaskDomain, bit_list, is_quasi_clique_masked
 from repro.core.quasiclique import is_quasi_clique
 from repro.graph.adjacency import Graph
 
@@ -13,9 +15,43 @@ from conftest import make_random_graph
 
 class TestBits:
     def test_bits_ascending(self):
-        assert list(bits(0)) == []
-        assert list(bits(0b1011)) == [0, 1, 3]
+        assert bit_list(0) == []
+        assert bit_list(0b1011) == [0, 1, 3]
         assert bit_list((1 << 70) | 1) == [0, 70]
+
+
+@st.composite
+def masks(draw, max_width: int = 600):
+    """A mask of 0..`max_width` bits, from a single bit to every bit set.
+
+    ANDing k random words thins the density to about 2^-k, ORing them
+    thickens it, so the byte-table path (up to 256 bits, mostly-zero
+    bytes included) and the wide fallback (over 256 bits) both run.
+    """
+    width = draw(st.integers(min_value=0, max_value=max_width))
+    if width == 0:
+        return 0
+    word = st.integers(min_value=0, max_value=(1 << width) - 1)
+    shape = draw(st.sampled_from(["one", "full", "thin", "thick"]))
+    if shape == "one":
+        return 1 << draw(st.integers(min_value=0, max_value=width - 1))
+    if shape == "full":
+        return (1 << width) - 1
+    mask = draw(word)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        mask = mask & draw(word) if shape == "thin" else mask | draw(word)
+    return mask
+
+
+@given(mask=masks())
+@example(mask=(1 << 256) - 1)  # the widest mask the byte table decodes
+@example(mask=(1 << 257) - 1)  # dense, one bit past the table: wide fallback
+@example(mask=(1 << 600) - 1)  # wide and full
+@example(mask=1 << 255)  # one bit in 32 bytes: 31 zero bytes skipped
+@example(mask=1 << 256)  # one bit, one past the table: wide fallback
+def test_bit_list_matches_reference(mask):
+    """The decoder equals a plain per-position scan on every path."""
+    assert bit_list(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class TestConstruction:

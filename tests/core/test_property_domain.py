@@ -16,12 +16,13 @@ Run it with a larger budget through ``--hypothesis-profile=kernel-parity``.
 
 import dataclasses
 import itertools
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.degrees import DegreeView, compute_degrees_masked, compute_ee_degrees_masked
-from repro.core.domain import TaskDomain, bits
+from repro.core.domain import TaskDomain
 from repro.core.iterative_bounding import check_and_emit_masked, iterative_bounding_masked
 from repro.core.options import DEFAULT_OPTIONS, QUICK_OPTIONS, MiningJob, ResultSink
 from repro.core.pruning import (
@@ -35,6 +36,15 @@ from repro.core.quasiclique import ceil_gamma, ceil_table, floor_div_gamma
 from repro.graph.adjacency import Graph
 
 GAMMA_CHOICES = [0.5, 0.6, 2 / 3, 0.75, 0.8, 0.9, 1.0]
+
+
+def bits(mask):
+    """Set bit positions of `mask` by a per-position scan.
+
+    The references below decode with this, never with the kernel's
+    ``bit_list``, so a decoder fault cannot hide in both sides.
+    """
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @st.composite
@@ -197,6 +207,74 @@ def test_diameter_filter_matches_two_hop_reachability(state):
         )
         got = diameter_filter_masked(domain, domain.index[anchor], ext_mask)
         assert domain.globals_of(got) == want
+
+
+# -- Re-compaction and reachability vs plain references -----------------------
+
+
+@st.composite
+def domain_and_mask(draw):
+    """A random graph, its domain (some wider than the 256-bit decode
+    table) and a mask over it, often with many short runs of vertices.
+
+    Global IDs are spread out (``3v + 5``) so local and global IDs differ.
+    """
+    n = draw(st.one_of(st.integers(0, 40), st.integers(257, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # Up to 16 random pairs per vertex: empty to near-complete when n is
+    # small, average degree up to 32 when it is wide.
+    count = rng.randrange(n * min(n, 16) + 1)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    g = Graph.from_edges(
+        ((3 * u + 5, 3 * v + 5) for u, v in pairs if u != v),
+        vertices=(3 * v + 5 for v in range(n)),
+    )
+    domain = TaskDomain.from_graph(g)
+    shape = draw(st.sampled_from(["runs", "thin", "thick", "full", "empty"]))
+    full = (1 << n) - 1
+    if shape == "full" or shape == "empty" or not n:
+        return g, domain, full if shape == "full" else 0
+    mask = rng.getrandbits(n)  # about n/4 runs
+    if shape == "thin":
+        mask &= rng.getrandbits(n)
+    elif shape == "thick":
+        mask |= rng.getrandbits(n)
+    return g, domain, mask
+
+
+@given(case=domain_and_mask())
+def test_restrict_matches_rebuild(case):
+    """The bit-run re-compaction equals building the induced subgraph anew."""
+    _, domain, mask = case
+    assert domain.globals_of(mask) == [domain.verts[i] for i in bits(mask)]
+    got = domain.restrict(mask)
+    want = TaskDomain.from_graph(domain.to_graph(), domain.globals_of(mask))
+    assert got.verts == want.verts
+    assert got.adj == want.adj
+    assert got == want
+
+
+@given(case=domain_and_mask(), anchors=st.lists(st.integers(0, 299), max_size=6))
+def test_two_hop_and_connectivity_match_bfs(case, anchors):
+    """two_hop_mask is two BFS layers from the anchor; connected_in is a
+    BFS inside the mask that reaches every member."""
+    g, domain, mask = case
+    index = domain.index
+    nbrs = [[index[u] for u in g.neighbors(v)] for v in domain.verts]
+    n = len(domain)
+    for v in (a % n for a in anchors if n):
+        layer1 = set(nbrs[v])
+        layer2 = {w for u in layer1 for w in nbrs[u]}
+        assert bits(domain.two_hop_mask(v)) == sorted(layer1 | layer2)
+    members = set(bits(mask))
+    reached = set()
+    if members:
+        frontier = [min(members)]
+        reached = set(frontier)
+        while frontier:
+            frontier = {w for u in frontier for w in nbrs[u] if w in members} - reached
+            reached |= frontier
+    assert domain.connected_in(mask) == (bool(members) and reached == members)
 
 
 # -- Algorithm 1 parity: table-driven round vs per-vertex reference ----------
