@@ -11,7 +11,7 @@ test runs one experiment end to end::
     pytest benchmarks/bench_paper.py -k table3 --benchmark-only   # one
 
 Absolute values are not comparable with the paper (synthetic analogs,
-Python, a simulated cluster); the asserted shapes are the deliverable.
+Python, a cluster on virtual time); the asserted shapes are the deliverable.
 Every artifact except Table 2's wall-clock ``time`` column is
 deterministic.
 """
@@ -55,7 +55,7 @@ def experiment(arms):
 
 
 def sim(**overrides):
-    """Arm: one simulated-cluster run (``sim_run`` with these overrides)."""
+    """Arm: one virtual-time serial run (``sim_run`` with these overrides)."""
     return lambda spec, pg: sim_run(pg.graph, spec, **overrides)
 
 
@@ -322,13 +322,13 @@ def table3(r):
     matters.
 
     Measured analog: total serial work (ops) and raw candidate count
-    over a τ_time × τ_split grid on the simulated engine (1 thread, so
+    over a τ_time × τ_split grid on the serial engine (1 thread, so
     "time" is total work — the serial-cost view the paper's Table 3
     takes).
     """
     report(
         "Table 3a — total work (ops) on cx_gse10158 analog",
-        *grid(r, lambda o: f"{o.total_work:,.0f}"),
+        *grid(r, lambda o: f"{o.metrics.virtual_work:,.0f}"),
         notes="Paper shape: easy dataset → smaller tau_time only adds overhead.",
         out_name="table3a_gse_work",
     )
@@ -362,13 +362,13 @@ def table4(r):
     decomposition keeps all cores busy — while decreasing τ_split also
     helps; result counts stay essentially stable.
 
-    Measured analog: virtual makespan on the simulated cluster (4
+    Measured analog: virtual makespan on the serial engine (4
     machines × 4 threads, mirroring the cluster setting at reduced
     scale).
     """
     report(
         "Table 4a — virtual makespan on hyves analog (4x4 cluster)",
-        *grid(r, lambda o: f"{o.makespan:,.0f}"),
+        *grid(r, lambda o: f"{o.metrics.virtual_makespan:,.0f}"),
         notes="Paper shape: hard dataset → smaller tau_time lowers parallel time.",
         out_name="table4a_hyves_makespan",
     )
@@ -386,7 +386,9 @@ def table4(r):
     assert len({len(o.maximal) for o in r.values()}) == 1, "maximal count must be stable"
     for ts in splits:
         big, small = r[times[0], ts], r[times[-1], ts]
-        assert small.makespan <= big.makespan * 1.05, "smaller tau_time must not slow hyves down"
+        assert small.metrics.virtual_makespan <= big.metrics.virtual_makespan * 1.05, (
+            "smaller tau_time must not slow hyves down"
+        )
         assert len(small.candidates) >= len(big.candidates), "candidates must not shrink"
 
 
@@ -408,15 +410,16 @@ def table5(r):
     (b) 32 threads/machine, machines ∈ {2, 4, 8, 16}. "The time keeps
     decreasing significantly as the count doubles."
 
-    Measured analog: the same sweeps on the discrete-event simulated
-    cluster over the enron analog — threads/machine at 4 machines, and
+    Measured analog: the same sweeps on the serial engine's virtual
+    clock over the enron analog — threads/machine at 4 machines, and
     machines at 4 threads. Virtual makespans are deterministic and the
     task set is identical across configurations, so the speedup curve
     is pure scheduling.
     """
-    solo = r["solo"].makespan
-    vertical = [r["vertical", t].makespan for t in SWEEP]
+    solo = r["solo"].metrics.virtual_work  # a 1x1 makespan is its total work
+    vertical = [r["vertical", t].metrics.virtual_makespan for t in SWEEP]
     horizontal = [r["horizontal", m] for m in SWEEP]
+    horizontal_spans = [o.metrics.virtual_makespan for o in horizontal]
     report(
         "Table 5(a) — vertical scalability (4 machines, enron analog)",
         ["machines", "threads", "virtual makespan", "speedup vs 1x1"],
@@ -427,15 +430,15 @@ def table5(r):
     report(
         "Table 5(b) — horizontal scalability (4 threads/machine, enron analog)",
         ["machines", "threads", "virtual makespan", "speedup vs 1x1", "steals"],
-        [[m, 4, f"{o.makespan:,.0f}", f"{solo / o.makespan:.1f}x", o.metrics.steals]
-         for m, o in zip(SWEEP, horizontal)],
+        [[m, 4, f"{span:,.0f}", f"{solo / span:.1f}x", o.metrics.steals]
+         for m, o, span in zip(SWEEP, horizontal, horizontal_spans)],
         notes="Paper shape: time keeps decreasing as machines double (1035→172s).",
         out_name="table5b_horizontal",
     )
     for a, b in zip(vertical, vertical[1:]):
         assert b <= a * 1.02
-    for a, b in zip(horizontal, horizontal[1:]):
-        assert b.makespan <= a.makespan * 1.02
+    for a, b in zip(horizontal_spans, horizontal_spans[1:]):
+        assert b <= a * 1.02
     assert solo / vertical[-1] > 4.0, "the codesign must show substantial parallel speedup"
 
 
@@ -453,7 +456,7 @@ def table6(r):
     the decomposition overhead is negligible next to the mining it
     unlocks.
 
-    Measured analog: operation counts from the simulated cluster (4×4)
+    Measured analog: operation counts from the serial engine at 4×4
     on the hyves analog; ops are the deterministic cost model, so the
     ratio is exactly reproducible.
     """
@@ -462,7 +465,7 @@ def table6(r):
         m = out.metrics
         ratio = m.mining_vs_materialization_ratio()
         rows.append([
-            f"{tt:,}", f"{out.makespan:,.0f}", f"{m.total_mining_ops:,}",
+            f"{tt:,}", f"{m.virtual_makespan:,.0f}", f"{m.total_mining_ops:,}",
             f"{m.total_materialize_ops:,}",
             "inf" if ratio == INF else f"{ratio:,.0f}x",
             m.tasks_decomposed, m.subtasks_created,
@@ -504,11 +507,11 @@ def ablation_decompose(r):
     spends τ_time mining before splitting, so cheap tasks never pay
     overhead and expensive tasks split exactly where the time goes.
 
-    Measured on the hyves analog (simulated 4×4): virtual makespan,
+    Measured on the hyves analog (4×4 on virtual time): virtual makespan,
     total work, and materialization overhead per strategy.
     """
     rows = [
-        [arm, f"{out.makespan:,.0f}", f"{out.total_work:,.0f}",
+        [arm, f"{out.metrics.virtual_makespan:,.0f}", f"{out.metrics.virtual_work:,.0f}",
          f"{out.metrics.total_materialize_ops:,}", out.metrics.subtasks_created,
          len(out.maximal)]
         for arm, out in r.items()
@@ -526,7 +529,7 @@ def ablation_decompose(r):
     )
     none, timed = r["none"], r["time-delayed"]
     assert timed.maximal == none.maximal
-    assert timed.makespan <= none.makespan * 1.02, (
+    assert timed.metrics.virtual_makespan <= none.metrics.virtual_makespan * 1.02, (
         "time-delayed decomposition must not lose to no decomposition"
     )
 
@@ -544,7 +547,7 @@ def ablation_global_queue(r):
     that all threads drain with priority.
 
     Measured: virtual makespan on the youtube analog with the global
-    queue enabled vs disabled (simulated 1×8; decomposition active in
+    queue enabled vs disabled (1×8 on virtual time; decomposition active in
     both arms, so the difference isolates queue routing).
     """
     on, off = r["on"], r["off"]
@@ -552,8 +555,9 @@ def ablation_global_queue(r):
         "Ablation — global big-task queue (youtube analog, 1x8)",
         ["metric", "reforged (ON)", "original (OFF)"],
         [
-            ["virtual makespan", f"{on.makespan:,.0f}", f"{off.makespan:,.0f}"],
-            ["utilization", f"{on.utilization:.2f}", f"{off.utilization:.2f}"],
+            ["virtual makespan", f"{on.metrics.virtual_makespan:,.0f}",
+             f"{off.metrics.virtual_makespan:,.0f}"],
+            ["utilization", f"{on.metrics.utilization:.2f}", f"{off.metrics.utilization:.2f}"],
             ["results", len(on.maximal), len(off.maximal)],
         ],
         notes=(
@@ -563,7 +567,9 @@ def ablation_global_queue(r):
         out_name="ablation_global_queue",
     )
     assert on.maximal == off.maximal
-    assert on.makespan <= off.makespan * 1.02, "the reforged scheduler must not be slower"
+    assert on.metrics.virtual_makespan <= off.metrics.virtual_makespan * 1.02, (
+        "the reforged scheduler must not be slower"
+    )
 
 
 def kcore_shrink(spec, pg):

@@ -14,8 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import build_dataset, get_dataset
-from repro.gthinker import EngineConfig
-from repro.gthinker.simulation import simulate_cluster
+from repro.gthinker import EngineConfig, mine_parallel
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +28,9 @@ def dataset():
 
 
 def sim_run(graph, spec, machines=1, threads=1, **overrides):
-    """One simulated-cluster run with a dataset's registered parameters."""
+    """One serial run on M x T virtual threads with a dataset's registered
+    parameters (``metrics.virtual_makespan`` above 1 x 1,
+    ``metrics.virtual_work`` always)."""
     params = dict(
         num_machines=machines,
         threads_per_machine=threads,
@@ -40,4 +41,4 @@ def sim_run(graph, spec, machines=1, threads=1, **overrides):
     )
     params.update(overrides)
     config = EngineConfig(**params)
-    return simulate_cluster(graph, spec.gamma, spec.min_size, config)
+    return mine_parallel(graph, spec.gamma, spec.min_size, config)

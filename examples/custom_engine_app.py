@@ -45,7 +45,7 @@ class TriangleCount:
         # frontier maps each pulled vertex u to its adjacency list Γ(u).
         larger = set(task.ext)
         self.count += sum(1 for u in task.ext for w in frontier[u] if w > u and w in larger)
-        # cost_ops feeds the simulated cluster's virtual clock.
+        # cost_ops feeds the engine's virtual clock above 1 machine x 1 thread.
         ops = sum(len(frontier[u]) for u in task.ext)
         return ComputeOutcome(finished=True, cost_ops=max(1, ops))
 
@@ -69,9 +69,10 @@ anatomy of a longer app
 compute() may also leave the task unfinished: set task.pulls for
 another round and return ComputeOutcome(finished=False), or split the
 work with ComputeOutcome(new_tasks=[...]) using ctx.next_task_id() for
-the subtasks' IDs. The same app object runs unchanged on every
-executor: GThinkerEngine (serial) and SimulatedClusterEngine (M x T
-on virtual time).
+the subtasks' IDs. The same app object runs unchanged at any
+topology: GThinkerEngine(graph, app, EngineConfig(num_machines=M,
+threads_per_machine=T)) schedules it onto M x T threads on virtual
+time.
 """)
 
 

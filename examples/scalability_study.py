@@ -1,4 +1,4 @@
-"""Scalability study on the simulated cluster (paper Table 5 in miniature).
+"""Scalability study on virtual time (paper Table 5 in miniature).
 
 Sweeps virtual thread and machine counts over one mining job and prints
 speedup/utilization — deterministic because every task cost is an
@@ -9,8 +9,7 @@ Run:  python examples/scalability_study.py
 
 from repro.bench import report
 from repro.datasets import build_dataset, get_dataset
-from repro.gthinker import EngineConfig
-from repro.gthinker.simulation import simulate_cluster
+from repro.gthinker import EngineConfig, mine_parallel
 
 DATASET = "enron"
 
@@ -29,16 +28,17 @@ def main() -> None:
             time_unit="ops",
             decompose="timed",
         )
-        return simulate_cluster(graph, spec.gamma, spec.min_size, config)
+        return mine_parallel(graph, spec.gamma, spec.min_size, config).metrics
 
-    base = run(1, 1)
+    # At 1 x 1 the makespan is the total work (one thread runs it all).
+    base = run(1, 1).virtual_work
     rows = []
-    for threads in (1, 2, 4, 8, 16, 32):
-        out = run(1, threads)
+    for threads in (2, 4, 8, 16, 32):
+        m = run(1, threads)
         rows.append([
-            1, threads, f"{out.makespan:,.0f}",
-            f"{base.makespan / out.makespan:.2f}x",
-            f"{out.utilization:.2f}", len(out.maximal),
+            1, threads, f"{m.virtual_makespan:,.0f}",
+            f"{base / m.virtual_makespan:.2f}x",
+            f"{m.utilization:.2f}", m.results,
         ])
     report(
         "Vertical scalability (1 machine, thread sweep)",
@@ -48,11 +48,11 @@ def main() -> None:
 
     rows = []
     for machines in (1, 2, 4, 8, 16):
-        out = run(machines, 4)
+        m = run(machines, 4)
         rows.append([
-            machines, 4, f"{out.makespan:,.0f}",
-            f"{base.makespan / out.makespan:.2f}x",
-            out.metrics.steals, len(out.maximal),
+            machines, 4, f"{m.virtual_makespan:,.0f}",
+            f"{base / m.virtual_makespan:.2f}x",
+            m.steals, m.results,
         ])
     report(
         "Horizontal scalability (4 threads/machine, machine sweep)",

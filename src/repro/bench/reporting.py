@@ -3,7 +3,7 @@
 Every benchmark regenerates one paper table/figure and prints it in the
 paper's row format next to the paper's own numbers, then appends the
 rendering to ``benchmarks/out/`` so EXPERIMENTS.md can cite stable
-artifacts. Absolute values are not comparable (simulated cluster,
+artifacts. Absolute values are not comparable (virtual-time cluster,
 synthetic analogs, Python) — the *shape* columns are the deliverable.
 """
 

@@ -4,12 +4,12 @@ Examples::
 
     quasiclique-mine graph.txt --gamma 0.9 --min-size 18
     quasiclique-mine graph.txt --gamma 0.8 --min-size 10 \
-        --simulate --machines 2 --threads 4 --tau-split 64 --tau-time 5000
+        --machines 2 --threads 4 --tau-split 64 --tau-time 5000
     quasiclique-mine graph.txt --gamma 0.8 --min-size 10 \
         --backend process --num-procs 4
     quasiclique-mine graph.txt --gamma 0.8 --min-size 10 \
         --backend cluster --num-procs 2
-    quasiclique-mine --dataset hyves --simulate --machines 16 --threads 32
+    quasiclique-mine --dataset hyves --machines 16 --threads 32
     quasiclique-mine cluster-master graph.txt --gamma 0.8 --min-size 10 \
         --workers 4 --port 7464
     quasiclique-mine cluster-worker --host master-host --port 7464
@@ -44,7 +44,6 @@ from .graph.io import read_edge_list
 from .gthinker.config import BACKENDS, EngineConfig, check_topology
 from .gthinker.engine import mine_parallel
 from .gthinker.engine_mp import mine_multiprocess
-from .gthinker.simulation import simulate_cluster
 
 
 def format_run_summary(out, backend: str | None = None,
@@ -58,6 +57,9 @@ def format_run_summary(out, backend: str | None = None,
     """
     m = out.metrics
     parts: list[str] = []
+    if m.virtual_makespan:
+        parts += [f"virtual_makespan={m.virtual_makespan:.0f}",
+                  f"utilization={m.utilization:.2f}"]
     if backend == "process":
         parts.append(f"backend=process procs={workers}")
     elif backend == "cluster":
@@ -110,12 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--min-size", type=int, default=None,
                         help="minimum quasi-clique size τ_size")
     parser.add_argument("--machines", type=int, default=1,
-                        help="machines M of the M x T topology that "
-                        "--simulate schedules onto (default: 1; the other "
-                        "backends run one machine x one thread per worker)")
+                        help="machines M of the M x T topology the serial "
+                        "backend schedules onto on virtual time (default: "
+                        "1; process and cluster workers run one machine x "
+                        "one thread each)")
     parser.add_argument("--threads", type=int, default=1,
                         help="mining threads T per machine of the M x T "
-                        "topology; --simulate only (default: 1)")
+                        "topology; serial backend only (default: 1)")
     parser.add_argument("--tau-split", type=int, default=64,
                         help="big-task routing / split threshold")
     parser.add_argument("--tau-time", type=float, default=float("inf"),
@@ -129,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=BACKENDS,
                         default=None,
                         help="executor: 'serial' (default; the engine on "
-                        "one machine x one thread), 'process' (the cluster "
+                        "--machines x --threads in one thread, on virtual "
+                        "time above 1 x 1), 'process' (the cluster "
                         "runtime on localhost with warm-start workers that "
                         "hold the whole graph; true multi-core), "
                         "'cluster' (localhost TCP master/worker runtime; "
                         "workers get a partition and fetch the rest; "
                         "multi-host via the cluster-master/cluster-worker "
-                        "subcommands), 'simulated' (virtual-time M x T "
-                        "cluster)")
+                        "subcommands)")
     parser.add_argument("--num-procs", type=int, default=0, metavar="N",
                         help="process/cluster-backend worker count "
                         "(0 = cpu count)")
@@ -153,12 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process/cluster fault tolerance: base delay "
                         "before redispatching a reclaimed work unit; "
                         "doubles per attempt (default: 0.05)")
-    parser.add_argument("--simulate", action="store_true",
-                        help="run on the discrete-event simulated cluster "
-                        "(same as --backend simulated)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="record scheduler events and write them as JSON "
-                        "lines to FILE (engine and --simulate modes)")
+                        "lines to FILE (engine modes)")
     parser.add_argument("--metrics-json", metavar="FILE", default=None,
                         help="write the run's engine metrics as JSON to FILE "
                         "(engine modes only)")
@@ -243,12 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     backend = args.backend
-    if args.simulate:
-        if backend not in (None, "simulated"):
-            print("error: --simulate conflicts with "
-                  f"--backend {backend}", file=sys.stderr)
-            return 2
-        backend = "simulated"
     if backend is not None and (args.serial or args.query):
         print("error: --backend selects an engine executor; it cannot be "
               "combined with --serial or --query", file=sys.stderr)
@@ -280,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.metrics_json and (args.serial or args.query):
         print("error: --metrics-json requires an engine mode "
-              "(default, --backend, --simulate or --checkpoint-dir)",
+              "(default, --backend or --checkpoint-dir)",
               file=sys.stderr)
         return 2
 
@@ -299,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace:
         if args.serial or args.query or args.checkpoint_dir:
             print("error: --trace requires an engine mode "
-                  "(default or --simulate)", file=sys.stderr)
+                  "(default or --backend)", file=sys.stderr)
             return 2
         trace_dir = os.path.dirname(os.path.abspath(args.trace))
         if not os.path.isdir(trace_dir):
@@ -332,10 +326,6 @@ def main(argv: list[str] | None = None) -> int:
         result = mine_maximal_quasicliques(graph, gamma, min_size)
         maximal = result.maximal
         extra = ""
-    elif config.backend == "simulated":
-        out = simulate_cluster(graph, gamma, min_size, config, tracer=tracer)
-        maximal = out.maximal
-        extra = f" virtual_makespan={out.makespan:.0f} utilization={out.utilization:.2f}"
     elif config.backend == "process":
         out = mine_multiprocess(graph, gamma, min_size, config, tracer=tracer,
                                 start_method=args.mp_start_method,

@@ -6,7 +6,7 @@ Every layer that reads adjacency — task spawning, pull resolution,
 Every executor's machine implements it with one class,
 :class:`~repro.gthinker.vertex_store.RemoteGraphAccess` — one machine's
 vertex store: its partition of the vertex table plus a bounded remote
-cache. The serial and simulated executors serve a cache miss
+cache. The serial executor's machines serve a cache miss
 synchronously from the owner's table; a warm-start worker (the
 process backend's) holds the whole graph as its one partition, so it
 never misses; a cold cluster worker fetches a miss over the wire first (``unresolved`` →

@@ -16,7 +16,6 @@ from .scheduler import (
     build_machines,
     collect_machine_metrics,
 )
-from .simulation import SimOutcome, SimulatedClusterEngine, simulate_app, simulate_cluster
 from .metrics import EngineMetrics, TaskRecord
 from .spill import SpillableQueue, SpillFileList
 from .stealing import StealMove, plan_steals
@@ -32,10 +31,6 @@ from .vertex_store import (
 
 __all__ = [
     "AlwaysExpired",
-    "SimOutcome",
-    "SimulatedClusterEngine",
-    "simulate_app",
-    "simulate_cluster",
     "ComputeContext",
     "ComputeOutcome",
     "GThinkerApp",

@@ -13,7 +13,7 @@ two UDFs plus two result/accounting attributes:
 * ``stats`` — a :class:`~repro.core.options.MiningStats` merged into
   the run's :class:`~repro.gthinker.metrics.EngineMetrics`.
 
-Every executor (serial, simulated cluster, and each process or
+Every executor (the serial one at any M × T, and each process or
 cluster worker) schedules apps through the same
 :mod:`repro.gthinker.scheduler` core, so an app written against this
 protocol runs on all of them unchanged.

@@ -3,7 +3,7 @@
 The time-delayed decomposition strategy (paper Algorithm 10) needs a
 notion of "this task has mined for longer than τ_time". With
 ``time_unit='wall'`` that is wall-clock time, as in the paper. By
-default, and always in the simulated cluster, it is a deterministic
+default, and always above one machine × one thread, it is a deterministic
 *operation budget* counted in
 the miner's abstract work units (``MiningStats.mining_ops``), so that a
 run decomposes at exactly the same search-tree nodes every time — a

@@ -1,7 +1,7 @@
 """Distributed runtime: TCP master/worker engine of two backends.
 
-The real-network counterpart of the simulated cluster
-(:mod:`repro.gthinker.simulation`): a master process owns the work
+The real-network counterpart of the serial executor's M × T loop
+(:mod:`repro.gthinker.engine`): a master process owns the work
 ledger and the big-task stealing plan, workers own local schedulers
 built from the same :class:`~repro.gthinker.scheduler.SchedulerCore`
 as every other executor, and everything in between is a small framed

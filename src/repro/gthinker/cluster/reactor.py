@@ -139,7 +139,7 @@ class MasterReactor:
                 f"the process and cluster backends ship the app to every "
                 f"worker, but {type(app).__name__} is not picklable: {exc}. "
                 f"Keep engine apps free of locks, open files, and lambdas, "
-                f"or run it on the serial or simulated backend."
+                f"or run it on the serial backend."
             ) from exc
         #: Per-partition Welcome payloads ({vertex: adjacency} pickles),
         #: built lazily per partition and cached for rejoining workers.
@@ -1078,7 +1078,7 @@ class WorkerReactor:
                 return 1.0 + len(fetch_missing) * self.config.sim_message_cost
         t0 = self._clock()
         quantum = self.core.run_quantum(
-            task, self.machine, record=self.metrics.record_task, slot=self.slot
+            task, self.machine, self.slot, self.metrics.record_task
         )
         self._mine_seconds += self._clock() - t0
         unpin = self._unpin_after.pop(task.task_id, None)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 
 #: The executors a config can select (``EngineConfig.backend``).
-BACKENDS = ("serial", "process", "cluster", "simulated")
+BACKENDS = ("serial", "process", "cluster")
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class EngineConfig:
     * ``tau_time``  — the time-delayed decomposition budget per task
       execution. Interpreted in seconds when ``time_unit='wall'`` or in
       abstract mining operations when ``time_unit='ops'`` (deterministic;
-      default, and mandatory for the simulated cluster).
+      default, and mandatory above one machine × one thread).
     """
 
     num_machines: int = 1
@@ -40,17 +40,17 @@ class EngineConfig:
     #: Reforge ablation: the global big-task queue. (Big-task stealing
     #: is always on when there are two or more machines.)
     use_global_queue: bool = True
-    #: Simulated-cluster only: virtual cost added per remote message.
+    #: Serial backend only: virtual cost added per remote message.
     sim_message_cost: float = 0.0
     #: Vertex-table partition strategy: 'hash' (paper), 'range', or
     #: 'balanced_degree' (see repro.gthinker.partition).
     partition: str = "hash"
     #: Executor selection for dispatching front-ends (mine_parallel, the
-    #: CLI, the service): 'serial' runs one machine × one thread in the
-    #: calling thread (engine); 'cluster' runs the TCP master/worker
+    #: CLI, the service): 'serial' runs M × T in the calling thread on
+    #: virtual time (engine); 'cluster' runs the TCP master/worker
     #: runtime (repro.gthinker.cluster) on localhost; 'process' runs the
     #: same runtime with warm-start workers that hold the whole graph
-    #: (engine_mp); 'simulated' runs the virtual-time cluster on M × T.
+    #: (engine_mp).
     backend: str = "serial"
     #: Process/cluster-backend worker count; 0 means os.cpu_count().
     num_procs: int = 0
@@ -162,20 +162,30 @@ class EngineConfig:
 
 
 def check_topology(config: EngineConfig) -> None:
-    """Raise ValueError if `config` asks for M × T > 1 off the simulator.
+    """Raise ValueError if `config` asks for a topology its backend cannot run.
 
-    The one place the rule lives: the CLI, :func:`mine_parallel`, the
-    localhost launcher and the service's job admission all call it. Only
-    the simulated cluster schedules onto M machines × T threads; the
-    serial executor runs one machine × one thread, and each process or
-    cluster worker runs one local scheduler (scale those with
-    ``num_procs``). It is not a ``__post_init__`` check because
-    simulator configs keep the default backend with any topology.
+    The one place the rules live: the CLI, :func:`mine_parallel`, the
+    localhost launcher and the service's job admission all call it.
+
+    * Only the serial backend schedules onto M machines × T threads (on
+      virtual time); each process or cluster worker runs one local
+      scheduler, and those backends scale with ``num_procs``.
+    * Above 1 × 1 a task's cost is its virtual duration, so
+      ``time_unit='wall'`` is legal at 1 × 1 only: decomposition points
+      must be deterministic operation counts.
     """
-    if config.backend != "simulated" and config.total_threads != 1:
+    if config.total_threads == 1:
+        return
+    shape = f"{config.num_machines}x{config.threads_per_machine}"
+    if config.backend != "serial":
         raise ValueError(
             f"backend {config.backend!r} runs one machine x one thread, not "
-            f"{config.num_machines}x{config.threads_per_machine} (process and "
-            f"cluster workers scale with num_procs); for an M x T topology "
-            f"use backend 'simulated' (--simulate)"
+            f"{shape} (process and cluster workers scale with num_procs); "
+            f"for an M x T topology use backend 'serial'"
+        )
+    if config.time_unit != "ops":
+        raise ValueError(
+            f"an M x T topology ({shape}) runs on virtual time and needs "
+            f"time_unit='ops' (deterministic task costs and decomposition "
+            f"points); time_unit='wall' (--wall-clock) runs at 1x1 only"
         )

@@ -1,29 +1,36 @@
 """The reforged G-thinker engine's in-process executor (paper Section 5, Figure 8).
 
-One machine with one mining thread runs the reforged runtime's data
-structures in the calling thread: a vertex table behind the vertex
-store, the thread's local task queue, the machine's global big-task
-queue, and disk spilling (L_small / L_big). The paper's M machines × T
-threads topology runs on the simulated cluster
-(:mod:`repro.gthinker.simulation`), which mines for real on virtual
-time; the process and cluster backends run one such scheduler per
-worker process (:mod:`repro.gthinker.cluster`).
+M machines × T mining threads run the reforged runtime's data
+structures in the calling thread: per machine a vertex table behind
+the vertex store, a global big-task queue and disk spilling (L_small /
+L_big); per thread a local task queue. The paper's testbed has more
+cores than a test box, so the threads share one core on a virtual
+clock: when a thread picks a task at virtual time t the task really
+runs, its cost c is its deterministic operation count
+(``QuantumResult.cost``), and its children become visible to the
+queues only at t+c, so no thread observes work that has not yet
+"happened". The same job at 4 and at 32 threads mines the identical
+task set, and the makespan ratio *is* the schedulability of the
+workload — what Table 5 measures. At 1×1 the loop is plain serial
+execution. The process and cluster backends run one such scheduler
+per worker process (:mod:`repro.gthinker.cluster`).
 
 All scheduling *policy* — routing, pick priority, local-queue refill
 order, spawn batching with big-task early stop, steal planning — lives
 in :mod:`repro.gthinker.scheduler` and is shared verbatim with the
-other executors. This module is only the serial loop plus job
-lifecycle (active-task accounting, metrics collection), and
-:func:`mine_parallel`, the front-end that dispatches on
-``config.backend``.
+worker reactor. This module is only the event loop plus job lifecycle
+(live-task accounting, metrics collection), and :func:`mine_parallel`,
+the front-end that dispatches on ``config.backend``.
 
-The machine reads through the same vertex store as a cluster worker
+Each machine reads through the same vertex store as a cluster worker
 (:class:`~repro.gthinker.vertex_store.RemoteGraphAccess`); its cache
 misses are served synchronously from the owner's table.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -53,7 +60,7 @@ class MiningRunResult:
 
 
 class GThinkerEngine:
-    """Run one mining job on one machine × one thread, in the calling thread."""
+    """Run one mining job on M machines × T threads, in the calling thread."""
 
     def __init__(
         self,
@@ -80,20 +87,15 @@ class GThinkerEngine:
         self._peak_active = max(self._peak_active, self._active)
 
     def run(self) -> MiningRunResult:
-        """Execute the job: pick and run quanta until no task is left.
+        """Execute the job: run quanta on virtual time until no task is left.
 
         The job is over once every vertex has been offered to spawn and
-        every task has finished. The 'process', 'cluster' and
-        'simulated' backends are other executors, reached through
-        :func:`mine_parallel`.
+        every task has finished. The 'process' and 'cluster' backends
+        are other executors, reached through :func:`mine_parallel`.
         """
         backend = self.config.backend
         if backend != "serial":
-            executor = {
-                "process": "mine_multiprocess",
-                "cluster": "ClusterMaster",
-                "simulated": "SimulatedClusterEngine",
-            }[backend]
+            executor = {"process": "mine_multiprocess", "cluster": "ClusterMaster"}[backend]
             raise ValueError(
                 f"GThinkerEngine is the serial executor; for "
                 f"backend={backend!r} use {executor} (or mine_parallel)"
@@ -101,44 +103,101 @@ class GThinkerEngine:
         check_topology(self.config)
         start = time.perf_counter()
         try:
-            self._run_serial()
+            makespan, work = self._run_events()
         finally:
             self.core.detach()
             for m in self.machines:
                 m.cleanup()
-        self.metrics.wall_seconds = time.perf_counter() - start
-        collect_machine_metrics(self.metrics, self.machines)
-        self.metrics.peak_pending_tasks = self._peak_active
-        self.metrics.mining_stats.merge(self.app.stats)
+        metrics = self.metrics
+        metrics.wall_seconds = time.perf_counter() - start
+        metrics.virtual_work = work
+        if self.config.total_threads > 1 and makespan:
+            metrics.virtual_makespan = makespan
+            metrics.utilization = work / (makespan * self.config.total_threads)
+        collect_machine_metrics(metrics, self.machines)
+        metrics.peak_pending_tasks = self._peak_active
+        metrics.mining_stats.merge(self.app.stats)
         candidates = self.app.sink.results()
         maximal = postprocess_results(candidates)
-        self.metrics.results = len(maximal)
-        return MiningRunResult(maximal=maximal, candidates=candidates, metrics=self.metrics)
+        metrics.results = len(maximal)
+        return MiningRunResult(maximal=maximal, candidates=candidates, metrics=metrics)
 
-    def _run_serial(self) -> None:
+    def _run_events(self) -> tuple[float, float]:
+        """The event loop; returns (virtual makespan, total virtual work).
+
+        Events are ``(time, seq, slot, quantum)``: a thread slot
+        ``(machine, thread)`` that is free to pick, carrying the
+        quantum it just completed (None for a wake-up), or the steal
+        tick when ``slot`` is None. A thread that finds nothing to pick
+        idles until a completed quantum or a steal makes work visible.
+        """
+        config = self.config
         core = self.core
-        machine = self.machines[0]
-        slot = machine.threads[0]
         timing = WorkerTiming()
         t_start = time.perf_counter()
-        while True:
-            t0 = time.perf_counter()
-            task = core.pick(machine, slot)
-            if task is None:
-                timing.idle_seconds += time.perf_counter() - t0
-                if self._active == 0 and core.all_spawned():
-                    break
+        events: list = []
+        seq = itertools.count()
+        for m in range(config.num_machines):
+            for t in range(config.threads_per_machine):
+                heapq.heappush(events, (0.0, next(seq), (m, t), None))
+        steal_period = max(1.0, config.steal_period_seconds)
+        if config.num_machines > 1:
+            heapq.heappush(events, (steal_period, next(seq), None, None))
+        idle: set[tuple[int, int]] = set()
+        makespan = work = 0.0
+
+        def wake_idle(now: float) -> None:
+            for slot in list(idle):
+                idle.discard(slot)
+                heapq.heappush(events, (now, next(seq), slot, None))
+
+        while events:
+            now, _, slot, quantum = heapq.heappop(events)
+            if slot is None:
+                moved = core.apply_steals()
+                wake = moved or any(m.pending_big() for m in self.machines)
+                # Re-arm while work is live and some thread can still
+                # move: with every thread idle and nothing to steal, no
+                # tick could wake one, so the loop runs dry instead.
+                if (events or wake) and (self._active > 0 or not core.all_spawned()):
+                    heapq.heappush(events, (now + steal_period, next(seq), None, None))
+                if wake:
+                    wake_idle(now)
                 continue
-            result = core.run_quantum(task, machine, self.metrics.record_task, slot=slot)
-            for child in result.children:
-                core.route(child, machine, slot)
-            if result.resumed is not None:
-                core.buffer_ready(result.resumed, machine, slot)
-            if result.finished:
-                self._active -= 1
+
+            t0 = time.perf_counter()
+            machine = self.machines[slot[0]]
+            thread = machine.threads[slot[1]]
+            if quantum is not None:
+                # A completed quantum's effects become visible now (t+c).
+                for child in quantum.children:
+                    core.route(child, machine, thread)
+                if quantum.resumed is not None:
+                    core.buffer_ready(quantum.resumed, machine, thread)
+                if quantum.finished:
+                    self._active -= 1
+                if quantum.children or quantum.resumed is not None:
+                    wake_idle(now)
+            task = core.pick(machine, thread)
+            if task is None:
+                idle.add(slot)
+                continue
+            result = core.run_quantum(task, machine, thread, self.metrics.record_task)
+            cost = max(result.cost, 1.0)
+            work += cost
+            makespan = max(makespan, now + cost)
+            heapq.heappush(events, (now + cost, next(seq), slot, result))
             timing.mine_seconds += time.perf_counter() - t0
+
+        if self._active or not core.all_spawned():
+            raise RuntimeError(
+                f"the event loop ran dry with {self._active} live task(s) "
+                f"and spawn {'done' if core.all_spawned() else 'unfinished'}"
+            )
         timing.wall_seconds = time.perf_counter() - t_start
+        timing.idle_seconds = timing.wall_seconds - timing.mine_seconds
         self.metrics.timing[0] = timing
+        return makespan, work
 
 
 def mine_parallel(
@@ -151,23 +210,18 @@ def mine_parallel(
 ) -> MiningRunResult:
     """Convenience front-end: mine `graph` on the reforged engine.
 
-    Dispatches on ``config.backend``: 'serial' runs here, on one
-    machine × one thread (:func:`~repro.gthinker.config.check_topology`);
+    Dispatches on ``config.backend``: 'serial' runs here, on
+    ``num_machines × threads_per_machine`` threads of virtual time;
     ``backend='process'`` delegates to
-    :func:`repro.gthinker.engine_mp.mine_multiprocess`, ``'cluster'`` to
-    :func:`repro.gthinker.cluster.mine_cluster` and ``'simulated'`` to
-    :func:`repro.gthinker.simulation.simulate_cluster`, so one call site
-    can select any executor from configuration alone. Every backend
-    mines :func:`~repro.core.miner.quasiclique_core` of `graph`.
+    :func:`repro.gthinker.engine_mp.mine_multiprocess` and
+    ``'cluster'`` to :func:`repro.gthinker.cluster.mine_cluster`, so
+    one call site can select any executor from configuration alone
+    (:func:`~repro.gthinker.config.check_topology` guards the
+    topology). Every backend mines
+    :func:`~repro.core.miner.quasiclique_core` of `graph`.
     """
     config = config or EngineConfig()
     check_topology(config)
-    if config.backend == "simulated":
-        from .simulation import simulate_cluster
-
-        return simulate_cluster(
-            graph, gamma, min_size, config, options=options, tracer=tracer
-        )
     if config.backend == "process":
         from .engine_mp import mine_multiprocess
 

@@ -59,7 +59,13 @@ class EngineMetrics:
     """Aggregated over one engine run (merge per-worker copies at the end)."""
 
     wall_seconds: float = 0.0
-    virtual_makespan: float = 0.0  # simulated engines only
+    #: Virtual time (ops) of the serial executor (repro.gthinker.engine):
+    #: its makespan and busy-thread share, at M x T > 1 only; and the
+    #: summed cost of its quanta, at any topology (at 1 x 1 it is the
+    #: makespan). 0 on the process and cluster backends.
+    virtual_makespan: float = 0.0
+    utilization: float = 0.0
+    virtual_work: float = 0.0
     tasks_spawned: int = 0
     tasks_executed: int = 0
     subtasks_created: int = 0
@@ -98,9 +104,9 @@ class EngineMetrics:
     results: int = 0
     peak_pending_tasks: int = 0
     #: Per-worker wall/mine/idle split (repro.gthinker.obs). Keyed by a
-    #: backend-native worker index: 0 on the serial engine, worker id
-    #: on the process and cluster backends.
-    #: Empty on the simulated backend (its clock is virtual).
+    #: backend-native worker index: 0 on the serial engine (one row for
+    #: its host loop at any M x T), worker id on the process and
+    #: cluster backends.
     timing: dict[int, WorkerTiming] = field(default_factory=dict)
     task_records: list[TaskRecord] = field(default_factory=list)
     mining_stats: MiningStats = field(default_factory=MiningStats)
@@ -150,7 +156,7 @@ class EngineMetrics:
     # -- evaluation-facing views ------------------------------------------
 
     def mining_vs_materialization_ratio(self) -> float:
-        """Table 6 ratio; ops-based so it is meaningful in simulation too."""
+        """Table 6 ratio; ops-based so it is meaningful on virtual time too."""
         if self.total_materialize_ops == 0:
             return float("inf")
         return self.total_mining_ops / self.total_materialize_ops

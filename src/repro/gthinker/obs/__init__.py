@@ -17,7 +17,7 @@ Three capabilities, all riding channels the engines already had
 Import note: :func:`query_master_status` lives in
 :mod:`repro.gthinker.obs.status` and pulls in the cluster protocol;
 it is imported lazily here so ``obs`` itself stays usable from the
-leanest contexts (the simulator, tests of the snapshot format).
+leanest contexts (the in-process engine, tests of the snapshot format).
 """
 
 from __future__ import annotations

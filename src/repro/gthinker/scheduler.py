@@ -1,9 +1,9 @@
 """Backend-agnostic scheduler core (the paper's reforged policy, §5).
 
 One implementation of the reforged G-thinker scheduling rules, shared
-by every executor — the serial loop in :mod:`repro.gthinker.engine`,
-the virtual-time driver in :mod:`repro.gthinker.simulation`, and the
-worker reactor of the process and cluster backends:
+by every executor — the virtual-time loop of the serial backend
+(:mod:`repro.gthinker.engine`) and the worker reactor of the process
+and cluster backends:
 
 1. *routing*  — a new task goes to the machine's global big-task queue
    (Q_global, spilling to L_big) iff it is big, else to the picking
@@ -21,12 +21,9 @@ worker reactor of the process and cluster backends:
 The core is policy only: it owns no threads, its injected clock times
 trace spans and nothing else, and every executor drives it from a
 single thread (`pick` → `run_quantum` → route children / re-buffer
-the suspended task). Executors observe
-queue transitions through three optional hooks (`task_queued`,
-`task_buffered`, `task_picked`) so each backend can keep its own
-liveness accounting — an active-task counter for the serial engine,
-an outstanding-work counter for the simulator — without duplicating
-any scheduling decision.
+the suspended task). Executors observe each newly queued task
+through the optional `task_queued` hook, which feeds their live-task
+count, without duplicating any scheduling decision.
 """
 
 from __future__ import annotations
@@ -62,10 +59,10 @@ class ThreadSlot:
 class MachineState:
     """One machine: vertex store, queues, spawn cursor.
 
-    The same state object backs the serial engine, the simulated
-    cluster and every process or cluster worker, so the
-    simulator exercises the identical store and queue/spill structures
-    as the wire.
+    The same state object backs every machine of the serial executor
+    and every process or cluster worker, so the virtual-time loop
+    exercises the identical store and queue/spill structures as the
+    wire.
     """
 
     def __init__(self, machine_id: int, data: RemoteGraphAccess, config: EngineConfig):
@@ -158,8 +155,6 @@ class SchedulerCore:
         *,
         metrics: EngineMetrics | None = None,
         task_queued: Callable[[Task], None] | None = None,
-        task_buffered: Callable[[Task], None] | None = None,
-        task_picked: Callable[[Task], None] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.app = ensure_app(app)
@@ -169,21 +164,19 @@ class SchedulerCore:
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._task_queued = task_queued
-        self._task_buffered = task_buffered
-        self._task_picked = task_picked
         #: Times the trace spans only; no scheduling decision reads it.
         self._clock = clock
         self._task_ids = itertools.count()
 
     def detach(self) -> None:
-        """Drop the executor's hooks once its job has ended.
+        """Drop the executor's hook once its job has ended.
 
-        The hooks are the executor's bound methods, so until then the
+        The hook is the executor's bound method, so until then the
         executor and its core reference each other; breaking the cycle
         frees the job's machines, vertex tables and graph by reference
         counting instead of leaving them for a cyclic collection.
         """
-        self._task_queued = self._task_buffered = self._task_picked = None
+        self._task_queued = None
 
     # -- shared counters ---------------------------------------------------
 
@@ -209,8 +202,6 @@ class SchedulerCore:
 
     def buffer_ready(self, task: Task, machine: MachineState, slot: ThreadSlot) -> None:
         """Re-buffer a data-ready task, preserving big-task priority."""
-        if self._task_buffered is not None:
-            self._task_buffered(task)
         if self.config.use_global_queue and task.is_big(self.config.tau_split):
             machine.bglobal.append(task)
             self.tracer.emit("ready_global", task.task_id, machine.machine_id)
@@ -299,13 +290,9 @@ class SchedulerCore:
                 self.tracer.emit("pop_local", task.task_id, machine.machine_id)
             else:
                 task = self._pop_global(machine, slot)
-        if task is not None and self._task_picked is not None:
-            self._task_picked(task)
         return task
 
-    def _pop_global(
-        self, machine: MachineState, slot: ThreadSlot | None = None
-    ) -> Task | None:
+    def _pop_global(self, machine: MachineState, slot: ThreadSlot) -> Task | None:
         if not self.config.use_global_queue:
             return None
         if machine.qglobal.needs_refill():
@@ -315,8 +302,7 @@ class SchedulerCore:
             if trace and loaded:
                 emit_span(
                     self.tracer, "spill_refill", t0, self._clock(),
-                    machine=machine.machine_id,
-                    thread=slot.slot_id if slot is not None else -1,
+                    machine=machine.machine_id, thread=slot.slot_id,
                     detail=f"queue=qglobal loaded={loaded}",
                 )
         task = machine.qglobal.pop()
@@ -330,21 +316,21 @@ class SchedulerCore:
         self,
         task: Task,
         machine: MachineState,
+        slot: ThreadSlot,
         record: Callable[[TaskRecord], None] | None = None,
-        slot: ThreadSlot | None = None,
     ) -> QuantumResult:
         """Run compute iterations until the task finishes or suspends.
 
         Pull resolution goes through the machine's vertex store
         (synchronous in-process); the quantum's abstract cost (compute ops plus
-        `sim_message_cost` per remote message) feeds the simulator's
-        virtual clock and is computed identically — for free — on the
-        real engine.
+        `sim_message_cost` per remote message) feeds the serial
+        executor's virtual clock and is computed identically — for
+        free — on the worker reactors.
 
         With tracing on, the quantum is wrapped in a ``batch_mine``
-        span (attributed to `slot` when the executor passes one), so a
-        trace reconstructs per-task mining time without the metrics
-        side channel.
+        span attributed to `slot`, the thread that ran it, so a trace
+        reconstructs per-task mining time without the metrics side
+        channel.
         """
         trace = self.tracer.enabled
         t0 = self._clock() if trace else 0.0
@@ -353,7 +339,7 @@ class SchedulerCore:
             emit_span(
                 self.tracer, "batch_mine", t0, self._clock(),
                 task_id=task.task_id, machine=machine.machine_id,
-                thread=slot.slot_id if slot is not None else -1,
+                thread=slot.slot_id,
                 detail=f"finished={int(result.finished)} "
                 f"children={len(result.children)}",
             )

@@ -91,7 +91,8 @@ class ComputeOutcome:
     finished: bool
     new_tasks: list[Task] = field(default_factory=list)
     #: Abstract work performed by this call — the virtual-clock cost
-    #: model of the simulated cluster (deterministic, machine-independent).
+    #: model of the serial executor's M × T loop (deterministic,
+    #: machine-independent).
     cost_ops: int = 0
 
     @property

@@ -61,7 +61,7 @@ KINDS = (
 )
 
 #: Kinds emitted by the stealing path. They fire on virtual time in the
-#: simulator and on real network round-trips in the process and
+#: serial executor at M x T > 1 and on real network round-trips in the process and
 #: cluster backends' runtime, so cross-executor
 #: vocabulary comparisons must treat them as timing-dependent.
 STEAL_KINDS = frozenset({"steal", "steal_planned", "steal_sent", "steal_received"})

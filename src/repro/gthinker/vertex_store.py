@@ -12,7 +12,7 @@ Every machine of every partitioned executor reads through one store,
 shortcut, pins standing in for the paper's in-flight-task refcounts,
 and the message count. Only where a cache miss is served differs:
 
-* in-process machines (serial and simulated executors, and each
+* in-process machines (the serial executor's, and each
   warm-start worker of the process backend) pass a synchronous
   ``fetch`` that reads the owner's table — all partitions share one
   address space (a warm worker's one partition is its whole-graph
@@ -351,8 +351,8 @@ def in_process_stores(
 ) -> list[RemoteGraphAccess]:
     """One store per table of `partitioner`'s partitioning, all in one
     address space: each serves a cache miss synchronously from the
-    owner's table (the serial and simulated executors' machines,
-    and a warm-start worker's one whole-graph partition)."""
+    owner's table (the serial executor's machines, and a warm-start
+    worker's one whole-graph partition)."""
     owner = owner_function(len(tables), partitioner)
 
     def fetch(vertex: int) -> Sequence[int] | None:

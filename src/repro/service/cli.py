@@ -120,8 +120,9 @@ def submit_cli(argv: list[str]) -> int:
                         help="executor for this job's chunks")
     parser.add_argument("--num-procs", type=int, default=None, metavar="N")
     parser.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="threads per machine of the M x T topology "
-                        "(simulated and process backends)")
+                        help="threads per machine of the M x T topology; "
+                        "serial backend only (process and cluster jobs "
+                        "with more than 1 are rejected with HTTP 400)")
     parser.add_argument("--chunk-roots", type=int, default=None, metavar="N",
                         help="override the service's checkpoint chunk size")
     parser.add_argument("--label", default="")

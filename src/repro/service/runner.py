@@ -3,7 +3,7 @@
 One job = one full mining run. Jobs of hours (the paper's YouTube run
 computes for 3.12 hours) must survive ``kill -9`` without restarting
 from scratch, and must be able to run on any existing executor
-(serial, process, cluster, simulated) via
+(serial at any M × T, process, cluster) via
 :func:`repro.gthinker.engine.mine_parallel`. The mining service and
 the CLI's ``--checkpoint-dir`` both run through :func:`run_checkpointed`.
 Those two requirements meet in *chunked* execution over the spawn-root

@@ -51,7 +51,7 @@ class TestParameterValidation:
     used to be the only one."""
 
     @pytest.mark.parametrize(
-        "backend", ["serial", "process", "simulated", "cluster"]
+        "backend", ["serial", "process", "cluster"]
     )
     @pytest.mark.parametrize("gamma,min_size", [(0.2, 50), (1.5, 3)])
     def test_invalid_gamma_raises_before_any_task(

@@ -12,7 +12,6 @@ from repro.gthinker.app_protocol import (
 from repro.gthinker.app_quasiclique import QuasiCliqueApp
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import GThinkerEngine
-from repro.gthinker.simulation import SimulatedClusterEngine
 from repro.graph.adjacency import Graph
 
 
@@ -74,7 +73,7 @@ class TestEnsureApp:
         with pytest.raises(TypeError, match="GThinkerApp"):
             GThinkerEngine(g, NotAnApp(), EngineConfig())
         with pytest.raises(TypeError, match="GThinkerApp"):
-            SimulatedClusterEngine(g, NotAnApp(), EngineConfig())
+            GThinkerEngine(g, NotAnApp(), EngineConfig(num_machines=2, threads_per_machine=2))
 
     def test_duck_typed_app_accepted(self):
         class Minimal:
@@ -90,7 +89,8 @@ class TestEnsureApp:
 
         app = Minimal()
         assert ensure_app(app) is app
-        # A no-spawn app runs to completion on both executors.
+        # A no-spawn app runs to completion at 1 x 1 and at 2 x 2.
         g = Graph.from_edges([(0, 1), (1, 2)])
         assert GThinkerEngine(g, app, EngineConfig()).run().maximal == set()
-        assert SimulatedClusterEngine(g, Minimal(), EngineConfig()).run().maximal == set()
+        mxt = EngineConfig(num_machines=2, threads_per_machine=2)
+        assert GThinkerEngine(g, Minimal(), mxt).run().maximal == set()

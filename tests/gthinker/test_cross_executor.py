@@ -1,14 +1,15 @@
-"""Cross-executor equivalence: one scheduling policy, four executors.
+"""Cross-executor equivalence: one scheduling policy, three backends.
 
-The serial engine, the process backend (warm-start workers), the TCP
-cluster backend (cold workers), and the virtual-time simulator all
-schedule through `repro.gthinker.scheduler.SchedulerCore`. Whatever
-graph and (γ, τ_size) Hypothesis draws, all four must produce exactly the
-oracle-checked maximal quasi-clique family — the property that makes
-"a scheduling change can never silently apply to one executor but not
-the other" testable.
+The serial engine (at 1 x 1 and at M x T on virtual time), the process
+backend (warm-start workers) and the TCP cluster backend (cold
+workers) all schedule through `repro.gthinker.scheduler.SchedulerCore`.
+Whatever graph and (γ, τ_size) Hypothesis draws, all of them must
+produce exactly the oracle-checked maximal quasi-clique family — the
+property that makes "a scheduling change can never silently apply to
+one executor but not the other" testable.
 """
 
+import dataclasses
 import itertools
 import os
 
@@ -26,7 +27,6 @@ from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
 from repro.gthinker.engine_mp import mine_multiprocess
-from repro.gthinker.simulation import simulate_cluster
 from repro.gthinker.tracing import Tracer
 
 
@@ -56,12 +56,21 @@ def policy_config(**kwargs) -> EngineConfig:
     gamma=st.sampled_from([0.5, 2 / 3, 0.75, 0.9, 1.0]),
     min_size=st.integers(min_value=1, max_value=4),
     kcore_preprocess=st.booleans(),
+    machines=st.integers(min_value=1, max_value=3),
+    threads=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_only_roots_that_can_reach_mining_spawn(graph, gamma, min_size, kcore_preprocess):
+def test_only_roots_that_can_reach_mining_spawn(
+    graph, gamma, min_size, kcore_preprocess, machines, threads
+):
     """Every backend mines the Theorem 2 core (the input itself with the
     peel off) and spawns exactly its roots with at least k larger-ID
-    neighbours — the only roots iteration 1 does not peel."""
+    neighbours — the only roots iteration 1 does not peel.
+
+    The topology moves only the schedule, never the search tree: under
+    op budgets the serial engine at a drawn M x T executes the same
+    tasks and counts the same MiningStats, field for field, as at 1 x 1.
+    """
     options = MinerOptions(kcore_preprocess=kcore_preprocess)
     k = kcore_threshold(gamma, min_size)
     base = k_core(graph, k) if kcore_preprocess else graph
@@ -70,16 +79,19 @@ def test_only_roots_that_can_reach_mining_spawn(graph, gamma, min_size, kcore_pr
         if sum(1 for u in base.neighbors(v) if u > v) >= k
     )
     expected = mine_maximal_quasicliques(graph, gamma, min_size, options).maximal
-    runs = [
-        mine_parallel(graph, gamma, min_size, policy_config(), options=options),
-        simulate_cluster(
-            graph, gamma, min_size,
-            policy_config(num_machines=2, threads_per_machine=2), options=options,
-        ),
-    ]
-    for out in runs:
+    one = mine_parallel(graph, gamma, min_size, policy_config(), options=options)
+    mxt = mine_parallel(
+        graph, gamma, min_size,
+        policy_config(num_machines=machines, threads_per_machine=threads),
+        options=options,
+    )
+    for out in (one, mxt):
         assert out.metrics.tasks_spawned == roots
         assert out.maximal == expected
+    assert mxt.metrics.tasks_executed == one.metrics.tasks_executed
+    assert dataclasses.asdict(mxt.metrics.mining_stats) == dataclasses.asdict(
+        one.metrics.mining_stats
+    )
 
 
 @given(
@@ -89,21 +101,21 @@ def test_only_roots_that_can_reach_mining_spawn(graph, gamma, min_size, kcore_pr
 )
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_serial_threaded_process_simulated_all_match_oracle(graph, gamma, min_size):
-    """Serial, the process backend's two workers and the simulator's
-    2 x 2 against the oracle on the same draws."""
+    """Serial at 1 x 1 and at 2 x 2, and the process backend's two
+    workers, against the oracle on the same draws."""
     expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
     serial = mine_parallel(graph, gamma, min_size, policy_config())
     process = mine_parallel(
         graph, gamma, min_size,
         policy_config(backend="process", num_procs=2),
     )
-    simulated = simulate_cluster(
+    mxt = mine_parallel(
         graph, gamma, min_size,
         policy_config(num_machines=2, threads_per_machine=2),
     )
     assert serial.maximal == expected
     assert process.maximal == expected
-    assert simulated.maximal == expected
+    assert mxt.maximal == expected
 
 
 @given(

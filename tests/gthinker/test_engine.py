@@ -70,7 +70,7 @@ class TestDecompositionModes:
 
 
 class TestThreadedEngine:
-    """M machines × T threads, on the simulator (the one M × T executor)."""
+    """M machines × T threads, on the serial executor's virtual clock."""
 
     @pytest.mark.parametrize("machines,threads", [(1, 2), (2, 1), (2, 2), (3, 2)])
     def test_matches_oracle(self, machines, threads):
@@ -79,7 +79,6 @@ class TestThreadedEngine:
         gamma = rng.choice(GAMMAS)
         min_size = rng.randint(2, 4)
         config = EngineConfig(
-            backend="simulated",
             num_machines=machines,
             threads_per_machine=threads,
             decompose="timed",
@@ -94,7 +93,7 @@ class TestThreadedEngine:
         g = make_random_graph(16, 0.5, seed=4)
         out = mine_parallel(
             g, 0.6, 3,
-            EngineConfig(backend="simulated", num_machines=4, decompose="none"),
+            EngineConfig(num_machines=4, decompose="none"),
         )
         assert out.metrics.remote_messages > 0
 
@@ -154,20 +153,20 @@ class TestJobReleasesItsState:
     collection."""
 
     @pytest.mark.parametrize(
-        "backend,machines,threads",
+        "machines,threads",
         [
-            ("serial", 1, 1),
-            pytest.param("simulated", 2, 2, id="sim-2x2"),
-            ("simulated", 2, 1),
+            pytest.param(1, 1, id="serial-1-1"),
+            pytest.param(2, 2, id="sim-2x2"),
+            pytest.param(2, 1, id="serial-2-1"),
         ],
     )
-    def test_no_table_or_graph_outlives_the_job(self, backend, machines, threads):
+    def test_no_table_or_graph_outlives_the_job(self, machines, threads):
         def tracked():
             return [o for o in gc.get_objects() if isinstance(o, (Graph, LocalVertexTable))]
 
         g = make_random_graph(18, 0.5, seed=5)
         config = EngineConfig(
-            backend=backend, num_machines=machines, threads_per_machine=threads,
+            num_machines=machines, threads_per_machine=threads,
         )
         gc.collect()
         gc.disable()

@@ -1,5 +1,6 @@
 """White-box tests for engine scheduling internals."""
 
+import pytest
 
 from repro.core.options import ResultSink
 from repro.gthinker.app_quasiclique import QuasiCliqueApp
@@ -80,6 +81,25 @@ class TestTermination:
         eng.run()
         assert eng._active == 0
         assert all(m.spawn_exhausted() for m in eng.machines)
+
+    @pytest.mark.parametrize("machines,threads", [(1, 1), (2, 2)])
+    def test_lost_task_raises_instead_of_a_short_result(self, machines, threads):
+        """A task counted live but never queued strands the loop: it
+        must raise, not return the family without that task's results."""
+        eng = make_engine(num_machines=machines, threads_per_machine=threads)
+        route = eng.core.route
+        lost = []
+
+        def route_but_lose_one(task, machine, slot):
+            if not lost:
+                lost.append(task)
+                eng._task_born(task)
+                return
+            route(task, machine, slot)
+
+        eng.core.route = route_but_lose_one
+        with pytest.raises(RuntimeError, match="1 live task"):
+            eng.run()
 
     def test_steal_application(self):
         eng = make_engine(num_machines=2, threads_per_machine=1, tau_split=1)

@@ -48,7 +48,7 @@ class TestProtocolConformance:
             # cluster worker: misses come off the wire
             RemoteGraphAccess(tables[0], RemoteVertexCache(4),
                               owner=owner_function(2)),
-            # serial or simulated machine: synchronous owner fetch
+            # serial executor machine: synchronous owner fetch
             in_process_stores(tables, 4)[0],
             # warm-start (process backend) worker: the whole graph as
             # one partition

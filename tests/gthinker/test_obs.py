@@ -5,6 +5,8 @@ timing accounting and live-progress snapshots — the parts of
 docs/OBSERVABILITY.md that are behaviour, not prose.
 """
 
+import time
+
 import pytest
 from conftest import make_random_graph
 
@@ -21,7 +23,6 @@ from repro.gthinker.obs import (
     progress_detail,
     span,
 )
-from repro.gthinker.simulation import simulate_cluster
 from repro.gthinker.tracing import NullTracer, Tracer
 
 
@@ -97,15 +98,14 @@ class TestSpanStreamInvariants:
 
     def run_config(self, **overrides):
         base = dict(
-            backend="simulated", num_machines=2, threads_per_machine=2,
-            tau_split=3, tau_time=50, decompose="timed", queue_capacity=4,
-            batch_size=2,
+            num_machines=2, threads_per_machine=2, tau_split=3,
+            tau_time=50, decompose="timed", queue_capacity=4, batch_size=2,
         )
         base.update(overrides)
         return EngineConfig(**base)
 
     def test_threaded_run_spans_pair_and_nest(self):
-        """Four (machine, thread) streams, on the simulator."""
+        """Four (machine, thread) streams, on the serial executor at 2 x 2."""
         graph = make_random_graph(14, 0.5, seed=5)
         tracer = Tracer()
         mine_parallel(graph, 0.75, 3, self.run_config(), tracer=tracer)
@@ -118,6 +118,28 @@ class TestSpanStreamInvariants:
             for events in streams.values() for e in events
         }
         assert {"root_spawn", "batch_mine"} <= names
+
+    def test_mxt_spans_read_the_host_clock(self):
+        """One span clock at every topology: the host's. A traced 2 x 2
+        run's spans all lie inside the job's host-clock interval (its
+        virtual time is metrics.virtual_makespan, never a span), and
+        each batch_mine span names the thread that ran it."""
+        graph = make_random_graph(14, 0.5, seed=5)
+        tracer = Tracer()
+        start = time.monotonic()
+        out = mine_parallel(graph, 0.75, 3, self.run_config(), tracer=tracer)
+        end = time.monotonic()
+        assert out.metrics.virtual_makespan > 0
+        spans = [e for e in tracer.events() if e.kind in ("span_begin", "span_end")]
+        assert spans
+        for event in spans:
+            # t= is printed to 6 decimals.
+            assert start - 1e-6 <= float(parse_detail(event.detail)["t"]) <= end + 1e-6
+        mines = [e for e in spans if parse_detail(e.detail)["name"] == "batch_mine"]
+        assert mines
+        for event in mines:
+            assert event.machine in (0, 1)
+            assert event.thread in (0, 1)
 
     def test_process_run_spans_pair(self):
         graph = make_random_graph(12, 0.5, seed=9)
@@ -180,15 +202,18 @@ class TestWorkerTiming:
                 row.mine_seconds + row.idle_seconds
             )
 
-    def test_simulated_run_has_no_timing(self):
-        """The virtual-time backend is exempt: its clock is not wall."""
+    def test_mxt_serial_run_records_one_host_row(self):
+        """At M x T the serial executor still runs one host loop, so it
+        reports one wall/mine/idle row, on the host clock."""
         graph = make_random_graph(10, 0.5, seed=6)
-        out = simulate_cluster(
+        out = mine_parallel(
             graph, 0.75, 3,
-            EngineConfig(backend="simulated", num_machines=2,
-                         threads_per_machine=2),
+            EngineConfig(num_machines=2, threads_per_machine=2),
         )
-        assert out.metrics.timing == {}
+        assert set(out.metrics.timing) == {0}
+        row = out.metrics.timing[0]
+        assert row.mine_seconds > 0
+        assert row.wall_seconds == pytest.approx(row.mine_seconds + row.idle_seconds)
 
 
 class TestProgressSnapshot:

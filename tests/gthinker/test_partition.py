@@ -12,7 +12,6 @@ from repro.gthinker.partition import (
     make_partitioner,
     range_partitioner,
 )
-from repro.gthinker.simulation import simulate_cluster
 
 from conftest import make_random_graph
 
@@ -74,7 +73,7 @@ class TestEnginesWithPartitioners:
     def test_engine_results_invariant(self, strategy):
         g = make_random_graph(12, 0.55, seed=6)
         config = EngineConfig(
-            backend="simulated", num_machines=3, threads_per_machine=1,
+            num_machines=3, threads_per_machine=1,
             partition=strategy, decompose="timed", tau_time=10,
             time_unit="ops", tau_split=3,
         )
@@ -88,7 +87,7 @@ class TestEnginesWithPartitioners:
             num_machines=3, threads_per_machine=2, partition=strategy,
             decompose="timed", tau_time=10, time_unit="ops", tau_split=3,
         )
-        out = simulate_cluster(g, 0.75, 3, config)
+        out = mine_parallel(g, 0.75, 3, config)
         assert out.maximal == enumerate_maximal_quasicliques(g, 0.75, 3)
 
     def test_invalid_config_strategy(self):

@@ -14,7 +14,6 @@ from repro.core.miner import mine_maximal_quasicliques
 from repro.graph.adjacency import Graph
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
-from repro.gthinker.simulation import simulate_cluster
 
 
 @st.composite
@@ -66,5 +65,5 @@ def test_simulator_equals_serial_miner(graph, gamma, machines, threads):
         tau_split=3,
     )
     serial = mine_maximal_quasicliques(graph, gamma, 2).maximal
-    sim = simulate_cluster(graph, gamma, 2, config).maximal
+    sim = mine_parallel(graph, gamma, 2, config).maximal
     assert sim == serial

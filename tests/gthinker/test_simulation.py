@@ -1,12 +1,12 @@
-"""Tests for the discrete-event simulated cluster."""
+"""Tests for the serial executor on M x T virtual threads (its event loop)."""
 
 import random
 
 import pytest
 
 from repro.core.naive import enumerate_maximal_quasicliques
-from repro.gthinker.config import EngineConfig
-from repro.gthinker.simulation import simulate_cluster
+from repro.gthinker.config import EngineConfig, check_topology
+from repro.gthinker.engine import mine_parallel
 from repro.graph.generators import planted_quasicliques
 
 from conftest import GAMMAS, make_random_graph
@@ -19,6 +19,11 @@ def sim_config(**kw):
     )
     base.update(kw)
     return EngineConfig(**base)
+
+
+def makespan(out) -> float:
+    """The run's virtual makespan; at 1 x 1 it is the total work."""
+    return out.metrics.virtual_makespan or out.metrics.virtual_work
 
 
 class TestCorrectness:
@@ -34,7 +39,7 @@ class TestCorrectness:
         g = make_random_graph(11, 0.55, seed=machines * 3 + threads)
         gamma = rng.choice(GAMMAS)
         min_size = rng.randint(2, 4)
-        out = simulate_cluster(
+        out = mine_parallel(
             g, gamma, min_size,
             sim_config(
                 num_machines=machines, threads_per_machine=threads,
@@ -47,19 +52,19 @@ class TestCorrectness:
 class TestDeterminism:
     def test_same_run_same_makespan(self):
         g = make_random_graph(14, 0.5, seed=8)
-        a = simulate_cluster(g, 0.75, 3, sim_config(threads_per_machine=4))
-        b = simulate_cluster(g, 0.75, 3, sim_config(threads_per_machine=4))
-        assert a.makespan == b.makespan
-        assert a.total_work == b.total_work
+        a = mine_parallel(g, 0.75, 3, sim_config(threads_per_machine=4))
+        b = mine_parallel(g, 0.75, 3, sim_config(threads_per_machine=4))
+        assert a.metrics.virtual_makespan == b.metrics.virtual_makespan > 0
+        assert a.metrics.virtual_work == b.metrics.virtual_work
         assert a.maximal == b.maximal
 
     def test_total_work_independent_of_parallelism(self):
         # Same ops-based decomposition → identical task set at any scale.
         g = make_random_graph(14, 0.5, seed=8)
         works = {
-            simulate_cluster(
+            mine_parallel(
                 g, 0.75, 3, sim_config(threads_per_machine=t)
-            ).total_work
+            ).metrics.virtual_work
             for t in (1, 2, 8)
         }
         assert len(works) == 1
@@ -75,41 +80,41 @@ class TestScalabilityShape:
     def test_more_threads_never_slower(self, workload):
         spans = []
         for t in (1, 2, 4, 8):
-            out = simulate_cluster(
+            out = mine_parallel(
                 workload, 0.8, 8, sim_config(threads_per_machine=t, tau_time=300)
             )
-            spans.append(out.makespan)
+            spans.append(makespan(out))
         for a, b in zip(spans, spans[1:]):
             assert b <= a * 1.01  # allow scheduling noise at saturation
 
     def test_vertical_speedup_materializes(self, workload):
-        one = simulate_cluster(workload, 0.8, 8, sim_config(tau_time=300))
-        eight = simulate_cluster(
+        one = mine_parallel(workload, 0.8, 8, sim_config(tau_time=300))
+        eight = mine_parallel(
             workload, 0.8, 8, sim_config(threads_per_machine=8, tau_time=300)
         )
-        assert one.makespan / eight.makespan > 2.0
+        assert makespan(one) / makespan(eight) > 2.0
 
     def test_utilization_bounded(self, workload):
-        out = simulate_cluster(
+        out = mine_parallel(
             workload, 0.8, 8, sim_config(threads_per_machine=4, tau_time=300)
         )
-        assert 0.0 < out.utilization <= 1.0 + 1e-9
+        assert 0.0 < out.metrics.utilization <= 1.0 + 1e-9
 
     def test_horizontal_scaling_with_stealing(self, workload):
         # One thread per machine so machine count is the binding
         # constraint (at 4 threads the critical path already dominates).
-        one = simulate_cluster(workload, 0.8, 8, sim_config(tau_time=300))
-        four = simulate_cluster(
+        one = mine_parallel(workload, 0.8, 8, sim_config(tau_time=300))
+        four = mine_parallel(
             workload, 0.8, 8,
             sim_config(num_machines=4, threads_per_machine=1, tau_time=300),
         )
-        assert four.makespan < one.makespan * 0.7
+        assert makespan(four) < makespan(one) * 0.7
         assert four.metrics.steals > 0, "expected big-task stealing activity"
         assert four.maximal == one.maximal
 
 
 class TestVertexStorePin:
-    """The simulated machines' vertex store is pinned: ownership, the
+    """The M x T machines' vertex store is pinned: ownership, the
     absent-vertex shortcut, LRU caching and message counting must give
     these exact counters, and a message cost makes the virtual makespan
     depend on them too. A change to the store that is meant to move
@@ -152,7 +157,7 @@ class TestVertexStorePin:
             num_machines=3, threads_per_machine=2, tau_time=200, tau_split=8,
             partition=partition, cache_capacity=capacity, sim_message_cost=2.0,
         )
-        out = simulate_cluster(graph, spec.gamma, spec.min_size, config)
+        out = mine_parallel(graph, spec.gamma, spec.min_size, config)
         m = out.metrics
         assert (
             m.remote_messages, m.remote_vertex_hits, m.remote_vertex_misses,
@@ -164,18 +169,26 @@ class TestVertexStorePin:
 
 class TestGuards:
     def test_wall_clock_rejected(self):
+        """Above 1 x 1 a task's cost is virtual time, so wall-clock
+        budgets are a topology error (check_topology), raised before
+        any task runs; at 1 x 1 they are legal."""
         g = make_random_graph(6, 0.5, seed=1)
-        with pytest.raises(ValueError, match="ops"):
-            simulate_cluster(g, 0.75, 3, EngineConfig(time_unit="wall", tau_time=1))
+        for shape in (dict(num_machines=2), dict(threads_per_machine=2)):
+            config = EngineConfig(time_unit="wall", tau_time=1, **shape)
+            with pytest.raises(ValueError, match="time_unit='ops'"):
+                check_topology(config)
+            with pytest.raises(ValueError, match="time_unit='ops'"):
+                mine_parallel(g, 0.75, 3, config)
+        check_topology(EngineConfig(time_unit="wall", tau_time=1))
 
     def test_message_cost_increases_makespan(self):
         g = make_random_graph(20, 0.4, seed=5)
-        free = simulate_cluster(
+        free = mine_parallel(
             g, 0.75, 3, sim_config(num_machines=4, threads_per_machine=1)
         )
-        costly = simulate_cluster(
+        costly = mine_parallel(
             g, 0.75, 3,
             sim_config(num_machines=4, threads_per_machine=1, sim_message_cost=50.0),
         )
-        assert costly.makespan > free.makespan
+        assert costly.metrics.virtual_makespan > free.metrics.virtual_makespan
         assert costly.maximal == free.maximal

@@ -185,11 +185,10 @@ class TestReportCli:
 
 class TestRoundTripFromRealRuns:
     def test_threaded_trace_report_matches_metrics(self, tmp_path):
-        """A 2 x 2 run, on the simulator."""
+        """A 2 x 2 run, on the serial executor's virtual clock."""
         graph = make_random_graph(14, 0.5, seed=5)
-        config = EngineConfig(backend="simulated", num_machines=2,
-                              threads_per_machine=2, tau_split=3, tau_time=50,
-                              decompose="timed")
+        config = EngineConfig(num_machines=2, threads_per_machine=2,
+                              tau_split=3, tau_time=50, decompose="timed")
         tracer = Tracer()
         out = mine_parallel(graph, 0.75, 3, config, tracer=tracer)
         path = tmp_path / "run.jsonl"

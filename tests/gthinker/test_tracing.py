@@ -9,7 +9,6 @@ from repro.core.options import ResultSink
 from repro.gthinker.app_quasiclique import QuasiCliqueApp
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import GThinkerEngine
-from repro.gthinker.simulation import SimulatedClusterEngine
 from repro.gthinker.tracing import KINDS, OBS_KINDS, STEAL_KINDS, NullTracer, Tracer
 
 from conftest import make_random_graph
@@ -170,10 +169,10 @@ class TestPolicyViaTrace:
 
 
 class TestSimulatorTracing:
-    """The simulator traces through the shared scheduler core, so the
-    same workload must produce the same event vocabulary as the serial
-    engine — not merely "some events". The engine runs it on 1 x 1, the
-    simulator on 2 x 2."""
+    """At 2 x 2 the engine's virtual-time loop traces through the same
+    scheduler core as at 1 x 1, so the same workload must produce the
+    same event vocabulary at both topologies — not merely "some
+    events"."""
 
     WORKLOAD = dict(
         decompose="timed", tau_time=10, time_unit="ops", tau_split=3,
@@ -191,7 +190,7 @@ class TestSimulatorTracing:
             g, QuasiCliqueApp(**app_args, sink=ResultSink()),
             serial, tracer=eng_tracer,
         ).run()
-        SimulatedClusterEngine(
+        GThinkerEngine(
             g, QuasiCliqueApp(**app_args, sink=ResultSink()),
             EngineConfig(**self.WORKLOAD), tracer=sim_tracer,
         ).run()
@@ -202,8 +201,8 @@ class TestSimulatorTracing:
         eng_kinds = set(eng_tracer.counts())
         sim_kinds = set(sim_tracer.counts())
         # Steal rounds fire only with two or more machines, on virtual
-        # time in the simulator (and on real network round trips in the
-        # cluster runtime), so only those kinds may differ.
+        # time here (and on real network round trips in the cluster
+        # runtime), so only those kinds may differ.
         # Observability kinds are timing-dependent too (which spans fire
         # depends on wall-clock spill/steal behaviour), so they are
         # likewise excluded from the vocabulary equality.
@@ -228,7 +227,7 @@ class TestSimulatorTracing:
     def test_simulator_trace_off_by_default(self):
         g = make_random_graph(10, 0.5, seed=2)
         app = QuasiCliqueApp(gamma=0.75, min_size=3, sink=ResultSink())
-        sim = SimulatedClusterEngine(g, app, EngineConfig(**self.WORKLOAD))
+        sim = GThinkerEngine(g, app, EngineConfig(**self.WORKLOAD))
         sim.run()
         assert isinstance(sim.core.tracer, NullTracer)
 

@@ -60,7 +60,7 @@ class TestWorkerFailure:
         g = make_random_graph(12, 0.5, seed=3)
         out = mine_parallel(
             g, 0.75, 3,
-            EngineConfig(backend="simulated", num_machines=1, threads_per_machine=2),
+            EngineConfig(num_machines=1, threads_per_machine=2),
         )
         assert out.metrics.tasks_executed >= 0
 

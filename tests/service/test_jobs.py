@@ -94,21 +94,24 @@ class TestJobSpecValidation:
          "chunk_roots must be"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]], "chunk_roots": 2.7},
          "chunk_roots must be"),
-        # The serial backend runs 1 x 1; an M x T job would fail in its thread.
+        # A process or cluster worker runs one local scheduler: only the
+        # serial backend takes M x T. Admitted, the job would fail in its
+        # thread.
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
-          "engine": {"backend": "serial", "num_machines": 2}}, "one machine x one thread"),
+          "engine": {"backend": "process", "num_machines": 2}}, "one machine x one thread"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
-          "engine": {"threads_per_machine": 2}}, "one machine x one thread"),
+          "engine": {"backend": "cluster", "threads_per_machine": 2}},
+         "one machine x one thread"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
           "engine": {"backend": "threaded"}}, "unknown backend"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
           "engine": {"backend": "auto"}}, "unknown backend"),
-        # A process or cluster worker runs one local scheduler too: only
-        # the simulator takes M x T.
+        # Above 1 x 1 the serial backend runs on virtual time: wall-clock
+        # decomposition budgets are a topology error.
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
-          "engine": {"backend": "process", "num_machines": 2}}, "--simulate"),
+          "engine": {"time_unit": "wall", "num_machines": 2}}, "runs at 1x1 only"),
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
-          "engine": {"backend": "cluster", "threads_per_machine": 2}}, "--simulate"),
+          "engine": {"time_unit": "wall", "threads_per_machine": 2}}, "runs at 1x1 only"),
         # The lease deadline is gone; its knob is an unknown key.
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
           "engine": {"lease_slack": 5.0}}, "unknown engine config keys: lease_slack"),
@@ -123,7 +126,8 @@ class TestJobSpecValidation:
     def test_roundtrip(self):
         payload = {
             "gamma": 0.8, "min_size": 4, "edges": [[0, 1], [1, 2]],
-            "vertices": [0, 1, 2, 3], "engine": {"backend": "simulated"},
+            "vertices": [0, 1, 2, 3],
+            "engine": {"num_machines": 2, "threads_per_machine": 2},
             "chunk_roots": 7, "label": "x",
         }
         spec = JobSpec.parse(payload)

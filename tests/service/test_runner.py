@@ -30,11 +30,9 @@ class TestOracleParity:
         assert out.maximal == {frozenset({0, 1}), frozenset({2})}
 
     def test_threaded_backend(self, tmp_path):
-        """One machine x two threads, on the simulator."""
+        """One machine x two threads, on the serial executor's virtual clock."""
         g = make_random_graph(14, 0.5, seed=4)
-        config = EngineConfig.from_payload(
-            {"backend": "simulated", "threads_per_machine": 2}
-        )
+        config = EngineConfig.from_payload({"threads_per_machine": 2})
         out = run_checkpointed(
             g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=4
         )
@@ -42,8 +40,9 @@ class TestOracleParity:
 
 
     def test_simulated_backend(self, tmp_path):
+        """Two machines x two threads, on virtual time."""
         g = make_random_graph(14, 0.5, seed=5)
-        config = EngineConfig(backend="simulated", num_machines=2, threads_per_machine=2)
+        config = EngineConfig(num_machines=2, threads_per_machine=2)
         out = run_checkpointed(
             g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=4
         )

@@ -11,6 +11,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.core.query import best_community, mine_containing
+from repro.gthinker.config import EngineConfig, check_topology
 from repro.service.client import ServiceError
 
 import svc_common
@@ -205,8 +206,8 @@ class TestErrors:
         {"batch_size": 0},
         {"queue_capacity": 2, "batch_size": 4},
         {"cache_capacity": 0},
-        {"backend": "serial", "num_machines": 2},
-        {"threads_per_machine": 2},
+        {"time_unit": "wall", "num_machines": 2},
+        {"time_unit": "wall", "threads_per_machine": 2},
         {"backend": "threaded"},
         {"backend": "auto"},
         {"backend": "process", "num_machines": 2},
@@ -219,6 +220,11 @@ class TestErrors:
             client.submit({**spec, "engine": engine})
         assert err.value.status == 400
         assert "bad engine config" in err.value.message
+        if "num_machines" in engine or "threads_per_machine" in engine:
+            # A topology refusal carries check_topology's own message.
+            with pytest.raises(ValueError) as topology:
+                check_topology(EngineConfig.from_payload(engine))
+            assert str(topology.value) in err.value.message
         assert client.jobs() == []  # refused at admission, never queued
 
     @pytest.mark.parametrize("fields", [

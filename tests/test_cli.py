@@ -66,10 +66,14 @@ class TestMain:
         assert "results=1" in capsys.readouterr().out
 
     def test_simulate_mode(self, graph_file, capsys):
+        """M x T > 1 runs on the default backend, on virtual time."""
         assert main(
-            [graph_file, "--gamma", "1.0", "--min-size", "3", "--simulate", "--quiet"]
+            [graph_file, "--gamma", "1.0", "--min-size", "3",
+             "--machines", "2", "--threads", "4", "--quiet"]
         ) == 0
-        assert "virtual_makespan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "results=1" in out
+        assert "virtual_makespan=" in out and "utilization=" in out
 
     def test_output_file(self, graph_file, tmp_path, capsys):
         out_path = tmp_path / "res.txt"
@@ -98,7 +102,7 @@ class TestMain:
 
     def test_decompose_and_threads_flags(self, graph_file, capsys):
         assert main(
-            [graph_file, "--gamma", "1.0", "--min-size", "3", "--simulate",
+            [graph_file, "--gamma", "1.0", "--min-size", "3",
              "--threads", "2", "--decompose", "size", "--tau-split", "2", "--quiet"]
         ) == 0
         assert "results=1" in capsys.readouterr().out
@@ -142,7 +146,8 @@ class TestExtendedModes:
     def test_trace_simulate_mode(self, graph_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
-                     "--simulate", "--trace", str(trace_path), "--quiet"]) == 0
+                     "--machines", "2", "--threads", "2",
+                     "--trace", str(trace_path), "--quiet"]) == 0
         assert "trace_events=" in capsys.readouterr().out
         assert trace_path.exists()
 
@@ -230,32 +235,47 @@ class TestBackendSelection:
         assert "trace_events=" in capsys.readouterr().out
         assert trace_path.exists()
 
-    def test_backend_simulated_same_as_simulate(self, graph_file, capsys):
-        assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
-                     "--backend", "simulated", "--quiet"]) == 0
-        assert "virtual_makespan" in capsys.readouterr().out
+    def test_virtual_time_fields_only_above_1x1(self, graph_file, capsys):
+        """The summary carries virtual_makespan= and utilization= exactly
+        when the serial backend runs more than one machine x one thread."""
+        for flags, shown in ((["--backend", "serial"], False),
+                             (["--backend", "serial", "--machines", "2"], True),
+                             (["--threads", "2"], True)):
+            assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
+                         *flags, "--quiet"]) == 0
+            out = capsys.readouterr().out
+            assert ("virtual_makespan=" in out) is shown
+            assert ("utilization=" in out) is shown
 
     def test_backend_serial_and_threaded(self, graph_file, capsys):
-        """The serial backend, and its M x T twin on the simulator."""
+        """The serial backend at 1 x 1 and at 2 x 2."""
         for flags in (["--backend", "serial"],
-                      ["--backend", "simulated", "--machines", "2", "--threads", "2"]):
+                      ["--backend", "serial", "--machines", "2", "--threads", "2"]):
             assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
                          *flags, "--quiet"]) == 0
             assert "results=1" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flags", [["--machines", "2"], ["--threads", "2"],
-                                       ["--machines", "2", "--checkpoint-dir"],
-                                       ["--backend", "process", "--machines", "2"],
-                                       ["--backend", "cluster", "--threads", "2"]])
+    @pytest.mark.parametrize("flags", [["--backend", "process", "--machines", "2"],
+                                       ["--backend", "cluster", "--threads", "2"],
+                                       ["--backend", "process", "--machines", "2",
+                                        "--checkpoint-dir"],
+                                       ["--wall-clock", "--machines", "2"],
+                                       ["--wall-clock", "--threads", "2"]])
     def test_topology_without_simulate_exits_2(self, graph_file, flags, tmp_path, capsys):
-        """M x T > 1 needs the simulator; it is never remapped (a process
-        or cluster worker runs one local scheduler: scale --num-procs)."""
+        """A topology its backend cannot run exits 2 with
+        check_topology's message and is never remapped: a process or
+        cluster worker runs one local scheduler (scale --num-procs), and
+        M x T > 1 runs on virtual time, so not with --wall-clock."""
         if flags[-1] == "--checkpoint-dir":
             flags = [*flags, str(tmp_path / "ckpt")]
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
                      *flags, "--quiet"]) == 2
         out, err = capsys.readouterr()
-        assert "--simulate" in err
+        if "--wall-clock" in flags:
+            assert "time_unit='ops'" in err
+        else:
+            assert "runs one machine x one thread" in err
+            assert "use backend 'serial'" in err
         assert "results=" not in out
         assert not (tmp_path / "ckpt").exists()
 
@@ -264,20 +284,16 @@ class TestBackendSelection:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([graph_file, "--backend", name])
 
-    def test_simulate_conflicts_with_other_backend(self, graph_file, capsys):
-        assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
-                     "--simulate", "--backend", "process"]) == 2
-        assert "--simulate" in capsys.readouterr().err
-
     def test_backend_conflicts_with_serial_flag(self, graph_file, capsys):
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
                      "--backend", "process", "--serial"]) == 2
         assert "--backend" in capsys.readouterr().err
 
     def test_backend_serial_rejects_thread_counts(self, graph_file, capsys):
+        """Serial takes any M x T, but on virtual time only."""
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
-                     "--backend", "serial", "--threads", "4"]) == 2
-        assert "serial" in capsys.readouterr().err
+                     "--backend", "serial", "--threads", "4", "--wall-clock"]) == 2
+        assert "time_unit='ops'" in capsys.readouterr().err
 
 
 class TestCheckpointMode:
@@ -299,8 +315,7 @@ class TestCheckpointMode:
     def test_any_backend_matches_serial(self, random_graph_file, tmp_path, capsys):
         serial, ckpt_out = tmp_path / "serial.txt", tmp_path / "ckpt.txt"
         assert self._mine(random_graph_file, "--serial", "--output", str(serial)) == 0
-        assert self._mine(random_graph_file, "--backend", "simulated",
-                          "--threads", "2", "--checkpoint-dir",
+        assert self._mine(random_graph_file, "--threads", "2", "--checkpoint-dir",
                           str(tmp_path / "ckpt"), "--output", str(ckpt_out)) == 0
         assert ckpt_out.read_text() == serial.read_text()
         assert serial.read_text()  # the comparison is not vacuous

@@ -6,8 +6,8 @@ example, the diameter-2 argument, Lemma 1, Lemma 2, and the parameter
 arithmetic behind the Table 2 runs.
 
 The mining-based examples run as a backend-conformance corpus: each is
-parametrized over all four executors (serial, process, cluster,
-simulated) via the ``mine`` fixture, which also cross-checks
+parametrized over every backend (serial at 1 x 1 and at 2 x 2 on
+virtual time, process, cluster) via the ``mine`` fixture, which also cross-checks
 every backend's output against the reference enumerator — the paper's
 claims must hold identically no matter which engine produced the
 result.
@@ -25,12 +25,11 @@ from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
 from repro.gthinker.engine_mp import mine_multiprocess
-from repro.gthinker.simulation import simulate_cluster
 
 # Vertex labels of Figure 4 mapped onto IDs used by the fixture.
 A, B, C, D, E, F, G, H, I = range(9)
 
-BACKENDS = ("serial", "process", "cluster", "simulated")
+BACKENDS = ("serial", "process", "cluster", "serial-2x2")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -56,10 +55,9 @@ def mine(request):
                 timeout=120.0,
             )
         else:
-            out = simulate_cluster(
+            out = mine_parallel(
                 graph, gamma, min_size,
-                EngineConfig(backend="simulated", num_machines=2,
-                             threads_per_machine=2),
+                EngineConfig(num_machines=2, threads_per_machine=2),
             )
         expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
         assert out.maximal == expected, f"{backend} diverges from the enumerator"
