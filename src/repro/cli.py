@@ -66,7 +66,7 @@ def format_run_summary(out, backend: str | None = None,
         parts.append(f"backend=cluster workers={workers}")
     parts += [f"tasks={m.tasks_executed}", f"decomposed={m.tasks_decomposed}"]
     if backend == "cluster":
-        parts += [f"steals={m.steals}", f"stolen_tasks={m.stolen_tasks}"]
+        parts += [f"steals={m.steals}", f"steals_sent={m.steals_sent}"]
     else:
         parts.append(f"spills={m.spill_batches}")
     if m.workers_died:

@@ -14,7 +14,6 @@ from .scheduler import (
     SchedulerCore,
     ThreadSlot,
     build_machines,
-    collect_machine_metrics,
 )
 from .metrics import EngineMetrics, TaskRecord
 from .spill import SpillableQueue, SpillFileList
@@ -39,7 +38,6 @@ __all__ = [
     "SchedulerCore",
     "ThreadSlot",
     "build_machines",
-    "collect_machine_metrics",
     "ensure_app",
     "gthinker_app",
     "registered_apps",

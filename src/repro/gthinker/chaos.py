@@ -146,7 +146,8 @@ class SleepyBigTaskApp:
     Every spawned task carries a non-empty ``ext``, so with
     ``tau_split=0`` each one routes to Q_global, and every compute
     sleeps `sleep_seconds` of real wall time. Funnel the whole spawn
-    range to one worker (``cluster_chunk_size`` ≥ |V|) and its
+    range to one worker (every vertex in one partition, and
+    ``cluster_chunk_size`` ≥ |V|) and its
     heartbeats show a mountain of pending big tasks while its peers
     report zero — exactly the asymmetry the master's stealing planner
     exists to flatten. Used by the steal-observability tests; results

@@ -46,7 +46,9 @@ MAGIC = b"GTCL"
 #: v4: the fields no reader used are gone — Heartbeat.active,
 #:     ResultBatch.active and Goodbye.stats_blob (Goodbye.metrics
 #:     already carries the worker's mining stats).
-VERSION = 4
+#: v5: ProgressReport carries only tasks_executed, the one field the
+#:     master's status snapshot reads.
+VERSION = 5
 _HEADER = struct.Struct("<4sHQ")
 
 #: Refuse frames larger than this (64 GiB): a corrupt length header must
@@ -202,12 +204,10 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class ProgressReport:
-    """Worker → master: periodic coarse progress counters."""
+    """Worker → master: periodic progress (tasks executed so far)."""
 
     worker_id: int
     tasks_executed: int
-    tasks_decomposed: int
-    candidates_emitted: int
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ That the simulated code *is* the shipping code — not a model of it —
 is the point of the split: a seed that breaks the simulation replays a
 real coordination bug.
 
+A task's lifecycle (spawn, settle a quantum, donate to a steal, the
+live count) is the worker's :class:`~repro.gthinker.scheduler.
+SchedulerCore`'s, as on the serial executor; the worker reactor keeps
+only the cluster's own: lease acknowledgement, fetch parking, and
+result and remainder shipping.
+
 Failure semantics are channel-mediated exactly as before the split: a
 send to a gone peer raises :class:`~repro.gthinker.runtime.
 ChannelClosed` (the master reactor absorbs it into
@@ -55,12 +61,7 @@ from ..runtime import (
     WorkLedger,
     WorkUnit,
 )
-from ..scheduler import (
-    MachineState,
-    SchedulerCore,
-    build_machines,
-    collect_machine_metrics,
-)
+from ..scheduler import MachineState, SchedulerCore, build_machines
 from ..stealing import plan_steals
 from ..task import Task
 from ..tracing import NullTracer, Tracer
@@ -169,6 +170,7 @@ class MasterReactor:
         self._next_steal: float | None = None
         self._last_progress: float | None = None
         self._registered_any = False
+        self._fleet_in = False
         self.shutdown_started = False
         #: The launcher that respawns failed workers, when there is one
         #: (see :mod:`.launcher`): told of every death, asked before the
@@ -253,8 +255,28 @@ class MasterReactor:
             self._partition_blobs[partition_id] = blob
         return blob
 
+    def _fleet_ready(self, now: float) -> bool:
+        """True once every process the supervisor launched has registered
+        or exited, or ``heartbeat_timeout`` after :meth:`start_work`;
+        before then the first worker in could drain a short job alone.
+        A one-shot latch, so a later respawn never stalls leasing."""
+        if not self._fleet_in:
+            self._fleet_in = (
+                self.supervisor is None
+                or now >= self._run_start + self.config.heartbeat_timeout
+                or not self.supervisor.starting(self._registered_pids())
+            )
+        return self._fleet_in
+
+    def _registered_pids(self) -> set[int]:
+        return {
+            w.hello.pid for w in self._by_channel.values() if w.hello is not None
+        }
+
     def _pump(self, now: float) -> None:
         """Lease pending units to workers with open window slots."""
+        if not self._fleet_ready(now):
+            return
         while self._pending:
             targets = sorted(
                 (w for w in self.registry.alive() if self.ledger.has_window(w.worker_id)),
@@ -355,11 +377,7 @@ class MasterReactor:
         if self.supervisor is None:
             lost = self._registered_any
         else:
-            registered = {
-                w.hello.pid for w in self._by_channel.values()
-                if w.hello is not None
-            }
-            lost = not self.supervisor.starting(registered)
+            lost = not self.supervisor.starting(self._registered_pids())
         if lost:
             raise RuntimeError(
                 f"all cluster workers died with work outstanding "
@@ -420,7 +438,6 @@ class MasterReactor:
         if not msg.tasks:
             return
         self.metrics.steals += 1
-        self.metrics.stolen_tasks += len(msg.tasks)
         self.metrics.steals_sent += len(msg.tasks)
         if self.tracer.enabled:
             for blob in msg.tasks:
@@ -445,10 +462,6 @@ class MasterReactor:
                 for blob in msg.tasks:
                     self.tracer.emit(
                         "steal_received", Task.decode(blob).task_id, dst,
-                        detail=f"from=m{worker.worker_id}",
-                    )
-                    self.tracer.emit(
-                        "steal", Task.decode(blob).task_id, dst,
                         detail=f"from=m{worker.worker_id}",
                     )
         else:
@@ -708,15 +721,8 @@ class MasterReactor:
 
     def finalize(self, wall_seconds: float) -> MiningRunResult:
         """Post-process the folded candidates into the standard result."""
-        from ...core.postprocess import postprocess_results
-
-        candidates = self.app.sink.results()
-        maximal = postprocess_results(candidates)
-        self.metrics.results = len(maximal)
         self.metrics.wall_seconds = wall_seconds
-        return MiningRunResult(
-            maximal=maximal, candidates=candidates, metrics=self.metrics
-        )
+        return MiningRunResult.from_sink(self.app.sink, self.metrics)
 
 
 class WorkerReactor:
@@ -725,7 +731,7 @@ class WorkerReactor:
     Drivers advance it with four calls: :meth:`hello` once the channel
     is up, :meth:`on_message` per received frame, :meth:`on_tick` for
     heartbeat/flush timing, and :meth:`mine_step` whenever there is
-    time to mine (one pick → run-quantum per call). ``on_message``
+    time to mine (one pick → run-quantum → settle per call). ``on_message``
     returns ``'ok'``, ``'stop'`` (Shutdown received — the driver calls
     :meth:`finish`), or ``'lost'`` (the master is gone).
 
@@ -759,10 +765,10 @@ class WorkerReactor:
         self._clock = clock
         self.worker_id = -1
         self.metrics = EngineMetrics()
-        self._active = 0
         self.completed_units = 0
         self._shipped: set[frozenset[int]] = set()
-        self._remainders: list[bytes] = []
+        #: Big children shipped back to the master for redistribution.
+        self._remainders: list[Task] = []
         self._open: dict[int, str] = {}  # work_id -> kind
         self._served_steals: set[int] = set()
         #: Remote-mode graph access (None on a warm start, where the
@@ -846,8 +852,7 @@ class WorkerReactor:
         self.slot = self.machine.threads[0]
         self.tracer = Tracer() if welcome.trace else NullTracer()
         self.core = SchedulerCore(
-            app, local_config, [self.machine], self.tracer,
-            task_queued=self._task_queued, clock=self._clock,
+            app, local_config, [self.machine], self.tracer, clock=self._clock
         )
         self.metrics = self.core.metrics
         self._next_heartbeat = now + config.heartbeat_period
@@ -858,13 +863,6 @@ class WorkerReactor:
         parked, self._pre_welcome = self._pre_welcome, []
         for queued in parked:
             self.on_message(queued, now)
-
-    def _task_queued(self, task: Task) -> None:
-        self._active += 1
-        # The worker-local high-water mark; the master keeps the max.
-        self.metrics.peak_pending_tasks = max(
-            self.metrics.peak_pending_tasks, self._active
-        )
 
     # -- message handling --------------------------------------------------
 
@@ -919,17 +917,9 @@ class WorkerReactor:
                     continue
             if adjacency is None:
                 continue  # full table: not a graph vertex
-            self._spawn_one(v, adjacency)
+            self.core.spawn_root(v, adjacency, self.machine, self.slot)
         if missing:
             self._request_vertices("spawn", tuple(missing))
-
-    def _spawn_one(self, v: int, adjacency: Any) -> None:
-        task = self.app.spawn(v, adjacency, self.core.next_task_id())
-        if task is None:
-            return
-        self.metrics.tasks_spawned += 1
-        self.core.tracer.emit("spawn", task.task_id, 0, detail=f"root={v}")
-        self.core.route(task, self.machine, self.slot)
 
     # -- remote vertex fetching --------------------------------------------
 
@@ -981,7 +971,9 @@ class WorkerReactor:
             self.access.admit(msg.entries)
             adjacency = dict(msg.entries)
             for v in payload:
-                self._spawn_one(v, adjacency.get(v, ()))
+                self.core.spawn_root(
+                    v, adjacency.get(v, ()), self.machine, self.slot
+                )
 
     def _serve_steal(self, msg: StealRequest, now: float) -> None:
         """Give up to `count` big tasks from Q_global (+ its spill list)."""
@@ -994,15 +986,7 @@ class WorkerReactor:
         self._served_steals.add(msg.request_id)
         trace = self.tracer.enabled
         t0 = self._clock() if trace else 0.0
-        granted: list[Task] = []
-        while len(granted) < msg.count:
-            batch = self.machine.qglobal.pop_batch(msg.count - len(granted))
-            if not batch:
-                if self.machine.qglobal.refill_from_spill() == 0:
-                    break
-                continue
-            granted.extend(batch)
-        self._active -= len(granted)
+        granted = self.core.donate(self.machine, msg.count)
         if trace and granted:
             # Donor-side half of the move; the events forward to the
             # master's trace attributed machine=this worker.
@@ -1040,8 +1024,6 @@ class WorkerReactor:
                 ProgressReport(
                     worker_id=self.worker_id,
                     tasks_executed=self.metrics.tasks_executed,
-                    tasks_decomposed=self.metrics.tasks_decomposed,
-                    candidates_emitted=len(self.app.sink.results()),
                 )
             )
 
@@ -1061,7 +1043,7 @@ class WorkerReactor:
         task = self.core.pick(self.machine, self.slot)
         if task is None:
             if (
-                self._active == 0
+                self.core.live == 0
                 and not self._pending_fetches
                 and (self._open or self._remainders or self._fresh_candidates())
             ):
@@ -1084,17 +1066,10 @@ class WorkerReactor:
         unpin = self._unpin_after.pop(task.task_id, None)
         if unpin is not None:
             self.access.unpin(unpin)
-        for child in quantum.children:
-            if child.is_big(self.config.tau_split):
-                # Big remainders go back to the master for cluster-wide
-                # redistribution.
-                self._remainders.append(child.encode())
-            else:
-                self.core.route(child, self.machine, self.slot)
-        if quantum.resumed is not None:
-            self.core.buffer_ready(quantum.resumed, self.machine, self.slot)
-        elif quantum.finished:
-            self._active -= 1
+        # Big children go back to the master for redistribution.
+        self.core.settle(
+            quantum, self.machine, self.slot, export=self._remainders.append
+        )
         if len(self._remainders) >= self.config.batch_size:
             self.flush()
         return quantum.cost
@@ -1119,7 +1094,7 @@ class WorkerReactor:
         completed: tuple[int, ...] = ()
         if (
             completed_all
-            and self._active == 0
+            and self.core.live == 0
             and not self._pending_fetches
             and self._open
         ):
@@ -1128,7 +1103,8 @@ class WorkerReactor:
             self._open.clear()
         fresh = self._fresh_candidates()
         self._shipped |= fresh
-        remainders, self._remainders = tuple(self._remainders), []
+        remainders = tuple(t.encode() for t in self._remainders)
+        self._remainders.clear()
         self.channel.send(
             ResultBatch(
                 worker_id=self.worker_id,
@@ -1150,13 +1126,10 @@ class WorkerReactor:
             idle_seconds=max(0.0, wall - self._mine_seconds),
         )
         self.flush(completed_all=True)
-        collect_machine_metrics(self.metrics, [self.machine])
-        self.metrics.mining_stats.merge(self.app.stats)
+        self.core.collect_metrics()
         self.channel.send(Goodbye(worker_id=self.worker_id, metrics=self.metrics))
         self.stopped = True
 
     def cleanup(self) -> None:
         if self.machine is not None:
             self.machine.cleanup()
-        if self.core is not None:
-            self.core.detach()

@@ -18,9 +18,10 @@ per worker process (:mod:`repro.gthinker.cluster`).
 All scheduling *policy* — routing, pick priority, local-queue refill
 order, spawn batching with big-task early stop, steal planning — lives
 in :mod:`repro.gthinker.scheduler` and is shared verbatim with the
-worker reactor. This module is only the event loop plus job lifecycle
-(live-task accounting, metrics collection), and :func:`mine_parallel`,
-the front-end that dispatches on ``config.backend``.
+worker reactor, and so is a task's lifecycle (spawn, route, settle a
+quantum, donate to a steal) and the live-task count. This module is
+only the event loop on virtual time and :func:`mine_parallel`, the
+front-end that dispatches on ``config.backend``.
 
 Each machine reads through the same vertex store as a cluster worker
 (:class:`~repro.gthinker.vertex_store.RemoteGraphAccess`); its cache
@@ -42,8 +43,7 @@ from .app_protocol import GThinkerApp
 from .app_quasiclique import QuasiCliqueApp
 from .config import EngineConfig, check_topology
 from .metrics import EngineMetrics, WorkerTiming
-from .scheduler import SchedulerCore, build_machines, collect_machine_metrics
-from .task import Task
+from .scheduler import SchedulerCore, build_machines
 from .tracing import NullTracer, Tracer
 
 
@@ -57,6 +57,14 @@ class MiningRunResult:
 
     def __len__(self) -> int:
         return len(self.maximal)
+
+    @classmethod
+    def from_sink(cls, sink: ResultSink, metrics: EngineMetrics) -> MiningRunResult:
+        """Post-process a job's folded candidates into its maximal family."""
+        candidates = sink.results()
+        maximal = postprocess_results(candidates)
+        metrics.results = len(maximal)
+        return cls(maximal=maximal, candidates=candidates, metrics=metrics)
 
 
 class GThinkerEngine:
@@ -72,19 +80,9 @@ class GThinkerEngine:
         self.app = app
         self.config = config
         self.machines = build_machines(graph, config)
-        self._active = 0
-        self._peak_active = 0
-        self.metrics = EngineMetrics()
-        self.core = SchedulerCore(
-            app, config, self.machines, tracer,
-            metrics=self.metrics,
-            task_queued=self._task_born,
-        )
+        self.core = SchedulerCore(app, config, self.machines, tracer)
+        self.metrics = self.core.metrics
         self.tracer = self.core.tracer
-
-    def _task_born(self, task: Task) -> None:
-        self._active += 1
-        self._peak_active = max(self._peak_active, self._active)
 
     def run(self) -> MiningRunResult:
         """Execute the job: run quanta on virtual time until no task is left.
@@ -105,22 +103,15 @@ class GThinkerEngine:
         try:
             makespan, work = self._run_events()
         finally:
-            self.core.detach()
             for m in self.machines:
                 m.cleanup()
-        metrics = self.metrics
+        metrics = self.core.collect_metrics()
         metrics.wall_seconds = time.perf_counter() - start
         metrics.virtual_work = work
         if self.config.total_threads > 1 and makespan:
             metrics.virtual_makespan = makespan
             metrics.utilization = work / (makespan * self.config.total_threads)
-        collect_machine_metrics(metrics, self.machines)
-        metrics.peak_pending_tasks = self._peak_active
-        metrics.mining_stats.merge(self.app.stats)
-        candidates = self.app.sink.results()
-        maximal = postprocess_results(candidates)
-        metrics.results = len(maximal)
-        return MiningRunResult(maximal=maximal, candidates=candidates, metrics=metrics)
+        return MiningRunResult.from_sink(self.app.sink, metrics)
 
     def _run_events(self) -> tuple[float, float]:
         """The event loop; returns (virtual makespan, total virtual work).
@@ -159,7 +150,7 @@ class GThinkerEngine:
                 # Re-arm while work is live and some thread can still
                 # move: with every thread idle and nothing to steal, no
                 # tick could wake one, so the loop runs dry instead.
-                if (events or wake) and (self._active > 0 or not core.all_spawned()):
+                if (events or wake) and (core.live > 0 or not core.all_spawned()):
                     heapq.heappush(events, (now + steal_period, next(seq), None, None))
                 if wake:
                     wake_idle(now)
@@ -170,12 +161,7 @@ class GThinkerEngine:
             thread = machine.threads[slot[1]]
             if quantum is not None:
                 # A completed quantum's effects become visible now (t+c).
-                for child in quantum.children:
-                    core.route(child, machine, thread)
-                if quantum.resumed is not None:
-                    core.buffer_ready(quantum.resumed, machine, thread)
-                if quantum.finished:
-                    self._active -= 1
+                core.settle(quantum, machine, thread)
                 if quantum.children or quantum.resumed is not None:
                     wake_idle(now)
             task = core.pick(machine, thread)
@@ -189,9 +175,9 @@ class GThinkerEngine:
             heapq.heappush(events, (now + cost, next(seq), slot, result))
             timing.mine_seconds += time.perf_counter() - t0
 
-        if self._active or not core.all_spawned():
+        if core.live or not core.all_spawned():
             raise RuntimeError(
-                f"the event loop ran dry with {self._active} live task(s) "
+                f"the event loop ran dry with {core.live} live task(s) "
                 f"and spawn {'done' if core.all_spawned() else 'unfinished'}"
             )
         timing.wall_seconds = time.perf_counter() - t_start

@@ -85,7 +85,6 @@ class EngineMetrics:
     spill_bytes: int = 0
     spill_bytes_peak: int = 0
     steals: int = 0
-    stolen_tasks: int = 0
     #: Stealing observability (one per planned StealMove / task shipped
     #: from a donor / task delivered to a recipient). On the in-process
     #: executors sent == received; on the cluster runtime they can
@@ -139,7 +138,6 @@ class EngineMetrics:
         self.spill_bytes += other.spill_bytes
         self.spill_bytes_peak = max(self.spill_bytes_peak, other.spill_bytes_peak)
         self.steals += other.steals
-        self.stolen_tasks += other.stolen_tasks
         self.steals_planned += other.steals_planned
         self.steals_sent += other.steals_sent
         self.steals_received += other.steals_received

@@ -1,9 +1,9 @@
 """Backend-agnostic scheduler core (the paper's reforged policy, §5).
 
-One implementation of the reforged G-thinker scheduling rules, shared
-by every executor — the virtual-time loop of the serial backend
-(:mod:`repro.gthinker.engine`) and the worker reactor of the process
-and cluster backends:
+One implementation of the reforged G-thinker scheduling rules and of a
+task's lifecycle, shared by every executor — the virtual-time loop of
+the serial backend (:mod:`repro.gthinker.engine`) and the worker
+reactor of the process and cluster backends:
 
 1. *routing*  — a new task goes to the machine's global big-task queue
    (Q_global, spilling to L_big) iff it is big, else to the picking
@@ -16,14 +16,13 @@ and cluster backends:
    early the moment a spawned task is big (the guard against flooding
    Q_global);
 5. *stealing* — a master plans big-task moves from per-machine pending
-   counts and applies them between the machines' global queues.
+   counts; a donor gives them from Q_global, refilled from L_big.
 
-The core is policy only: it owns no threads, its injected clock times
-trace spans and nothing else, and every executor drives it from a
-single thread (`pick` → `run_quantum` → route children / re-buffer
-the suspended task). Executors observe each newly queued task
-through the optional `task_queued` hook, which feeds their live-task
-count, without duplicating any scheduling decision.
+The core owns no threads, and its injected clock times trace spans and
+nothing else. Every executor drives it from a single thread: `pick` →
+`run_quantum` → `settle`. The core also counts the tasks that are live
+on its machines (`live`: routed and not yet finished or donated), so
+executors read termination and unit acknowledgement from it.
 """
 
 from __future__ import annotations
@@ -110,20 +109,6 @@ def build_machines(graph: Graph, config: EngineConfig) -> list[MachineState]:
     return [MachineState(m, store, config) for m, store in enumerate(stores)]
 
 
-def collect_machine_metrics(metrics: EngineMetrics, machines: list[MachineState]) -> None:
-    """Fold per-machine vertex-store and spill counters into `metrics`."""
-    for machine in machines:
-        cache = machine.data.cache
-        metrics.remote_messages += machine.data.remote_messages
-        metrics.remote_vertex_hits += cache.hits
-        metrics.remote_vertex_misses += cache.misses
-        metrics.remote_vertex_evictions += cache.evictions
-        for spill in (machine.lsmall, machine.lbig):
-            metrics.spill_batches += spill.batches_spilled
-            metrics.spill_bytes += spill.bytes_written
-            metrics.spill_bytes_peak = max(metrics.spill_bytes_peak, spill.bytes_peak)
-
-
 @dataclass
 class QuantumResult:
     """Effects of one scheduling quantum of a task.
@@ -131,9 +116,10 @@ class QuantumResult:
     A quantum resolves the task's pending pulls, then chains compute
     iterations until the task either finishes or issues new pulls (the
     suspend-for-data point where it re-enters the ready buffers with
-    its big/small status re-evaluated). The executor applies the
-    effects: route `children`, re-buffer `resumed` — in that order, so
-    a parent's children are visible before its completion is counted.
+    its big/small status re-evaluated). :meth:`SchedulerCore.settle`
+    applies the effects: route `children`, re-buffer `resumed` — in
+    that order, so a parent's children are visible before its
+    completion is counted.
     """
 
     finished: bool
@@ -154,7 +140,6 @@ class SchedulerCore:
         tracer: Tracer | NullTracer | None = None,
         *,
         metrics: EngineMetrics | None = None,
-        task_queued: Callable[[Task], None] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.app = ensure_app(app)
@@ -163,20 +148,13 @@ class SchedulerCore:
         # `is not None`, not truthiness: an empty Tracer is falsy (len 0).
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self._task_queued = task_queued
         #: Times the trace spans only; no scheduling decision reads it.
         self._clock = clock
         self._task_ids = itertools.count()
-
-    def detach(self) -> None:
-        """Drop the executor's hook once its job has ended.
-
-        The hook is the executor's bound method, so until then the
-        executor and its core reference each other; breaking the cycle
-        frees the job's machines, vertex tables and graph by reference
-        counting instead of leaving them for a cyclic collection.
-        """
-        self._task_queued = None
+        #: Tasks queued, buffered or executing on these machines: `route`
+        #: adds one, a finished quantum or a donation takes it away. Its
+        #: high-water mark is ``metrics.peak_pending_tasks``.
+        self.live = 0
 
     # -- shared counters ---------------------------------------------------
 
@@ -187,12 +165,30 @@ class SchedulerCore:
         """Every vertex is off its machine's spawn cursor."""
         return all(m.spawn_exhausted() for m in self.machines)
 
+    def collect_metrics(self) -> EngineMetrics:
+        """Job end: fold every machine's vertex-store and spill counters
+        and the app's mining stats into ``metrics``; returns it."""
+        metrics = self.metrics
+        for machine in self.machines:
+            cache = machine.data.cache
+            metrics.remote_messages += machine.data.remote_messages
+            metrics.remote_vertex_hits += cache.hits
+            metrics.remote_vertex_misses += cache.misses
+            metrics.remote_vertex_evictions += cache.evictions
+            for spill in (machine.lsmall, machine.lbig):
+                metrics.spill_batches += spill.batches_spilled
+                metrics.spill_bytes += spill.bytes_written
+                metrics.spill_bytes_peak = max(metrics.spill_bytes_peak, spill.bytes_peak)
+        metrics.mining_stats.merge(self.app.stats)
+        return metrics
+
     # -- task routing ------------------------------------------------------
 
     def route(self, task: Task, machine: MachineState, slot: ThreadSlot) -> None:
         """Queue a task: big → machine's global queue, small → the thread's."""
-        if self._task_queued is not None:
-            self._task_queued(task)
+        self.live += 1
+        if self.live > self.metrics.peak_pending_tasks:
+            self.metrics.peak_pending_tasks = self.live
         if self.config.use_global_queue and task.is_big(self.config.tau_split):
             machine.qglobal.push(task)
             self.tracer.emit("route_global", task.task_id, machine.machine_id)
@@ -209,7 +205,38 @@ class SchedulerCore:
             slot.blocal.append(task)
             self.tracer.emit("ready_local", task.task_id, machine.machine_id)
 
+    def settle(
+        self,
+        quantum: QuantumResult,
+        machine: MachineState,
+        slot: ThreadSlot,
+        export: Callable[[Task], None] | None = None,
+    ) -> None:
+        """Apply a completed quantum: route its children (a big one goes
+        to `export` instead, when given), then re-buffer the task if it
+        suspended or retire it if it finished."""
+        for child in quantum.children:
+            if export is not None and child.is_big(self.config.tau_split):
+                export(child)
+            else:
+                self.route(child, machine, slot)
+        if quantum.resumed is not None:
+            self.buffer_ready(quantum.resumed, machine, slot)
+        elif quantum.finished:
+            self.live -= 1
+
     # -- spawning ----------------------------------------------------------
+
+    def spawn_root(
+        self, v: int, adjacency, machine: MachineState, slot: ThreadSlot
+    ) -> Task | None:
+        """Offer vertex `v` to the app's spawn and route its task, if any."""
+        task = self.app.spawn(v, adjacency, self.next_task_id())
+        if task is not None:
+            self.metrics.tasks_spawned += 1
+            self.tracer.emit("spawn", task.task_id, machine.machine_id, detail=f"root={v}")
+            self.route(task, machine, slot)
+        return task
 
     def spawn_batch(self, machine: MachineState, slot: ThreadSlot) -> int:
         """Spawn up to one batch of tasks; stop early once one is big.
@@ -225,14 +252,9 @@ class SchedulerCore:
         while spawned < self.config.batch_size and machine.spawn_pos < len(order):
             v = order[machine.spawn_pos]
             machine.spawn_pos += 1
-            adjacency = machine.table.get(v)
-            assert adjacency is not None
-            task = self.app.spawn(v, adjacency, self.next_task_id())
+            task = self.spawn_root(v, machine.table.get(v), machine, slot)
             if task is None:
                 continue
-            self.metrics.tasks_spawned += 1
-            self.tracer.emit("spawn", task.task_id, machine.machine_id, detail=f"root={v}")
-            self.route(task, machine, slot)
             spawned += 1
             if self.config.use_global_queue and task.is_big(self.config.tau_split):
                 break
@@ -384,6 +406,16 @@ class SchedulerCore:
 
     # -- stealing ----------------------------------------------------------
 
+    def donate(self, machine: MachineState, count: int) -> list[Task]:
+        """Give up to `count` big tasks from Q_global, refilling it from
+        L_big; the tasks leave this core's live count."""
+        queue = machine.qglobal
+        granted = queue.pop_batch(count)
+        while len(granted) < count and queue.refill_from_spill():
+            granted += queue.pop_batch(count - len(granted))
+        self.live -= len(granted)
+        return granted
+
     def apply_steals(self) -> int:
         """Plan and apply one stealing period; returns tasks moved."""
         trace = self.tracer.enabled
@@ -397,10 +429,11 @@ class SchedulerCore:
                 detail=f"dst=m{move.dst} count={move.count}",
             )
             self.metrics.steals_planned += 1
-            batch = self.machines[move.src].qglobal.pop_batch(move.count)
+            batch = self.donate(self.machines[move.src], move.count)
             if not batch:
                 continue
             self.machines[move.dst].qglobal.push_batch(batch)
+            self.live += len(batch)  # moved between this core's machines
             for stolen in batch:
                 self.tracer.emit(
                     "steal_sent", stolen.task_id, move.src,
@@ -410,12 +443,7 @@ class SchedulerCore:
                     "steal_received", stolen.task_id, move.dst,
                     detail=f"from=m{move.src}",
                 )
-                self.tracer.emit(
-                    "steal", stolen.task_id, move.dst,
-                    detail=f"from=m{move.src}",
-                )
             self.metrics.steals += 1
-            self.metrics.stolen_tasks += len(batch)
             self.metrics.steals_sent += len(batch)
             self.metrics.steals_received += len(batch)
             moved += len(batch)
@@ -425,4 +453,3 @@ class SchedulerCore:
                 detail=f"moves={len(moves)} moved={moved}",
             )
         return moved
-

@@ -46,7 +46,6 @@ KINDS = (
     "execute",  # one compute round starts
     "finish",  # task completed
     "decompose",  # task produced subtasks
-    "steal",  # batch moved between machines
     "steal_planned",  # master planned one big-task move (per StealMove)
     "steal_sent",  # big tasks left the donor machine's global queue
     "steal_received",  # big tasks arrived at the recipient machine
@@ -64,7 +63,7 @@ KINDS = (
 #: serial executor at M x T > 1 and on real network round-trips in the process and
 #: cluster backends' runtime, so cross-executor
 #: vocabulary comparisons must treat them as timing-dependent.
-STEAL_KINDS = frozenset({"steal", "steal_planned", "steal_sent", "steal_received"})
+STEAL_KINDS = frozenset({"steal_planned", "steal_sent", "steal_received"})
 
 #: Kinds emitted by the observability layer (repro.gthinker.obs): timed
 #: span pairs around the hot-path phases and the coordinator's periodic

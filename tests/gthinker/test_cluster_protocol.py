@@ -76,9 +76,7 @@ SAMPLE_MESSAGES = [
     StealGrant(request_id=9, worker_id=0, tasks=(b"t1", b"t2")),
     Heartbeat(worker_id=0, pending_big=11),
     TaskBatch(work_id=8, tasks=(b"t3",), origin="remainder"),
-    ProgressReport(
-        worker_id=1, tasks_executed=5, tasks_decomposed=1, candidates_emitted=4
-    ),
+    ProgressReport(worker_id=1, tasks_executed=5),
     StatusRequest(),
     StatusReply(
         wall_seconds=1.5, tasks_pending=4, tasks_leased=2, tasks_done=9,

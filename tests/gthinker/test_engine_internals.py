@@ -79,8 +79,15 @@ class TestTermination:
     def test_active_counter_balanced_after_run(self):
         eng = make_engine(decompose="timed", tau_time=5, time_unit="ops", tau_split=2)
         eng.run()
-        assert eng._active == 0
+        assert eng.core.live == 0
         assert all(m.spawn_exhausted() for m in eng.machines)
+
+    def test_live_count_drains_on_two_machines_of_two_threads(self):
+        eng = make_engine(num_machines=2, threads_per_machine=2, decompose="timed",
+                          tau_time=5, time_unit="ops", tau_split=2)
+        eng.run()
+        assert eng.core.live == 0
+        assert eng.metrics.peak_pending_tasks >= 1
 
     @pytest.mark.parametrize("machines,threads", [(1, 1), (2, 2)])
     def test_lost_task_raises_instead_of_a_short_result(self, machines, threads):
@@ -93,7 +100,7 @@ class TestTermination:
         def route_but_lose_one(task, machine, slot):
             if not lost:
                 lost.append(task)
-                eng._task_born(task)
+                eng.core.live += 1
                 return
             route(task, machine, slot)
 
@@ -111,4 +118,26 @@ class TestTermination:
         eng.core.apply_steals()
         assert len(eng.machines[1].qglobal) > 0
         assert eng.metrics.steals >= 1
-        assert eng.metrics.stolen_tasks >= 1
+        assert eng.metrics.steals_sent >= 1
+
+
+class TestStealDonation:
+    def test_steal_draws_on_spilled_big_tasks(self, tmp_path):
+        """A donor whose in-memory Q_global is empty still gives the
+        big tasks it spilled to L_big, which the planner counts."""
+        eng = make_engine(num_machines=2, threads_per_machine=1, tau_split=1,
+                          queue_capacity=2, batch_size=1,
+                          spill_dir=str(tmp_path))
+        src, dst = eng.machines
+        for i in range(6):
+            eng.core.route(it3_task(i, ext_size=5), src, src.threads[0])
+        while src.qglobal.pop() is not None:
+            pass
+        assert len(src.lbig) and src.pending_big() > 0
+        moved = eng.core.apply_steals()
+        assert moved >= 1
+        assert len(dst.qglobal) == moved
+        # A move between the core's own machines retires no task.
+        assert eng.core.live == 6
+        for m in eng.machines:
+            m.cleanup()

@@ -10,7 +10,7 @@ from conftest import make_random_graph
 
 from repro.core.options import ResultSink
 from repro.gthinker.app_quasiclique import QuasiCliqueApp
-from repro.gthinker.cluster.protocol import Hello, ResultBatch
+from repro.gthinker.cluster.protocol import Hello, ResultBatch, SpawnRange
 from repro.gthinker.cluster.reactor import MasterReactor
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.metrics import EngineMetrics
@@ -229,3 +229,50 @@ class TestWorkerRegistry:
         assert (a.worker_id, b.worker_id) == (0, 1)
         assert len(registry) == 2
         assert registry.get(1) is b
+
+
+class _LaunchedFleet:
+    """A supervisor stub: every launched pid runs until it registers."""
+
+    def __init__(self, pids):
+        self.pids = set(pids)
+
+    def starting(self, registered):
+        return bool(self.pids - registered)
+
+
+def gated_reactor(fleet, heartbeat_timeout=1.0):
+    app = QuasiCliqueApp(gamma=0.75, min_size=3, sink=ResultSink())
+    config = EngineConfig(backend="cluster", num_procs=len(fleet),
+                          heartbeat_timeout=heartbeat_timeout)
+    reactor = MasterReactor(make_random_graph(12, 0.5, seed=3), app, config)
+    reactor.supervisor = _LaunchedFleet(fleet)
+    reactor.start_work(0.0)
+    return reactor
+
+
+def leased(pipe) -> int:
+    return sum(isinstance(m, SpawnRange) for m in pipe.sent)
+
+
+class TestFleetGate:
+    """The master leases nothing while a launched worker is still
+    connecting, so the first to register cannot drain the job alone."""
+
+    def test_leases_wait_for_the_last_launched_worker(self):
+        reactor = gated_reactor([10, 11])
+        first, second = _Pipe(), _Pipe()
+        reactor.on_message(first, Hello(pid=10, host="test"), 0.1)
+        reactor.on_tick(0.2)
+        assert leased(first) == 0
+        reactor.on_message(second, Hello(pid=11, host="test"), 0.3)
+        assert leased(first) >= 1 and leased(second) >= 1
+
+    def test_leases_start_once_the_bound_passes(self):
+        reactor = gated_reactor([10, 11], heartbeat_timeout=1.0)
+        first = _Pipe()
+        reactor.on_message(first, Hello(pid=10, host="test"), 0.5)
+        reactor.on_tick(0.9)
+        assert leased(first) == 0
+        reactor.on_tick(1.0)
+        assert leased(first) >= 1

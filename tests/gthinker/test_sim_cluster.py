@@ -16,7 +16,10 @@ proving the path it documents actually ran.
 from __future__ import annotations
 
 from dataclasses import replace
+import hashlib
 import random
+
+import pytest
 
 from repro.gthinker.sim import (
     FaultPlan,
@@ -25,6 +28,7 @@ from repro.gthinker.sim import (
     WorkerFaults,
     run_sim,
 )
+from repro.gthinker.cluster.reactor import WorkerReactor
 from repro.gthinker.sim.harness import _sim_config
 
 
@@ -48,6 +52,21 @@ class TestSimOracle:
                         config=sim_config(), graph_seed=0)
         assert report.result.maximal  # the job actually mined something
         assert report.metrics.workers_died == 0
+
+    def test_every_worker_ends_with_no_live_task(self, monkeypatch):
+        """A worker says Goodbye only after its core has retired every
+        task it routed: each finished, donated, or shipped as a
+        remainder."""
+        live_at_finish = []
+        finish = WorkerReactor.finish
+
+        def recording_finish(self, now):
+            live_at_finish.append(self.core.live)
+            finish(self, now)
+
+        monkeypatch.setattr(WorkerReactor, "finish", recording_finish)
+        run_ok(0, plan=CLEAN, num_workers=2, config=sim_config(), graph_seed=0)
+        assert live_at_finish == [0, 0]
 
     def test_fuzz_smoke(self):
         # A slice of the CI sweep, kept small enough for tier-1.
@@ -189,6 +208,21 @@ class TestDeterminism:
             a, b = run_sim(seed), run_sim(seed)
             assert a.log == b.log
             assert a.ok == b.ok
+
+
+#: SHA-256 over the event logs of seeds 0..199 and 414 (docs/TESTING.md
+#: has the recipe). It moves only when a lease, retry, steal or timer
+#: decision of the control plane moves; a change that means to move it
+#: updates this pin and says why.
+PINNED_LOG_DIGEST = "b6e2c1dcdc7ac3da2be17bf0792e95d7d32ba6686471cc378a96177e910ba39d"
+
+
+@pytest.mark.filterwarnings("ignore:worker .* never said Goodbye:RuntimeWarning")
+def test_event_log_digest_is_pinned():
+    digest = hashlib.sha256()
+    for seed in [*range(200), 414]:
+        digest.update(("\n".join(run_sim(seed).log) + "\n").encode())
+    assert digest.hexdigest() == PINNED_LOG_DIGEST
 
 
 class TestWarmStart:

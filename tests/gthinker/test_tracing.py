@@ -113,7 +113,7 @@ class TestPolicyViaTrace:
         spawned = {e.task_id for e in tracer.events(kind="spawn")}
         finished = {e.task_id for e in tracer.events(kind="finish")}
         assert spawned <= finished
-        assert engine._active == 0
+        assert engine.core.live == 0
 
     def test_decompose_events_match_metrics(self):
         tracer, result, _ = traced_run(
@@ -148,13 +148,12 @@ class TestPolicyViaTrace:
                 src, slot,
             )
         engine.core.apply_steals()
-        assert tracer.events(kind="steal")
         # One full observability triple per stolen task: planned by the
         # coordinator, sent by the donor, received by the recipient.
         assert tracer.events(kind="steal_planned")
         sent = tracer.events(kind="steal_sent")
         received = tracer.events(kind="steal_received")
-        assert len(sent) == len(received) == len(tracer.events(kind="steal"))
+        assert sent and len(sent) == len(received)
         metrics = engine.metrics
         assert metrics.steals_planned >= 1
         assert metrics.steals_sent == len(sent)
