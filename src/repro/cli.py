@@ -38,12 +38,11 @@ import time
 from .core.miner import mine_maximal_quasicliques
 from .core.quasiclique import check_params
 from .core.query import mine_containing
-from .core.resultsio import postprocess_file
+from .core.resultsio import postprocess_file, write_results
 from .datasets.registry import build_dataset, dataset_names, get_dataset
 from .graph.io import read_edge_list
 from .gthinker.config import BACKENDS, EngineConfig, check_topology
 from .gthinker.engine import mine_parallel
-from .gthinker.engine_mp import mine_multiprocess
 
 
 def format_run_summary(out, backend: str | None = None,
@@ -326,24 +325,12 @@ def main(argv: list[str] | None = None) -> int:
         result = mine_maximal_quasicliques(graph, gamma, min_size)
         maximal = result.maximal
         extra = ""
-    elif config.backend == "process":
-        out = mine_multiprocess(graph, gamma, min_size, config, tracer=tracer,
-                                start_method=args.mp_start_method,
-                                on_progress=on_progress)
-        maximal = out.maximal
-        extra = format_run_summary(out, "process", config.resolved_num_procs)
-    elif config.backend == "cluster":
-        from .gthinker.cluster import mine_cluster
-
-        out = mine_cluster(graph, gamma, min_size, config, tracer=tracer,
-                           start_method=args.mp_start_method,
-                           on_progress=on_progress)
-        maximal = out.maximal
-        extra = format_run_summary(out, "cluster", config.resolved_num_procs)
     else:
-        out = mine_parallel(graph, gamma, min_size, config, tracer=tracer)
+        out = mine_parallel(graph, gamma, min_size, config, tracer=tracer,
+                            start_method=args.mp_start_method,
+                            on_progress=on_progress)
         maximal = out.maximal
-        extra = format_run_summary(out)
+        extra = format_run_summary(out, config.backend, config.resolved_num_procs)
     elapsed = time.perf_counter() - start
 
     if args.metrics_json:
@@ -360,9 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         for qc in sorted(maximal, key=lambda s: (-len(s), sorted(s))):
             print(" ".join(str(v) for v in sorted(qc)))
     if args.output:
-        with open(args.output, "w") as f:
-            for qc in sorted(maximal, key=lambda s: (-len(s), sorted(s))):
-                f.write(" ".join(str(v) for v in sorted(qc)) + "\n")
+        write_results(maximal, args.output)
     return 0
 
 

@@ -24,7 +24,6 @@ from .quasiclique import (
 from .quick import mine_quick, missed_results
 from .resultsio import FileResultSink, postprocess_file, read_results, write_results
 from .query import best_community, mine_containing
-from .verify import VerificationReport, verify_results
 
 __all__ = [
     "DEFAULT_OPTIONS",
@@ -58,8 +57,6 @@ __all__ = [
     "postprocess_results",
     "best_community",
     "mine_containing",
-    "VerificationReport",
-    "verify_results",
     "remove_non_maximal",
     "upper_bound",
     "upper_bound_min",

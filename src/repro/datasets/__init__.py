@@ -1,6 +1,5 @@
 """Synthetic analogs of the paper's evaluation datasets."""
 
-from .cache import get_or_build, is_cached, load_dataset, save_dataset
 from .registry import DatasetSpec, build_dataset, dataset_names, get_dataset
 
 __all__ = [
@@ -8,8 +7,4 @@ __all__ = [
     "build_dataset",
     "dataset_names",
     "get_dataset",
-    "get_or_build",
-    "is_cached",
-    "load_dataset",
-    "save_dataset",
 ]

@@ -4,10 +4,9 @@ from .app_protocol import ComputeContext, GThinkerApp, ensure_app, gthinker_app,
 from .app_quasiclique import QuasiCliqueApp
 from .chaos import FaultInjection
 from .clock import AlwaysExpired, NeverExpires, OpBudget, WallClockBudget, make_budget
-from .cluster import ClusterMaster, ClusterWorker, mine_cluster, run_cluster_app
+from .cluster import ClusterMaster, ClusterWorker, run_cluster_app
 from .config import EngineConfig
 from .engine import GThinkerEngine, MiningRunResult, mine_parallel
-from .engine_mp import mine_multiprocess
 from .scheduler import (
     MachineState,
     QuantumResult,
@@ -43,7 +42,6 @@ __all__ = [
     "registered_apps",
     "ClusterMaster",
     "ClusterWorker",
-    "mine_cluster",
     "run_cluster_app",
     "EngineConfig",
     "EngineMetrics",
@@ -68,7 +66,6 @@ __all__ = [
     "TaskRecord",
     "WallClockBudget",
     "make_budget",
-    "mine_multiprocess",
     "mine_parallel",
     "owner_of",
     "plan_steals",

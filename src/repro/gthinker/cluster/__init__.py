@@ -8,16 +8,15 @@ as every other executor, and everything in between is a small framed
 pickle protocol over TCP (:mod:`.protocol`).
 
 ``EngineConfig(backend='cluster')`` runs it on localhost with cold
-workers that receive a partition and fetch the rest
-(:func:`mine_cluster`); ``backend='process'`` runs it with warm-start
-workers that hold the whole graph (:mod:`repro.gthinker.engine_mp`).
-Both go through :func:`run_cluster_app`, which supervises the worker
-processes, or through :func:`repro.gthinker.engine.mine_parallel`;
-the ``repro cluster-master`` / ``repro cluster-worker`` CLI entry
-points run the same master and workers across hosts.
+workers that receive a partition and fetch the rest;
+``backend='process'`` runs it with warm-start workers that hold the
+whole graph. :func:`repro.gthinker.engine.mine_parallel` reaches both
+through :func:`run_cluster_app`, which supervises the worker
+processes; the ``repro cluster-master`` / ``repro cluster-worker`` CLI
+entry points run the same master and workers across hosts.
 """
 
-from .launcher import mine_cluster, run_cluster_app
+from .launcher import run_cluster_app
 from .master import ClusterMaster
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -38,6 +37,5 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "VERSION",
     "encode_frame",
-    "mine_cluster",
     "run_cluster_app",
 ]

@@ -26,6 +26,7 @@ import time
 
 from ...core.miner import quasiclique_core
 from ...core.options import DEFAULT_OPTIONS, ResultSink
+from ...core.resultsio import write_results
 from ...graph.io import read_edge_list
 from ..app_quasiclique import QuasiCliqueApp
 from ..config import EngineConfig
@@ -138,9 +139,7 @@ def master_cli(argv: list[str] | None = None) -> int:
         for qc in sorted(result.maximal, key=lambda s: (-len(s), sorted(s))):
             print(" ".join(str(v) for v in sorted(qc)))
     if args.output:
-        with open(args.output, "w") as f:
-            for qc in sorted(result.maximal, key=lambda s: (-len(s), sorted(s))):
-                f.write(" ".join(str(v) for v in sorted(qc)) + "\n")
+        write_results(result.maximal, args.output)
     return 0
 
 

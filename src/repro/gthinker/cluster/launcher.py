@@ -3,19 +3,19 @@
 :func:`run_cluster_app` binds a master on an ephemeral port, forks or
 spawns the workers as real OS processes that connect back over TCP,
 supervises them, and returns the standard
-:class:`~repro.gthinker.engine.MiningRunResult`. Two front-ends call
-it, differing only in what a worker holds at launch:
+:class:`~repro.gthinker.engine.MiningRunResult`.
+:func:`~repro.gthinker.engine.mine_parallel` calls it for both
+backends, which differ only in what a worker holds at launch:
 
-* ``backend='cluster'`` (:func:`mine_cluster`) starts *cold* workers.
-  Config, app and the worker's partition of the vertex table ship over
-  the socket (never the whole graph); non-owned vertices are fetched
-  on demand through VertexRequest/VertexReply.
-* ``backend='process'`` (:func:`repro.gthinker.engine_mp.mine_multiprocess`)
-  starts *warm* workers (``warm_start=True``): each holds the whole
-  Theorem 2 core from launch, says so in its ``Hello``
-  (``needs_graph=False``), is shipped no partition and fetches no
-  vertex. Under ``fork`` the core rides through the fork; under
-  ``spawn`` it is pickled as a ``Process`` argument.
+* ``backend='cluster'`` starts *cold* workers. Config, app and the
+  worker's partition of the vertex table ship over the socket (never
+  the whole graph); non-owned vertices are fetched on demand through
+  VertexRequest/VertexReply.
+* ``backend='process'`` starts *warm* workers (``warm_start=True``):
+  each holds the whole Theorem 2 core from launch, says so in its
+  ``Hello`` (``needs_graph=False``), is shipped no partition and
+  fetches no vertex. Under ``fork`` the core rides through the fork;
+  under ``spawn`` it is pickled as a ``Process`` argument.
 
 **Supervision.** When the master fails a worker (socket EOF, a failed
 send, or ``heartbeat_timeout`` of silence — a worker stuck in
@@ -35,10 +35,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-from ...core.miner import quasiclique_core
-from ...core.options import DEFAULT_OPTIONS, ResultSink
 from ...graph.adjacency import Graph
-from ..app_quasiclique import QuasiCliqueApp
 from ..chaos import FaultInjection
 from ..config import EngineConfig, check_topology
 from ..engine import MiningRunResult
@@ -46,7 +43,7 @@ from ..tracing import NullTracer, Tracer
 from .master import ClusterMaster
 from .worker import ClusterWorker
 
-__all__ = ["mine_cluster", "run_cluster_app"]
+__all__ = ["run_cluster_app"]
 
 
 def _worker_entry(
@@ -177,31 +174,3 @@ def run_cluster_app(
     finally:
         supervisor.reap()
 
-
-def mine_cluster(
-    graph: Graph,
-    gamma: float,
-    min_size: int,
-    config: EngineConfig | None = None,
-    options=None,
-    tracer: Tracer | NullTracer | None = None,
-    num_workers: int | None = None,
-    start_method: str | None = None,
-    fault_injection: FaultInjection | None = None,
-    timeout: float | None = None,
-    on_progress=None,
-) -> MiningRunResult:
-    """Convenience front-end: mine `graph` on a localhost TCP cluster.
-
-    The master partitions and ships :func:`~repro.core.miner.quasiclique_core`
-    of `graph`, so no worker ever holds a vertex Theorem 2 rules out.
-    """
-    config = config or EngineConfig(backend="cluster")
-    options = options or DEFAULT_OPTIONS
-    graph = quasiclique_core(graph, gamma, min_size, options)
-    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
-    return run_cluster_app(
-        graph, app, config, tracer=tracer, num_workers=num_workers,
-        start_method=start_method, fault_injection=fault_injection,
-        timeout=timeout, on_progress=on_progress,
-    )

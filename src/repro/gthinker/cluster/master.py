@@ -62,10 +62,10 @@ class ClusterMaster:
         num_workers: int | None = None,
         on_progress=None,
     ):
-        #: Live-progress callback, called with a ProgressSnapshot every
-        #: config.progress_interval seconds (1s default when a callback
-        #: or tracer is attached); StatusRequest peers get the same
-        #: snapshot on demand.
+        #: Live-progress callback, called with a ProgressSnapshot as
+        #: often as workers report progress (every few heartbeats: 1s
+        #: at the default heartbeat_period); StatusRequest peers get
+        #: the same snapshot on demand.
         self.reactor = MasterReactor(
             graph, app, config,
             tracer=tracer, num_workers=num_workers, on_progress=on_progress,

@@ -489,12 +489,16 @@ class MasterReactor:
             workers_died=self.metrics.workers_died,
         )
 
-    def progress_interval(self) -> float:
-        """Seconds between progress emissions; 0 disables them."""
-        if self.config.progress_interval:
-            return self.config.progress_interval
+    def progress_period(self) -> float:
+        """Seconds between progress emissions; 0 disables them.
+
+        The cadence at which workers send their ProgressReport
+        (every ``_PROGRESS_EVERY`` heartbeats), so each snapshot can
+        carry fresh counts; emissions happen only when a callback or a
+        tracer is attached.
+        """
         if self.on_progress is not None or self.tracer.enabled:
-            return 1.0
+            return _PROGRESS_EVERY * self.config.heartbeat_period
         return 0.0
 
     def _emit_progress(self, now: float) -> None:
@@ -683,7 +687,7 @@ class MasterReactor:
         for unit in self.ledger.pop_due(now):
             self._pending.insert(0, unit)
         self._pump(now)
-        progress_every = self.progress_interval()
+        progress_every = self.progress_period()
         if (
             progress_every
             and self._last_progress is not None

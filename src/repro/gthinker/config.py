@@ -49,8 +49,7 @@ class EngineConfig:
     #: CLI, the service): 'serial' runs M × T in the calling thread on
     #: virtual time (engine); 'cluster' runs the TCP master/worker
     #: runtime (repro.gthinker.cluster) on localhost; 'process' runs the
-    #: same runtime with warm-start workers that hold the whole graph
-    #: (engine_mp).
+    #: same runtime with warm-start workers that hold the whole graph.
     backend: str = "serial"
     #: Process/cluster-backend worker count; 0 means os.cpu_count().
     num_procs: int = 0
@@ -78,11 +77,6 @@ class EngineConfig:
     #: unit; 0 sizes chunks automatically (~8 units per worker) so
     #: dead-worker reassignment has useful granularity.
     cluster_chunk_size: int = 0
-    #: Seconds between live-progress snapshots emitted by the master of
-    #: the process and cluster backends (`progress` trace event +
-    #: on_progress callback). 0 = automatic: 1s whenever a callback or
-    #: tracer is attached, otherwise off.
-    progress_interval: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_machines < 1 or self.threads_per_machine < 1:
@@ -115,8 +109,6 @@ class EngineConfig:
             raise ValueError("heartbeat_timeout must exceed heartbeat_period")
         if self.cluster_chunk_size < 0:
             raise ValueError("cluster_chunk_size must be >= 0 (0 = auto)")
-        if self.progress_interval < 0:
-            raise ValueError("progress_interval must be >= 0 (0 = auto)")
 
     @classmethod
     def from_payload(cls, payload: dict) -> "EngineConfig":

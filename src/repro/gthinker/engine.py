@@ -21,7 +21,7 @@ in :mod:`repro.gthinker.scheduler` and is shared verbatim with the
 worker reactor, and so is a task's lifecycle (spawn, route, settle a
 quantum, donate to a steal) and the live-task count. This module is
 only the event loop on virtual time and :func:`mine_parallel`, the
-front-end that dispatches on ``config.backend``.
+front door of every backend, which dispatches on ``config.backend``.
 
 Each machine reads through the same vertex store as a cluster worker
 (:class:`~repro.gthinker.vertex_store.RemoteGraphAccess`); its cache
@@ -93,10 +93,10 @@ class GThinkerEngine:
         """
         backend = self.config.backend
         if backend != "serial":
-            executor = {"process": "mine_multiprocess", "cluster": "ClusterMaster"}[backend]
             raise ValueError(
                 f"GThinkerEngine is the serial executor; for "
-                f"backend={backend!r} use {executor} (or mine_parallel)"
+                f"backend={backend!r} use mine_parallel (or run_cluster_app "
+                f"for an app of your own)"
             )
         check_topology(self.config)
         start = time.perf_counter()
@@ -193,34 +193,37 @@ def mine_parallel(
     config: EngineConfig | None = None,
     options=None,
     tracer: Tracer | NullTracer | None = None,
+    *,
+    start_method: str | None = None,
+    on_progress=None,
 ) -> MiningRunResult:
-    """Convenience front-end: mine `graph` on the reforged engine.
+    """Mine `graph` on the reforged engine: the one front door of every backend.
 
-    Dispatches on ``config.backend``: 'serial' runs here, on
+    Peels `graph` to its Theorem 2 core
+    (:func:`~repro.core.miner.quasiclique_core`), builds one
+    :class:`QuasiCliqueApp`, and runs it on the executor
+    ``config.backend`` names: 'serial' runs here, on
     ``num_machines × threads_per_machine`` threads of virtual time;
-    ``backend='process'`` delegates to
-    :func:`repro.gthinker.engine_mp.mine_multiprocess` and
-    ``'cluster'`` to :func:`repro.gthinker.cluster.mine_cluster`, so
-    one call site can select any executor from configuration alone
-    (:func:`~repro.gthinker.config.check_topology` guards the
-    topology). Every backend mines
-    :func:`~repro.core.miner.quasiclique_core` of `graph`.
+    'process' and 'cluster' go to the localhost launcher
+    (:func:`~repro.gthinker.cluster.launcher.run_cluster_app`), with
+    warm-start workers for 'process' and cold ones for 'cluster'.
+    :func:`~repro.gthinker.config.check_topology` guards the topology.
+
+    `start_method` (multiprocessing start method of the workers) and
+    `on_progress` (a callback given each live
+    :class:`~repro.gthinker.obs.ProgressSnapshot`) apply to the process
+    and cluster backends only.
     """
     config = config or EngineConfig()
     check_topology(config)
-    if config.backend == "process":
-        from .engine_mp import mine_multiprocess
-
-        return mine_multiprocess(
-            graph, gamma, min_size, config, options=options, tracer=tracer
-        )
-    if config.backend == "cluster":
-        from .cluster import mine_cluster
-
-        return mine_cluster(
-            graph, gamma, min_size, config, options=options, tracer=tracer
-        )
     options = options or DEFAULT_OPTIONS
     graph = quasiclique_core(graph, gamma, min_size, options)
     app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
-    return GThinkerEngine(graph, app, config, tracer=tracer).run()
+    if config.backend == "serial":
+        return GThinkerEngine(graph, app, config, tracer=tracer).run()
+    from .cluster.launcher import run_cluster_app
+
+    return run_cluster_app(
+        graph, app, config, tracer=tracer, start_method=start_method,
+        on_progress=on_progress, warm_start=config.backend == "process",
+    )

@@ -3,8 +3,10 @@
 A :class:`ProgressSnapshot` is the coordinator's answer to "how far
 along is this job right now": work-item counts by lifecycle stage,
 candidates found so far, and worker liveness. The master of the
-process and cluster backends builds one every ``config.progress_interval``
-seconds, then
+process and cluster backends builds one as often as workers report
+their progress (every four heartbeats: 1 s at the default
+``config.heartbeat_period``) while a callback or tracer is attached,
+then
 
 * emit it as a ``progress`` trace event (``detail`` holds the counters
   as ``key=value`` pairs, so ``repro trace-report`` can replay the

@@ -12,7 +12,7 @@ minute and every failure ships with its replay command.
 See docs/TESTING.md for the taxonomy and the replay workflow.
 """
 
-from .harness import SimFailure, SimReport, fuzz, run_sim
+from .harness import SimReport, run_sim
 from .net import SimChannel, SimLink, SimNet
 from .plan import (
     FaultPlan,
@@ -27,12 +27,10 @@ __all__ = [
     "LinkFaults",
     "PartitionWindow",
     "SimChannel",
-    "SimFailure",
     "SimLink",
     "SimNet",
     "SimReport",
     "WorkerFaults",
-    "fuzz",
     "generate_plan",
     "run_sim",
 ]

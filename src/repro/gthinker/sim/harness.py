@@ -60,7 +60,7 @@ from ..tracing import Tracer
 from .net import SimChannel, SimNet
 from .plan import FaultPlan, generate_plan
 
-__all__ = ["SimFailure", "SimReport", "fuzz", "run_sim"]
+__all__ = ["SimReport", "run_sim"]
 
 #: Virtual seconds per abstract mining op (one quantum ≈ tau_time ops).
 _OPS_SECONDS = 0.002
@@ -79,10 +79,6 @@ _MIN_SIZE = 3
 _GRAPH_POOL = 5
 #: Share of fuzz seeds whose workers start warm (the process backend).
 _WARM_SHARE = 0.25
-
-
-class SimFailure(AssertionError):
-    """An invariant or oracle violation inside a simulated run."""
 
 
 @dataclass
@@ -532,15 +528,3 @@ def _check_trace_times(tracer: Tracer, end: float) -> None:
             f"[0, {end:.6f}]: {event.detail}"
         )
 
-
-def fuzz(seeds: int, base: int = 0) -> tuple[int, list[SimReport]]:
-    """Sweep `seeds` consecutive seeds; returns (passed, failures)."""
-    passed = 0
-    failures: list[SimReport] = []
-    for i in range(seeds):
-        report = run_sim(base + i)
-        if report.ok:
-            passed += 1
-        else:
-            failures.append(report)
-    return passed, failures

@@ -25,14 +25,14 @@ import threading
 import time
 
 import pytest
-from conftest import make_random_graph
+from conftest import launch_mining, make_random_graph
 
 from repro.core.miner import mine_maximal_quasicliques
 from repro.core.naive import enumerate_maximal_quasicliques
 from repro.graph.adjacency import Graph
 from repro.graph.generators import planted_quasicliques
 from repro.gthinker.chaos import FaultInjection, SleepyBigTaskApp
-from repro.gthinker.cluster import mine_cluster, run_cluster_app
+from repro.gthinker.cluster import run_cluster_app
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
 from repro.gthinker.tracing import Tracer
@@ -73,7 +73,7 @@ class TestOracleEquivalence:
         graph = make_random_graph(12, 0.5, seed=11)
         expected = enumerate_maximal_quasicliques(graph, 0.75, 3)
         tracer = Tracer()
-        out = mine_cluster(
+        out = launch_mining(
             graph, 0.75, 3, config=cluster_config(), tracer=tracer,
             timeout=JOB_TIMEOUT,
         )
@@ -90,7 +90,7 @@ class TestOracleEquivalence:
         serial = mine_parallel(
             graph, 0.75, 3, cluster_config(backend="serial", num_procs=0)
         )
-        clustered = mine_cluster(
+        clustered = launch_mining(
             graph, 0.75, 3, config=cluster_config(), timeout=JOB_TIMEOUT
         )
         assert clustered.candidates == serial.candidates
@@ -107,7 +107,7 @@ class TestOracleEquivalence:
         clobber each other's spill files (per-worker subdirectories)."""
         graph = make_random_graph(12, 0.5, seed=13)
         expected = enumerate_maximal_quasicliques(graph, 0.75, 3)
-        out = mine_cluster(
+        out = launch_mining(
             graph, 0.75, 3,
             config=cluster_config(
                 spill_dir=str(tmp_path), queue_capacity=2, batch_size=1
@@ -171,7 +171,7 @@ class TestFaultTolerance:
         graph = make_random_graph(12, 0.5, seed=7)
         expected = enumerate_maximal_quasicliques(graph, 0.75, 3)
         tracer = Tracer()
-        out = mine_cluster(
+        out = launch_mining(
             graph, 0.75, 3,
             config=cluster_config(cluster_chunk_size=1, max_attempts=5),
             tracer=tracer, start_method=start_method,
@@ -195,7 +195,7 @@ class TestFaultTolerance:
         start_method = start_method_or_skip("fork")
         graph = make_random_graph(14, 0.5, seed=21)
         expected = enumerate_maximal_quasicliques(graph, 0.75, 3)
-        out = mine_cluster(
+        out = launch_mining(
             graph, 0.75, 3,
             config=cluster_config(cluster_chunk_size=1, max_attempts=5),
             start_method=start_method,
@@ -296,7 +296,7 @@ class TestJobLifecycle:
             heartbeat_period=5.0, heartbeat_timeout=60.0,
         )
         t0 = time.perf_counter()
-        out = mine_cluster(
+        out = launch_mining(
             graph, 0.9, 8, config=config, start_method=start_method,
             timeout=JOB_TIMEOUT,
         )
@@ -313,7 +313,7 @@ class TestJobLifecycle:
 
         graph = make_random_graph(10, 0.5, seed=3)
         for _ in range(2):
-            mine_cluster(
+            launch_mining(
                 graph, 0.75, 3, config=cluster_config(), timeout=JOB_TIMEOUT
             )
         gc.collect()
@@ -332,7 +332,7 @@ class TestJobLifecycle:
         start_method = start_method_or_skip("fork")
         path = Graph.from_edges([(v, v + 1) for v in range(20)])
         t0 = time.perf_counter()
-        out = mine_cluster(
+        out = launch_mining(
             path, 0.9, 8, config=cluster_config(), start_method=start_method,
             timeout=JOB_TIMEOUT,
         )

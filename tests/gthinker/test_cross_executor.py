@@ -15,6 +15,7 @@ import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import launch_mining
 
 from repro.core.miner import mine_maximal_quasicliques
 from repro.core.naive import enumerate_maximal_quasicliques
@@ -23,10 +24,8 @@ from repro.core.quasiclique import kcore_threshold
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import k_core
 from repro.gthinker.chaos import FaultInjection
-from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
-from repro.gthinker.engine_mp import mine_multiprocess
 from repro.gthinker.tracing import Tracer
 
 
@@ -131,7 +130,7 @@ def test_cluster_backend_matches_oracle(graph, gamma, min_size):
     Fewer examples than the in-process property — each run pays for two
     real worker processes plus a socket handshake."""
     expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
-    clustered = mine_cluster(
+    clustered = launch_mining(
         graph, gamma, min_size,
         policy_config(
             backend="cluster", num_procs=2,
@@ -159,7 +158,7 @@ def test_cluster_backend_chaos_equivalence(
     re-mined candidates deduplicate)."""
     expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
     tracer = Tracer()
-    out = mine_cluster(
+    out = launch_mining(
         graph, gamma, min_size,
         policy_config(
             backend="cluster", num_procs=2, cluster_chunk_size=1,
@@ -209,7 +208,7 @@ def test_process_backend_chaos_equivalence(
     """
     expected = enumerate_maximal_quasicliques(graph, gamma, min_size)
     tracer = Tracer()
-    out = mine_multiprocess(
+    out = launch_mining(
         graph, gamma, min_size,
         policy_config(backend="process", num_procs=2, batch_size=1,
                       retry_backoff=0.001),

@@ -1,4 +1,4 @@
-"""Tests for the process backend (repro.gthinker.engine_mp).
+"""Tests for the process backend (``mine_parallel`` with backend="process").
 
 ``backend="process"`` is the cluster runtime on localhost with
 warm-start workers: every worker holds the whole Theorem 2 core, so no
@@ -10,6 +10,7 @@ launcher respawns dead workers.
 import threading
 
 import pytest
+from conftest import launch_mining
 
 from repro.core.naive import enumerate_maximal_quasicliques
 from repro.core.options import MiningStats, ResultSink
@@ -24,7 +25,6 @@ from repro.gthinker.chaos import (
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.cluster import run_cluster_app
 from repro.gthinker.engine import mine_parallel
-from repro.gthinker.engine_mp import mine_multiprocess
 from repro.gthinker.obs.spans import parse_detail
 from repro.gthinker.tracing import Tracer
 
@@ -111,14 +111,14 @@ class TestConfig:
 class TestResultEquivalence:
     def test_matches_oracle_fork(self, planted):
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
-        out = mine_multiprocess(planted.graph, 0.9, 7, small_config())
+        out = mine_parallel(planted.graph, 0.9, 7, small_config())
         assert out.maximal == expected.maximal
 
     def test_matches_oracle_spawn_shared_memory(self, planted):
         """Under spawn the Theorem 2 core rides pickled as the worker
         process's argument (there is no fork to inherit it through)."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
-        out = mine_multiprocess(
+        out = mine_parallel(
             planted.graph, 0.9, 7, small_config(), start_method="spawn"
         )
         assert out.maximal == expected.maximal
@@ -126,19 +126,22 @@ class TestResultEquivalence:
     def test_small_oracle_graph(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         expected = enumerate_maximal_quasicliques(g, 0.9, 3)
-        out = mine_multiprocess(g, 0.9, 3, small_config())
+        out = mine_parallel(g, 0.9, 3, small_config())
         assert out.maximal == expected
 
     def test_mine_parallel_dispatches_on_backend(self, planted):
+        """The one front door peels before it dispatches: the process
+        backend spawns from the same Theorem 2 core as serial."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         out = mine_parallel(planted.graph, 0.9, 7, small_config())
         assert out.maximal == expected.maximal
+        assert out.metrics.tasks_spawned == expected.metrics.tasks_spawned
 
     def test_multi_machine_with_stealing(self, planted):
         """Three worker processes with the steal planner running every
         millisecond: big tasks move between workers, results do not."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
-        out = mine_multiprocess(
+        out = mine_parallel(
             planted.graph, 0.9, 7,
             small_config(num_procs=3, steal_period_seconds=0.001),
         )
@@ -161,7 +164,7 @@ class TestResultEquivalence:
 
         monkeypatch.setattr(MasterReactor, "_send", recording_send)
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
-        out = mine_multiprocess(planted.graph, 0.9, 7, small_config())
+        out = mine_parallel(planted.graph, 0.9, 7, small_config())
         assert out.maximal == expected.maximal
         assert out.metrics.remote_messages == 0
         assert out.metrics.remote_vertex_misses == 0
@@ -172,7 +175,7 @@ class TestResultEquivalence:
 
 class TestMetricsAndTracing:
     def test_worker_metrics_merge_into_parent(self, planted):
-        out = mine_multiprocess(planted.graph, 0.9, 7, small_config())
+        out = mine_parallel(planted.graph, 0.9, 7, small_config())
         m = out.metrics
         assert m.tasks_spawned > 0
         assert m.tasks_executed > 0
@@ -183,7 +186,7 @@ class TestMetricsAndTracing:
         assert m.results == len(out.maximal)
 
     def test_decomposition_remainders_cross_processes(self, planted):
-        out = mine_multiprocess(
+        out = mine_parallel(
             planted.graph, 0.9, 7, small_config(tau_time=20)
         )
         assert out.metrics.tasks_decomposed > 0
@@ -191,7 +194,7 @@ class TestMetricsAndTracing:
 
     def test_tracer_receives_worker_events(self, planted):
         tracer = Tracer()
-        mine_multiprocess(planted.graph, 0.9, 7, small_config(), tracer=tracer)
+        mine_parallel(planted.graph, 0.9, 7, small_config(), tracer=tracer)
         kinds = set(tracer.counts())
         assert {"spawn", "execute", "finish"} <= kinds
         # Worker-origin events carry the worker id in the machine field
@@ -240,7 +243,7 @@ class TestFailureModes:
 
         app = QuasiCliqueApp(0.9, 7, sink=ResultSink(), options=DEFAULT_OPTIONS)
         engine = GThinkerEngine(planted.graph, app, small_config())
-        with pytest.raises(ValueError, match="mine_multiprocess"):
+        with pytest.raises(ValueError, match="use mine_parallel"):
             engine.run()
 
 
@@ -265,7 +268,7 @@ class TestFaultTolerance:
         leased a third unit)."""
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
         tracer = Tracer()
-        out = mine_multiprocess(
+        out = launch_mining(
             planted.graph, 0.9, 7,
             small_config(retry_backoff=0.001, num_procs=1),
             tracer=tracer,
@@ -291,7 +294,7 @@ class TestFaultTolerance:
         targeted one has even connected.
         """
         expected = mine_parallel(planted.graph, 0.9, 7, EngineConfig())
-        out = mine_multiprocess(
+        out = launch_mining(
             planted.graph, 0.9, 7,
             small_config(retry_backoff=0.001, batch_size=1, num_procs=1),
             start_method="spawn",
@@ -377,7 +380,7 @@ class TestFaultTolerance:
         assert out.candidates == {frozenset([v]) for v in range(1, 6)}
 
     def test_no_injection_means_no_fault_metrics(self, planted):
-        out = mine_multiprocess(planted.graph, 0.9, 7, small_config())
+        out = mine_parallel(planted.graph, 0.9, 7, small_config())
         assert out.metrics.workers_died == 0
         assert out.metrics.tasks_retried == 0
         assert out.metrics.tasks_quarantined == 0

@@ -12,7 +12,6 @@ from conftest import make_random_graph
 
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
-from repro.gthinker.engine_mp import mine_multiprocess
 from repro.gthinker.metrics import EngineMetrics, WorkerTiming
 from repro.gthinker.obs import (
     SPAN_NAMES,
@@ -144,7 +143,7 @@ class TestSpanStreamInvariants:
     def test_process_run_spans_pair(self):
         graph = make_random_graph(12, 0.5, seed=9)
         tracer = Tracer()
-        mine_multiprocess(
+        mine_parallel(
             graph, 0.75, 3,
             EngineConfig(backend="process", num_procs=2, tau_split=4,
                          queue_capacity=4, batch_size=2),
@@ -194,7 +193,7 @@ class TestWorkerTiming:
         graph = make_random_graph(12, 0.5, seed=4)
         config = EngineConfig(backend="process", num_procs=2, tau_split=4,
                               queue_capacity=4, batch_size=2)
-        out = mine_multiprocess(graph, 0.75, 3, config)
+        out = mine_parallel(graph, 0.75, 3, config)
         assert out.metrics.timing, "process workers must report timing"
         assert set(out.metrics.timing) <= {0, 1}
         for row in out.metrics.timing.values():
@@ -236,24 +235,20 @@ class TestProgressSnapshot:
         assert "died" not in format_progress(self.snapshot())
         assert "(+2 died)" in format_progress(self.snapshot(workers_died=2))
 
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError, match="progress_interval"):
-            EngineConfig(progress_interval=-0.5)
-
 
 class TestProcessProgress:
     def test_snapshots_reach_callback_and_trace(self):
         graph = make_random_graph(14, 0.5, seed=8)
         config = EngineConfig(
             backend="process", num_procs=2, tau_split=3, tau_time=50,
-            queue_capacity=4, batch_size=1, progress_interval=0.005,
+            queue_capacity=4, batch_size=1, heartbeat_period=0.002,
         )
         tracer = Tracer()
         seen = []
-        mine_multiprocess(graph, 0.75, 3, config, tracer=tracer,
-                          on_progress=seen.append)
+        mine_parallel(graph, 0.75, 3, config, tracer=tracer,
+                      on_progress=seen.append)
         events = tracer.events(kind="progress")
-        assert events, "progress events must be traced at the interval"
+        assert events, "progress events must be traced every few heartbeats"
         assert len(seen) == len(events)
         for snapshot in seen:
             assert isinstance(snapshot, ProgressSnapshot)
@@ -270,6 +265,6 @@ class TestProcessProgress:
         graph = make_random_graph(10, 0.5, seed=8)
         config = EngineConfig(backend="process", num_procs=2, tau_split=4)
         calls = []
-        out = mine_multiprocess(graph, 0.75, 3, config)
+        out = mine_parallel(graph, 0.75, 3, config)
         assert out.maximal is not None
         assert calls == []

@@ -14,10 +14,9 @@ import json
 import os
 
 import pytest
-from conftest import make_random_graph
+from conftest import launch_mining, make_random_graph
 
 from repro.gthinker.chaos import FaultInjection
-from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
 from repro.gthinker.obs.report import (
@@ -208,7 +207,7 @@ class TestRoundTripFromRealRuns:
         JSONL trace with no access to the run, equal EngineMetrics."""
         graph = make_random_graph(12, 0.5, seed=7)
         tracer = Tracer()
-        out = mine_cluster(
+        out = launch_mining(
             graph, 0.75, 3,
             config=EngineConfig(
                 backend="cluster", num_procs=2, decompose="timed",

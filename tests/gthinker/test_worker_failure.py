@@ -20,13 +20,12 @@ from repro.gthinker.chaos import (
 )
 from repro.gthinker.cluster import run_cluster_app
 from repro.gthinker.config import EngineConfig
-from repro.gthinker.engine import GThinkerEngine
-from repro.gthinker.engine_mp import mine_multiprocess
+from repro.gthinker.engine import GThinkerEngine, mine_parallel
 from repro.gthinker.obs.spans import parse_detail
 from repro.gthinker.task import ComputeOutcome, Task
 from repro.gthinker.tracing import Tracer
 
-from conftest import make_random_graph
+from conftest import launch_mining, make_random_graph
 
 
 class FaultyApp:
@@ -55,8 +54,6 @@ class TestWorkerFailure:
             engine.run()
 
     def test_healthy_app_unaffected(self):
-        from repro.gthinker.engine import mine_parallel
-
         g = make_random_graph(12, 0.5, seed=3)
         out = mine_parallel(
             g, 0.75, 3,
@@ -103,9 +100,9 @@ class TestProcessWorkerFailure:
 
     def test_sigkill_recovery_matches_faultless_results(self):
         g = make_random_graph(20, 0.3, seed=5)
-        clean = mine_multiprocess(g, 0.75, 3, process_config(),
-                                  start_method=self.start_method)
-        faulty = mine_multiprocess(
+        clean = mine_parallel(g, 0.75, 3, process_config(),
+                              start_method=self.start_method)
+        faulty = launch_mining(
             g, 0.75, 3, process_config(),
             start_method=self.start_method,
             fault_injection=FaultInjection(worker_id=1, after_batches=2),
@@ -152,10 +149,10 @@ class TestProcessWorkerFailure:
         """
         g = make_random_graph(10, 0.47, seed=9)
         config = process_config(max_attempts=3)
-        clean = mine_multiprocess(g, 0.75, 4, config,
-                                  start_method=self.start_method)
+        clean = mine_parallel(g, 0.75, 4, config,
+                              start_method=self.start_method)
         for _ in range(12):
-            out = mine_multiprocess(
+            out = launch_mining(
                 g, 0.75, 4, config,
                 start_method=self.start_method,
                 fault_injection=FaultInjection(worker_id=1, after_batches=2),

@@ -17,8 +17,11 @@ Two enforcement layers:
 Committed benchmark artifacts are held to the same rule: every file
 under ``benchmarks/out/`` must still have a producer. So are the code
 paths the prose cites: every backticked ``repro.…`` name must import.
+And so is the public surface: every name a ``repro`` package exports
+must be used by the program itself, not only by its own tests.
 """
 
+import ast
 import glob
 import importlib
 import os
@@ -230,3 +233,60 @@ def test_backend_sets_agree():
 
     candidates = cli | documented | {"threaded", "auto"}
     assert {b for b in candidates if accepted(b)} == cli == documented
+
+
+#: Exported names the program itself never loads, each kept on purpose.
+UNUSED_EXPORTS = {
+    "is_valid_quasi_clique": "the Def. 3 predicate (γ-quasi-clique of at least min_size)",
+    "registered_apps": "the app registry query",
+    "missed_results": "the Quick-baseline comparison",
+    "write_edge_list": "the writer of the edge-list format read_edge_list reads",
+    "GraphAccess": "the vertex-store Protocol; adjacency sources match it structurally",
+    "SPAN_NAMES": "the span vocabulary docs/OBSERVABILITY.md's table is checked against",
+}
+
+
+def _package_exports():
+    """``{name: package __init__}`` over every ``__all__`` under src/repro."""
+    exports = {}
+    pattern = os.path.join(REPO_ROOT, "src", "repro", "**", "__init__.py")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        for node in ast.parse(_read_doc(path)).body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                for elt in node.value.elts:
+                    exports.setdefault(elt.value, os.path.relpath(path, REPO_ROOT))
+    return exports
+
+
+def _loaded_names():
+    """Every name non-test code loads (a bare name or an attribute) under
+    src/repro, benchmarks/ and examples/. A definition, an import, an
+    ``__all__`` string and a docstring mention are not uses."""
+    used = set()
+    for root in ("src/repro", "benchmarks", "examples"):
+        pattern = os.path.join(REPO_ROOT, root, "**", "*.py")
+        for path in glob.glob(pattern, recursive=True):
+            for node in ast.walk(ast.parse(_read_doc(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_by_the_program():
+    """Code that only its own tests call is dead weight that looks alive:
+    an exported name the program never uses must go, or be listed in
+    UNUSED_EXPORTS with the reason it stays."""
+    exports = _package_exports()
+    assert "mine_parallel" in exports, "the __all__ scan itself is broken"
+    used = _loaded_names()
+    unused = sorted(
+        f"{pkg}: {name}" for name, pkg in exports.items()
+        if name not in used and name not in UNUSED_EXPORTS
+    )
+    assert not unused, "exported but used only by tests:\n" + "\n".join(unused)
+    stale = sorted(n for n in UNUSED_EXPORTS if n in used or n not in exports)
+    assert not stale, f"UNUSED_EXPORTS entries that no longer apply: {stale}"

@@ -16,15 +16,14 @@ result.
 import itertools
 
 import pytest
+from conftest import launch_mining
 
 from repro.core.bounds import lemma2_first_feasible, prefix_sums_desc
 from repro.core.naive import enumerate_maximal_quasicliques
 from repro.core.quasiclique import ceil_gamma, ceil_table, is_quasi_clique, kcore_threshold
 from repro.graph.traversal import diameter, two_hop_neighbors
-from repro.gthinker.cluster import mine_cluster
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
-from repro.gthinker.engine_mp import mine_multiprocess
 
 # Vertex labels of Figure 4 mapped onto IDs used by the fixture.
 A, B, C, D, E, F, G, H, I = range(9)
@@ -41,13 +40,13 @@ def mine(request):
         if backend == "serial":
             out = mine_parallel(graph, gamma, min_size, EngineConfig())
         elif backend == "process":
-            out = mine_multiprocess(
+            out = mine_parallel(
                 graph, gamma, min_size,
                 EngineConfig(backend="process", num_procs=2,
                              queue_capacity=4, batch_size=2),
             )
         elif backend == "cluster":
-            out = mine_cluster(
+            out = launch_mining(
                 graph, gamma, min_size,
                 EngineConfig(backend="cluster", num_procs=2,
                              queue_capacity=4, batch_size=2,
