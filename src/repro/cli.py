@@ -31,6 +31,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import json
 import os
 import sys
 import time
@@ -38,7 +41,7 @@ import time
 from .core.miner import mine_maximal_quasicliques
 from .core.quasiclique import check_params
 from .core.query import mine_containing
-from .core.resultsio import postprocess_file, write_results
+from .core.resultsio import postprocess_file, write_results, write_text_atomic
 from .datasets.registry import build_dataset, dataset_names, get_dataset
 from .graph.io import read_edge_list
 from .gthinker.config import BACKENDS, EngineConfig, check_topology
@@ -47,12 +50,10 @@ from .gthinker.engine import mine_parallel
 
 def format_run_summary(out, backend: str | None = None,
                        workers: int | None = None) -> str:
-    """The per-backend ``key=value`` tail of the one-line run summary.
-
-    Every front end (the local CLI, the cluster-master subcommand)
-    prints the same line, so the fields live here in exactly one place.
-    The ``backend=process procs=N`` / ``backend=cluster workers=N``
-    prefixes are load-bearing: the CI smoke jobs grep for them.
+    """The per-backend ``key=value`` tail of the summary line
+    :func:`report_run` prints. The ``backend=process procs=N`` /
+    ``backend=cluster workers=N`` prefixes are load-bearing: the CI
+    smoke jobs grep for them.
     """
     m = out.metrics
     parts: list[str] = []
@@ -79,14 +80,114 @@ def format_run_summary(out, backend: str | None = None,
     return " " + " ".join(parts)
 
 
-def dump_metrics_json(metrics, path: str) -> None:
-    """Write one run's EngineMetrics as a JSON document."""
-    import dataclasses
-    import json
+class UsageError(Exception):
+    """Bad command-line input: the front end prints ``error: …`` and exits 2."""
 
-    with open(path, "w") as f:
-        json.dump(dataclasses.asdict(metrics), f, indent=2, sort_keys=True)
-        f.write("\n")
+
+@contextlib.contextmanager
+def bad_input():
+    """Turn a ValueError from checking user input into a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def run_cli(command, args: argparse.Namespace) -> int:
+    """Run one front end's `command(args)` under the CLI's error
+    convention: a UsageError is one ``error:`` line and exit code 2."""
+    try:
+        return command(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def add_engine_flags(parser: argparse.ArgumentParser, *,
+                     params_required: bool = False) -> None:
+    """Declare the flags every engine front end shares (this CLI and the
+    cluster-master subcommand): the job's γ and τ_size, the engine knobs
+    :func:`engine_config` reads, and what :func:`report_run` honours."""
+    parser.add_argument("--gamma", type=float, default=None,
+                        required=params_required,
+                        help="degree threshold γ ∈ [0.5, 1]")
+    parser.add_argument("--min-size", type=int, default=None,
+                        required=params_required,
+                        help="minimum quasi-clique size τ_size")
+    parser.add_argument("--tau-split", type=int, default=64,
+                        help="big-task routing / split threshold")
+    parser.add_argument("--tau-time", type=float, default=float("inf"),
+                        help="time-delayed decomposition budget "
+                        "(ops by default, seconds with --wall-clock)")
+    parser.add_argument("--wall-clock", action="store_true",
+                        help="interpret --tau-time as seconds")
+    parser.add_argument("--decompose", choices=["timed", "size", "none"],
+                        default="timed")
+    parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
+                        help="process/cluster fault tolerance: dispatches "
+                        "per work unit before it is quarantined as "
+                        "poisoned (default: 3)")
+    parser.add_argument("--trace", metavar="FILE", default=None,
+                        help="record scheduler events and write them as JSON "
+                        "lines to FILE (engine modes)")
+    parser.add_argument("--progress", action="store_true",
+                        help="render live progress snapshots to stderr "
+                        "(process/cluster backends)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="print only the summary line")
+    parser.add_argument("--output", help="write results (one set per line)")
+
+
+def engine_config(args: argparse.Namespace, **only) -> EngineConfig:
+    """The EngineConfig of the shared engine flags plus the fields `only`
+    a front end sets from its own flags; a bad value is a usage error."""
+    with bad_input():
+        return EngineConfig(
+            tau_split=args.tau_split,
+            tau_time=args.tau_time,
+            time_unit="wall" if args.wall_clock else "ops",
+            decompose=args.decompose,
+            max_attempts=args.max_attempts,
+            **only,
+        )
+
+
+def observers(args: argparse.Namespace):
+    """(tracer, on_progress): a Tracer for ``--trace FILE``, whose
+    directory must exist so a long run does not fail only at its end,
+    and the ``--progress`` callback printing each snapshot to stderr;
+    each None when its flag is off."""
+    tracer = on_progress = None
+    if args.trace:
+        trace_dir = os.path.dirname(os.path.abspath(args.trace))
+        if not os.path.isdir(trace_dir):
+            raise UsageError(f"--trace directory does not exist: {trace_dir}")
+        from .gthinker.tracing import Tracer
+
+        tracer = Tracer()
+    if args.progress:
+        from .gthinker.obs import format_progress
+
+        on_progress = lambda s: print(format_progress(s), file=sys.stderr)  # noqa: E731
+    return tracer, on_progress
+
+
+def report_run(args: argparse.Namespace, graph, gamma: float, min_size: int,
+               maximal, elapsed: float, extra: str, tracer=None) -> None:
+    """The tail of every mining front end: dump ``--trace``, print the
+    summary line, list the results unless ``--quiet``, write
+    ``--output``."""
+    if tracer is not None:
+        extra += f" trace_events={tracer.dump_jsonl(args.trace)}"
+    print(
+        f"|V|={graph.num_vertices} |E|={graph.num_edges} gamma={gamma} "
+        f"min_size={min_size} results={len(maximal)} time={elapsed:.2f}s{extra}"
+    )
+    if not args.quiet:
+        for qc in sorted(maximal, key=lambda s: (-len(s), sorted(s))):
+            print(" ".join(str(v) for v in sorted(qc)))
+    if args.output:
+        write_results(maximal, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,10 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--postprocess", nargs=2, metavar=("SRC", "DST"),
         help="maximality-filter a result file and exit",
     )
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="degree threshold γ ∈ [0.5, 1]")
-    parser.add_argument("--min-size", type=int, default=None,
-                        help="minimum quasi-clique size τ_size")
+    add_engine_flags(parser)
     parser.add_argument("--machines", type=int, default=1,
                         help="machines M of the M x T topology the serial "
                         "backend schedules onto on virtual time (default: "
@@ -118,15 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="mining threads T per machine of the M x T "
                         "topology; serial backend only (default: 1)")
-    parser.add_argument("--tau-split", type=int, default=64,
-                        help="big-task routing / split threshold")
-    parser.add_argument("--tau-time", type=float, default=float("inf"),
-                        help="time-delayed decomposition budget "
-                        "(ops by default, seconds with --wall-clock)")
-    parser.add_argument("--wall-clock", action="store_true",
-                        help="interpret --tau-time as seconds")
-    parser.add_argument("--decompose", choices=["timed", "size", "none"],
-                        default="timed")
     parser.add_argument("--backend",
                         choices=BACKENDS,
                         default=None,
@@ -146,29 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["fork", "spawn", "forkserver"],
                         help="process/cluster-backend start method "
                         "(default: fork where available, else spawn)")
-    parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                        help="process/cluster fault tolerance: dispatches "
-                        "per work unit before it is quarantined as "
-                        "poisoned (default: 3)")
     parser.add_argument("--retry-backoff", type=float, default=0.05,
                         metavar="SECONDS",
                         help="process/cluster fault tolerance: base delay "
                         "before redispatching a reclaimed work unit; "
                         "doubles per attempt (default: 0.05)")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="record scheduler events and write them as JSON "
-                        "lines to FILE (engine modes)")
     parser.add_argument("--metrics-json", metavar="FILE", default=None,
                         help="write the run's engine metrics as JSON to FILE "
                         "(engine modes only)")
-    parser.add_argument("--progress", action="store_true",
-                        help="render live progress snapshots to stderr "
-                        "(process/cluster backends)")
     parser.add_argument("--serial", action="store_true",
                         help="use the plain serial miner (no engine)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="print only the summary line")
-    parser.add_argument("--output", help="write results (one set per line)")
     parser.add_argument("--query", type=int, action="append", default=None,
                         metavar="V",
                         help="mine only quasi-cliques containing vertex V "
@@ -203,8 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         from .gthinker.sim.cli import sim_fuzz_cli
 
         return sim_fuzz_cli(raw[1:])
-    args = build_parser().parse_args(raw)
+    return run_cli(_mine, build_parser().parse_args(raw))
 
+
+def _mine(args: argparse.Namespace) -> int:
     if args.postprocess:
         read, kept = postprocess_file(args.postprocess[0], args.postprocess[1])
         print(f"postprocess: read={read} kept={kept} -> {args.postprocess[1]}")
@@ -218,9 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         graph = read_edge_list(args.graph)
         if args.gamma is None or args.min_size is None:
-            print("error: --gamma and --min-size are required with a graph file",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("--gamma and --min-size are required with a graph file")
         gamma, min_size = args.gamma, args.min_size
 
     if args.stats:
@@ -235,82 +311,44 @@ def main(argv: list[str] | None = None) -> int:
               f"density={stats.density:.5f}")
         return 0
 
-    try:
+    with bad_input():
         check_params(gamma, min_size)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-    backend = args.backend
-    if backend is not None and (args.serial or args.query):
-        print("error: --backend selects an engine executor; it cannot be "
-              "combined with --serial or --query", file=sys.stderr)
-        return 2
-    if args.checkpoint_dir and (args.serial or args.query or args.mp_start_method):
-        print("error: --checkpoint-dir runs the engine chunk by chunk; it "
-              "cannot be combined with --serial, --query, or "
-              "--mp-start-method", file=sys.stderr)
-        return 2
-    config = EngineConfig(
+    engine = not (args.serial or args.query)
+    if args.backend is not None and not engine:
+        raise UsageError("--backend selects an engine executor; it cannot be "
+                         "combined with --serial or --query")
+    if args.checkpoint_dir and (not engine or args.mp_start_method):
+        raise UsageError("--checkpoint-dir runs the engine chunk by chunk; it "
+                         "cannot be combined with --serial, --query, or "
+                         "--mp-start-method")
+    config = engine_config(
+        args,
         num_machines=args.machines,
         threads_per_machine=args.threads,
-        tau_split=args.tau_split,
-        tau_time=args.tau_time,
-        time_unit="wall" if args.wall_clock else "ops",
-        decompose=args.decompose,
-        backend=backend or "serial",
+        backend=args.backend or "serial",
         num_procs=args.num_procs,
-        max_attempts=args.max_attempts,
         retry_backoff=args.retry_backoff,
     )
-
-    if not (args.serial or args.query):
-        try:
+    if engine:
+        with bad_input():
             check_topology(config)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.metrics_json and (args.serial or args.query):
-        print("error: --metrics-json requires an engine mode "
-              "(default, --backend or --checkpoint-dir)",
-              file=sys.stderr)
-        return 2
-
-    on_progress = None
-    if args.progress:
-        if config.backend not in ("process", "cluster"):
-            print("error: --progress requires --backend process or cluster "
-                  "(the distributed coordinators emit the snapshots)",
-                  file=sys.stderr)
-            return 2
-        from .gthinker.obs import format_progress
-
-        on_progress = lambda s: print(format_progress(s), file=sys.stderr)  # noqa: E731
-
-    tracer = None
-    if args.trace:
-        if args.serial or args.query or args.checkpoint_dir:
-            print("error: --trace requires an engine mode "
-                  "(default or --backend)", file=sys.stderr)
-            return 2
-        trace_dir = os.path.dirname(os.path.abspath(args.trace))
-        if not os.path.isdir(trace_dir):
-            print(f"error: --trace directory does not exist: {trace_dir}",
-                  file=sys.stderr)
-            return 2
-        from .gthinker.tracing import Tracer
-
-        tracer = Tracer()
+    if args.metrics_json and not engine:
+        raise UsageError("--metrics-json requires an engine mode "
+                         "(default, --backend or --checkpoint-dir)")
+    for flag, value in (("--progress", args.progress),
+                        ("--mp-start-method", args.mp_start_method)):
+        if value and config.backend not in ("process", "cluster"):
+            raise UsageError(f"{flag} requires --backend process or cluster "
+                             "(it acts on their coordinator and workers)")
+    if args.trace and (not engine or args.checkpoint_dir):
+        raise UsageError("--trace requires an engine mode (default or --backend)")
+    tracer, on_progress = observers(args)
 
     start = time.perf_counter()
     if args.query:
-        try:
-            result = mine_containing(graph, args.query, gamma, min_size)
-        except ValueError as exc:  # a query vertex not in the graph
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        maximal = result.maximal
+        with bad_input():  # a query vertex not in the graph
+            maximal = mine_containing(graph, args.query, gamma, min_size).maximal
         extra = f" query={sorted(set(args.query))}"
     elif args.checkpoint_dir:
         from .service.runner import run_checkpointed
@@ -322,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         extra = (f" checkpoint={args.checkpoint_dir} "
                  f"recovered={out.roots_recovered}/{out.roots_total}")
     elif args.serial:
-        result = mine_maximal_quasicliques(graph, gamma, min_size)
-        maximal = result.maximal
+        maximal = mine_maximal_quasicliques(graph, gamma, min_size).maximal
         extra = ""
     else:
         out = mine_parallel(graph, gamma, min_size, config, tracer=tracer,
@@ -334,20 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - start
 
     if args.metrics_json:
-        dump_metrics_json(out.metrics, args.metrics_json)
-    if tracer is not None:
-        written = tracer.dump_jsonl(args.trace)
-        extra += f" trace_events={written}"
-
-    print(
-        f"|V|={graph.num_vertices} |E|={graph.num_edges} gamma={gamma} "
-        f"min_size={min_size} results={len(maximal)} time={elapsed:.2f}s{extra}"
-    )
-    if not args.quiet:
-        for qc in sorted(maximal, key=lambda s: (-len(s), sorted(s))):
-            print(" ".join(str(v) for v in sorted(qc)))
-    if args.output:
-        write_results(maximal, args.output)
+        write_text_atomic(args.metrics_json, json.dumps(
+            dataclasses.asdict(out.metrics), indent=2, sort_keys=True) + "\n")
+    report_run(args, graph, gamma, min_size, maximal, elapsed, extra, tracer)
     return 0
 
 

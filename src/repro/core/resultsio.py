@@ -14,9 +14,10 @@ CLI's --output format.
 Crash-safety contract (the checkpoint runner,
 :func:`repro.service.runner.run_checkpointed`, relies on it):
 
-* :func:`write_results` is atomic — it writes a temp file in the same
-  directory, fsyncs, then ``os.replace``s it over the destination, so
-  readers never observe a half-written file;
+* :func:`write_results` is atomic (:func:`write_text_atomic`, the one
+  small-file writer) — it writes a temp file in the same directory,
+  fsyncs, then ``os.replace``s it over the destination, so readers
+  never observe a half-written file;
 * :meth:`FileResultSink.flush` fsyncs, so flushed candidates survive a
   ``kill -9`` (or power loss) of the writing process;
 * :func:`read_results` tolerates a crash-truncated *trailing* line
@@ -42,33 +43,38 @@ from dataclasses import dataclass, field
 from .postprocess import remove_non_maximal
 
 
-def write_results(
-    results: Iterable[frozenset[int]],
-    path: str | os.PathLike,
-    header: str | None = None,
-) -> int:
-    """Write vertex sets one per line (size-descending); returns the count.
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Replace the file at `path` with `text`, atomically and durably.
 
-    Atomic: the content lands in ``<path>.tmp.<pid>`` first and is
-    fsynced before an ``os.replace`` over ``path``, so a crash leaves
-    either the old file or the complete new one, never a torn mix.
+    The text lands in ``<path>.tmp.<pid>`` first and is fsynced before
+    an ``os.replace`` over ``path``, so a crash leaves either the old
+    file or the complete new one, never a torn mix. A write that raises
+    removes its temp file and leaves the old file as it was.
     """
-    ordered = sorted(set(results), key=lambda s: (-len(s), sorted(s)))
     dest = os.fspath(path)
     tmp = f"{dest}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as f:
-            if header:
-                for line in header.splitlines():
-                    f.write(f"# {line}\n")
-            for s in ordered:
-                f.write(" ".join(str(v) for v in sorted(s)) + "\n")
+            f.write(text)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, dest)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_results(
+    results: Iterable[frozenset[int]],
+    path: str | os.PathLike,
+    header: str | None = None,
+) -> int:
+    """Write vertex sets one per line (size-descending), atomically;
+    returns the count."""
+    ordered = sorted(set(results), key=lambda s: (-len(s), sorted(s)))
+    lines = [f"# {line}\n" for line in (header or "").splitlines()]
+    lines += [" ".join(str(v) for v in sorted(s)) + "\n" for s in ordered]
+    write_text_atomic(path, "".join(lines))
     return len(ordered)
 
 

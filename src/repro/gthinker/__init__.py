@@ -6,7 +6,7 @@ from .chaos import FaultInjection
 from .clock import AlwaysExpired, NeverExpires, OpBudget, WallClockBudget, make_budget
 from .cluster import ClusterMaster, ClusterWorker, run_cluster_app
 from .config import EngineConfig
-from .engine import GThinkerEngine, MiningRunResult, mine_parallel
+from .engine import GThinkerEngine, MiningRunResult, mine_parallel, quasiclique_job
 from .scheduler import (
     MachineState,
     QuantumResult,
@@ -67,6 +67,7 @@ __all__ = [
     "WallClockBudget",
     "make_budget",
     "mine_parallel",
+    "quasiclique_job",
     "owner_of",
     "plan_steals",
 ]

@@ -20,7 +20,8 @@ order, spawn batching with big-task early stop, steal planning — lives
 in :mod:`repro.gthinker.scheduler` and is shared verbatim with the
 worker reactor, and so is a task's lifecycle (spawn, route, settle a
 quantum, donate to a steal) and the live-task count. This module is
-only the event loop on virtual time and :func:`mine_parallel`, the
+only the event loop on virtual time, :func:`quasiclique_job` (the
+core and app every front end mines) and :func:`mine_parallel`, the
 front door of every backend, which dispatches on ``config.backend``.
 
 Each machine reads through the same vertex store as a cluster worker
@@ -186,6 +187,18 @@ class GThinkerEngine:
         return makespan, work
 
 
+def quasiclique_job(
+    graph: Graph, gamma: float, min_size: int, options=None
+) -> tuple[Graph, QuasiCliqueApp]:
+    """What every engine front end mines: the Theorem 2 core of `graph`
+    (:func:`~repro.core.miner.quasiclique_core`, which checks γ and
+    τ_size first) and one :class:`QuasiCliqueApp` over it."""
+    options = options or DEFAULT_OPTIONS
+    core = quasiclique_core(graph, gamma, min_size, options)
+    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
+    return core, app
+
+
 def mine_parallel(
     graph: Graph,
     gamma: float,
@@ -199,9 +212,8 @@ def mine_parallel(
 ) -> MiningRunResult:
     """Mine `graph` on the reforged engine: the one front door of every backend.
 
-    Peels `graph` to its Theorem 2 core
-    (:func:`~repro.core.miner.quasiclique_core`), builds one
-    :class:`QuasiCliqueApp`, and runs it on the executor
+    Builds the job (:func:`quasiclique_job`: the Theorem 2 core and one
+    :class:`QuasiCliqueApp`) and runs it on the executor
     ``config.backend`` names: 'serial' runs here, on
     ``num_machines × threads_per_machine`` threads of virtual time;
     'process' and 'cluster' go to the localhost launcher
@@ -216,9 +228,7 @@ def mine_parallel(
     """
     config = config or EngineConfig()
     check_topology(config)
-    options = options or DEFAULT_OPTIONS
-    graph = quasiclique_core(graph, gamma, min_size, options)
-    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink(), options=options)
+    graph, app = quasiclique_job(graph, gamma, min_size, options)
     if config.backend == "serial":
         return GThinkerEngine(graph, app, config, tracer=tracer).run()
     from .cluster.launcher import run_cluster_app

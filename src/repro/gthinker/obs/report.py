@@ -39,6 +39,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+from ...core.resultsio import write_text_atomic
 from ..tracing import KINDS
 from .spans import parse_detail
 
@@ -441,8 +442,7 @@ def report_cli(argv: list[str] | None = None) -> int:
         if args.json == "-":
             print(payload)
         else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
+            write_text_atomic(args.json, payload + "\n")
     else:
         print(format_report(report), end="")
     return 0

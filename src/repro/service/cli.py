@@ -22,12 +22,12 @@ import argparse
 import os
 import sys
 
+from ..core.resultsio import write_text_atomic
 from ..gthinker.config import BACKENDS
 from .client import ServiceClient, ServiceError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 
 
 def service_cli(command: str, argv: list[str]) -> int:
@@ -81,10 +81,7 @@ def serve_cli(argv: list[str]) -> int:
     httpd = build_server(service, args.host, args.port)
     host, port = httpd.server_address[:2]
     if args.port_file:
-        tmp = f"{args.port_file}.tmp"
-        with open(tmp, "w") as f:
-            f.write(f"{port}\n")
-        os.replace(tmp, args.port_file)
+        write_text_atomic(args.port_file, f"{port}\n")
     resumed = f" resumed={len(requeued)}" if requeued else ""
     print(
         f"service listening on http://{host}:{port} "

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.quasiclique import check_params
-from ..core.resultsio import write_results
+from ..core.resultsio import write_results, write_text_atomic
 from ..datasets.registry import build_dataset, dataset_names
 from ..graph.adjacency import Graph
 from ..graph.io import read_edge_list
@@ -77,7 +77,8 @@ class JobSpec:
     (an inline edge list, optionally with an explicit ``vertices``
     list so isolated vertices exist). ``engine`` carries
     :class:`EngineConfig` fields verbatim — backend, num_procs,
-    tau_split, …  — so a job can target any executor.
+    tau_split, …  — so a job can target any executor; ``spill_dir``
+    is the one field it may not carry.
     """
 
     gamma: float
@@ -146,6 +147,8 @@ class JobSpec:
         engine = payload.get("engine") or {}
         try:
             # Reject bad knobs at admission, not inside the job's thread.
+            if "spill_dir" in engine:  # no client picks paths on the daemon's host
+                raise ValueError("spill_dir is not accepted from a client")
             check_topology(EngineConfig.from_payload(engine))
         except (TypeError, ValueError) as exc:
             raise ServiceError(400, f"bad engine config: {exc}") from exc
@@ -231,17 +234,6 @@ class Job:
     @property
     def metrics_path(self) -> str:
         return os.path.join(self.work_dir, "metrics.json")
-
-
-def _write_json_atomic(path: str, doc: dict) -> None:
-    """Durable single-file JSON write: temp + fsync + os.replace."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 class JobManager:
@@ -451,9 +443,9 @@ class JobManager:
                         f"min_size={job.spec.min_size}"
                     ),
                 )
-                _write_json_atomic(
+                write_text_atomic(
                     job.metrics_path,
-                    _metrics_doc(outcome.metrics),
+                    json.dumps(_metrics_doc(outcome.metrics), indent=2, sort_keys=True) + "\n",
                 )
                 outcome.metrics.task_records.clear()
                 self._metrics.merge(outcome.metrics)
@@ -503,7 +495,10 @@ class JobManager:
         doc = self._doc(job)
         doc.pop("progress", None)  # live-only; reconstructed from the journal
         doc.pop("cancel_requested", None)
-        _write_json_atomic(os.path.join(job.work_dir, "job.json"), doc)
+        write_text_atomic(
+            os.path.join(job.work_dir, "job.json"),
+            json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        )
 
     def _job_from_doc(self, doc: dict, work_dir: str) -> Job:
         spec = JobSpec.parse(doc["spec"])

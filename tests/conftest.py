@@ -10,12 +10,10 @@ from hypothesis import settings
 
 from repro.core.bounds import lower_bound, lower_bound_min, prefix_sums_desc, upper_bound
 from repro.core.domain import TaskDomain
-from repro.core.miner import quasiclique_core
-from repro.core.options import ResultSink
 from repro.core.quasiclique import ceil_table
 from repro.graph.adjacency import Graph
-from repro.gthinker.app_quasiclique import QuasiCliqueApp
 from repro.gthinker.cluster import run_cluster_app
+from repro.gthinker.engine import quasiclique_job
 
 #: γ values used across parameterized tests — all in the paper's γ ≥ 0.5
 #: regime, including a non-dyadic rational to exercise float guards.
@@ -38,14 +36,13 @@ def make_random_graph(n: int, p: float, seed: int) -> Graph:
 
 def launch_mining(graph: Graph, gamma: float, min_size: int, config, **launch):
     """Mine `graph` on a localhost launch the way ``mine_parallel`` does
-    for the process and cluster backends (Theorem 2 core, one
-    QuasiCliqueApp, warm workers for 'process'), passing `launch` —
-    ``timeout``, ``fault_injection``, ``num_workers`` and the rest of
+    for the process and cluster backends (``quasiclique_job``, warm
+    workers for 'process'), passing `launch` — ``timeout``,
+    ``fault_injection``, ``num_workers`` and the rest of
     ``run_cluster_app``'s knobs — straight to the launcher."""
-    app = QuasiCliqueApp(gamma=gamma, min_size=min_size, sink=ResultSink())
+    core, app = quasiclique_job(graph, gamma, min_size)
     return run_cluster_app(
-        quasiclique_core(graph, gamma, min_size), app, config,
-        warm_start=config.backend == "process", **launch,
+        core, app, config, warm_start=config.backend == "process", **launch,
     )
 
 

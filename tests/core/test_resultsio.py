@@ -12,6 +12,7 @@ from repro.core.resultsio import (
     postprocess_file,
     read_results,
     write_results,
+    write_text_atomic,
 )
 
 from conftest import make_random_graph
@@ -47,6 +48,21 @@ class TestCrashSafety:
         # No temp droppings, and the content is the complete second write.
         assert os.listdir(tmp_path) == ["res.txt"]
         assert read_results(path) == {frozenset({3, 4, 5})}
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "res.txt"
+        write_results({frozenset({1, 2})}, path)
+
+        def fsync_fails(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fsync_fails)
+        with pytest.raises(OSError, match="disk full"):
+            write_text_atomic(path, "3 4 5\n")
+        with pytest.raises(OSError, match="disk full"):
+            write_results({frozenset({3, 4, 5})}, path)
+        assert os.listdir(tmp_path) == ["res.txt"]
+        assert read_results(path) == {frozenset({1, 2})}
 
     def test_read_skips_truncated_trailing_line(self, tmp_path):
         path = tmp_path / "torn.txt"

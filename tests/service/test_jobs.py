@@ -115,6 +115,9 @@ class TestJobSpecValidation:
         # The lease deadline is gone; its knob is an unknown key.
         ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
           "engine": {"lease_slack": 5.0}}, "unknown engine config keys: lease_slack"),
+        # A remote client does not pick paths on the daemon's host.
+        ({"gamma": 0.9, "min_size": 3, "edges": [[0, 1]],
+          "engine": {"spill_dir": "/etc/anywhere"}}, "spill_dir is not accepted"),
     ]
 
     @pytest.mark.parametrize("payload,match", BAD)

@@ -1,5 +1,7 @@
 """Tests for the quasiclique-mine command-line interface."""
 
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -32,6 +34,74 @@ class TestParameterErrors:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert "results=" not in captured.out
+
+    def test_cluster_master_bad_input_exits_2_without_traceback(self, graph_file,
+                                                               tmp_path, capsys):
+        """cluster-master shares the convention: γ is checked before it
+        binds, so no port is published and no worker is awaited."""
+        port_file = tmp_path / "master.port"
+        assert main(["cluster-master", graph_file, "--gamma", "0.3",
+                     "--min-size", "3", "--workers", "1", "--port", "0",
+                     "--port-file", str(port_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not port_file.exists()
+
+
+class TestClusterMaster:
+    def test_cli_job_matches_serial_output(self, tmp_path, capsys):
+        """The cluster-master subcommand with two in-process workers
+        writes the byte-identical --output of the serial CLI, and its
+        summary line is the local CLI's (input |V| and |E|)."""
+        import threading
+
+        from conftest import make_random_graph
+
+        from repro.gthinker.cluster.cli import master_cli
+        from repro.gthinker.cluster.worker import ClusterWorker
+
+        graph = make_random_graph(40, 0.25, seed=29)
+        graph_path = tmp_path / "g.txt"
+        # A pendant edge the Theorem 2 core peels off: the summary must
+        # still count it.
+        graph_path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges())
+                              + "40 41\n")
+        serial_out, cluster_out = tmp_path / "serial.txt", tmp_path / "cluster.txt"
+        assert main([str(graph_path), "--gamma", "0.75", "--min-size", "3",
+                     "--backend", "serial", "--output", str(serial_out),
+                     "--quiet"]) == 0
+        serial_summary = capsys.readouterr().out
+
+        port_file = tmp_path / "master.port"
+        status: dict = {}
+        master = threading.Thread(target=lambda: status.setdefault("exit", master_cli([
+            str(graph_path), "--gamma", "0.75", "--min-size", "3",
+            "--port", "0", "--port-file", str(port_file), "--workers", "2",
+            "--timeout", "120", "--output", str(cluster_out), "--quiet",
+        ])), daemon=True)
+        master.start()
+        deadline = time.monotonic() + 30
+        while not port_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        port = int(port_file.read_text())
+        workers = [threading.Thread(target=ClusterWorker("127.0.0.1", port).run,
+                                    daemon=True) for _ in range(2)]
+        for t in workers:
+            t.start()
+        master.join(120)
+        for t in workers:
+            t.join(10)
+        assert not master.is_alive() and not any(t.is_alive() for t in workers)
+        assert status.get("exit") == 0
+        assert cluster_out.read_bytes() == serial_out.read_bytes()
+        summary = capsys.readouterr().out.splitlines()
+        assert len(summary) == 1
+        assert "backend=cluster workers=2" in summary[0]
+        head = serial_summary.split(" results=")[0]
+        assert summary[0].startswith(head)  # |V| |E| of the input, not its core
 
 
 class TestParser:
@@ -283,6 +353,19 @@ class TestBackendSelection:
         for name in ("mpi", "threaded", "auto"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([graph_file, "--backend", name])
+
+    @pytest.mark.parametrize("flags", [["--progress"], ["--mp-start-method", "spawn"]])
+    @pytest.mark.parametrize("backend", [[], ["--backend", "serial"]])
+    def test_distributed_flags_reject_serial_backend(self, graph_file, flags,
+                                                     backend, capsys):
+        """--progress and --mp-start-method act on the process and
+        cluster coordinators; on the serial backend they are an error,
+        not silently ignored."""
+        assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
+                     *backend, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {flags[0]} requires --backend process or cluster")
+        assert "results=" not in out
 
     def test_backend_conflicts_with_serial_flag(self, graph_file, capsys):
         assert main([graph_file, "--gamma", "1.0", "--min-size", "3",
