@@ -71,8 +71,10 @@ def k_core_vertices(graph: Graph, k: int) -> set[int]:
 
 
 def k_core(graph: Graph, k: int) -> Graph:
-    """The k-core of `graph` as an induced subgraph (IDs preserved)."""
-    return graph.subgraph(k_core_vertices(graph, k))
+    """The k-core of `graph` as an induced subgraph (IDs preserved), or
+    `graph` itself when no vertex is peeled: re-peeling a core copies nothing."""
+    kept = k_core_vertices(graph, k)
+    return graph if len(kept) == graph.num_vertices else graph.subgraph(kept)
 
 
 def peel_adjacency(adj: dict[int, set[int]], k: int) -> None:

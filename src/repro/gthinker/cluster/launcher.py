@@ -139,6 +139,7 @@ def run_cluster_app(
     timeout: float | None = None,
     on_progress=None,
     warm_start: bool = False,
+    roots=None,
 ) -> MiningRunResult:
     """Run `app` on a localhost cluster: one master, N supervised workers.
 
@@ -148,6 +149,7 @@ def run_cluster_app(
     lease/retry machinery and the supervisor's respawn absorb the death.
     `timeout` bounds the whole job in wall-clock seconds (RuntimeError
     past it) so a scheduling bug can never hang a test run forever.
+    `roots` are the vertices offered to spawn (``None``: all of them).
     """
     check_topology(config)
     num_workers = num_workers or config.resolved_num_procs
@@ -161,7 +163,7 @@ def run_cluster_app(
         )
     master = ClusterMaster(
         graph, app, config, tracer=tracer, host="127.0.0.1", port=0,
-        num_workers=num_workers, on_progress=on_progress,
+        num_workers=num_workers, on_progress=on_progress, roots=roots,
     )
     supervisor = _Supervisor(
         multiprocessing.get_context(start_method), master.start(),

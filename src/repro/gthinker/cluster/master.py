@@ -43,6 +43,25 @@ __all__ = ["ClusterMaster"]
 _GOODBYE_GRACE = 10.0
 
 
+class _ExpectedFleet:
+    """The supervisor of a master whose workers someone else starts
+    (``repro cluster-master``): it respawns nothing, but holds leases
+    back until `expected` workers have registered, so the first worker
+    in cannot finish a short job while the others are connecting."""
+
+    def __init__(self, registry, expected: int):
+        self._registry = registry
+        self._expected = expected
+
+    def starting(self, registered: set[int]) -> bool:
+        # Counted by registration, not by pid: workers on different
+        # hosts may share one.
+        return len(self._registry) < self._expected
+
+    def worker_failed(self, pid: int) -> None:
+        pass
+
+
 class ClusterMaster:
     """Coordinator of one distributed mining job.
 
@@ -61,6 +80,7 @@ class ClusterMaster:
         port: int = 0,
         num_workers: int | None = None,
         on_progress=None,
+        roots=None,
     ):
         #: Live-progress callback, called with a ProgressSnapshot as
         #: often as workers report progress (every few heartbeats: 1s
@@ -68,7 +88,11 @@ class ClusterMaster:
         #: the same snapshot on demand.
         self.reactor = MasterReactor(
             graph, app, config,
-            tracer=tracer, num_workers=num_workers, on_progress=on_progress,
+            tracer=tracer, num_workers=num_workers, on_progress=on_progress, roots=roots,
+        )
+        # The localhost launcher replaces this with its own supervisor.
+        self.reactor.supervisor = _ExpectedFleet(
+            self.reactor.registry, self.reactor.num_workers
         )
         self.config = config
         self._host = host

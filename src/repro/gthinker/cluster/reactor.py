@@ -124,8 +124,11 @@ class MasterReactor:
         on_progress: Callable[[ProgressSnapshot], None] | None = None,
         *,
         clock: Callable[[], float] = time.monotonic,
+        roots: Any = None,
     ):
         self.graph = graph
+        #: The vertices offered to spawn (None: every vertex).
+        self.roots = None if roots is None else set(roots)
         self.app = ensure_app(app)
         self.config = config
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -208,11 +211,13 @@ class MasterReactor:
         """Cut the spawn-vertex range into leasable chunks.
 
         The job's partition strategy decides which worker *should* own
-        which vertices; chunks of the per-worker parts are interleaved
-        so that with fewer live workers than expected the load still
-        spreads.
+        which vertices; chunks of the per-worker parts (cut down to the
+        job's roots) are interleaved so that with fewer live workers
+        than expected the load still spreads.
         """
         parts = self._partitioned()
+        if self.roots is not None:
+            parts = [[v for v in part if v in self.roots] for part in parts]
         n_vertices = sum(len(p) for p in parts)
         chunk = self.config.cluster_chunk_size or max(
             1, -(-n_vertices // (self.num_workers * _UNITS_PER_WORKER))
@@ -256,9 +261,11 @@ class MasterReactor:
         return blob
 
     def _fleet_ready(self, now: float) -> bool:
-        """True once every process the supervisor launched has registered
-        or exited, or ``heartbeat_timeout`` after :meth:`start_work`;
-        before then the first worker in could drain a short job alone.
+        """True once the supervisor has no worker still starting (the
+        launcher: every process it launched has registered or exited; a
+        TCP master: ``num_workers`` have registered), or
+        ``heartbeat_timeout`` after :meth:`start_work`; before then the
+        first worker in could drain a short job alone.
         A one-shot latch, so a later respawn never stalls leasing."""
         if not self._fleet_in:
             self._fleet_in = (

@@ -77,10 +77,15 @@ class GThinkerEngine:
         app: GThinkerApp,
         config: EngineConfig,
         tracer: Tracer | NullTracer | None = None,
+        roots=None,
     ):
         self.app = app
         self.config = config
         self.machines = build_machines(graph, config)
+        if roots is not None:
+            offered = set(roots)
+            for m in self.machines:
+                m.spawn_order = [v for v in m.spawn_order if v in offered]
         self.core = SchedulerCore(app, config, self.machines, tracer)
         self.metrics = self.core.metrics
         self.tracer = self.core.tracer
@@ -88,7 +93,7 @@ class GThinkerEngine:
     def run(self) -> MiningRunResult:
         """Execute the job: run quanta on virtual time until no task is left.
 
-        The job is over once every vertex has been offered to spawn and
+        The job is over once every root has been offered to spawn and
         every task has finished. The 'process' and 'cluster' backends
         are other executors, reached through :func:`mine_parallel`.
         """
@@ -209,6 +214,7 @@ def mine_parallel(
     *,
     start_method: str | None = None,
     on_progress=None,
+    roots=None,
 ) -> MiningRunResult:
     """Mine `graph` on the reforged engine: the one front door of every backend.
 
@@ -221,6 +227,9 @@ def mine_parallel(
     warm-start workers for 'process' and cold ones for 'cluster'.
     :func:`~repro.gthinker.config.check_topology` guards the topology.
 
+    `roots` are the vertices offered to spawn (``None``: all of them);
+    a root's task does not depend on what else is offered.
+
     `start_method` (multiprocessing start method of the workers) and
     `on_progress` (a callback given each live
     :class:`~repro.gthinker.obs.ProgressSnapshot`) apply to the process
@@ -230,10 +239,10 @@ def mine_parallel(
     check_topology(config)
     graph, app = quasiclique_job(graph, gamma, min_size, options)
     if config.backend == "serial":
-        return GThinkerEngine(graph, app, config, tracer=tracer).run()
+        return GThinkerEngine(graph, app, config, tracer=tracer, roots=roots).run()
     from .cluster.launcher import run_cluster_app
 
     return run_cluster_app(
-        graph, app, config, tracer=tracer, start_method=start_method,
+        graph, app, config, tracer=tracer, start_method=start_method, roots=roots,
         on_progress=on_progress, warm_start=config.backend == "process",
     )

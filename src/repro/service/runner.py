@@ -11,17 +11,10 @@ decomposition:
 
 * Roots are the vertices of the (k-core of the) input graph in
   ascending ID order, so a finished run equals the serial oracle.
-* A *chunk* of consecutive roots is mined in one ``mine_parallel``
-  call over the induced subgraph on the union of the chunk roots'
-  spawn subgraphs. This is exact: root ``r``'s spawn subgraph only
-  ever reaches IDs ``> r`` (the set-enumeration dedup), a member of a
-  quasi-clique ``S ∋ r`` keeps degree ≥ k inside the union (its ≥
-  γ(|S|−1) neighbors in S are all there), and any two members of S
-  are ≤ 2 apart *within S* (γ ≥ ½), so every maximal quasi-clique
-  whose minimum vertex lies in the chunk survives the restriction.
-  Extra candidates from truncated higher-ID roots are valid
-  quasi-cliques of the full graph (induced subgraphs preserve
-  internal edges) and fall to dedup + maximality postprocessing.
+* A *chunk* of consecutive roots is one ``mine_parallel`` call over
+  the whole core that offers only the chunk's roots to spawn. This is
+  exact: the chunks partition the root set, and each root's task is
+  exactly the task a single run mines.
 * Between chunks the runner flushes candidates (fsync) and *then*
   journals the chunk's roots into ``work_dir`` (``candidates.txt`` +
   ``roots.journal``, read back by
@@ -45,10 +38,8 @@ from dataclasses import dataclass, field
 from ..core.miner import quasiclique_core
 from ..core.options import DEFAULT_OPTIONS, MinerOptions
 from ..core.postprocess import postprocess_results
-from ..core.quasiclique import kcore_threshold
 from ..core.resultsio import FileResultSink, load_checkpoint
 from ..graph.adjacency import Graph
-from ..graph.subgraph import spawn_subgraph
 from ..gthinker.config import EngineConfig
 from ..gthinker.engine import mine_parallel
 from ..gthinker.metrics import EngineMetrics
@@ -107,7 +98,6 @@ def run_checkpointed(
 
     state = load_checkpoint(results_path, journal_path)
     base = quasiclique_core(graph, gamma, min_size, options)
-    k = kcore_threshold(gamma, min_size)
     all_roots = sorted(base.vertices())
     remaining = [v for v in all_roots if v not in state.completed_roots]
     recovered = len(all_roots) - len(remaining)
@@ -142,21 +132,10 @@ def run_checkpointed(
             chunk = remaining[lo : lo + chunk_roots]
             if on_progress is not None:
                 on_progress(snapshot(len(chunk)))
-            members: set[int] = set()
-            for r in chunk:
-                sub = spawn_subgraph(base, r, k)
-                if r in sub:
-                    members.update(sub.vertices())
-                elif min_size <= 1:
-                    sink.emit([r])
-            if members:
-                out = mine_parallel(
-                    base.subgraph(members), gamma, min_size, config,
-                    options=options,
-                )
-                for cand in out.candidates:
-                    sink.emit(cand)
-                outcome.metrics.merge(out.metrics)
+            out = mine_parallel(base, gamma, min_size, config, options=options, roots=chunk)
+            for cand in out.candidates:
+                sink.emit(cand)
+            outcome.metrics.merge(out.metrics)
             # Durability order: candidates fsynced before their roots
             # are journaled, so a crash in between re-mines the chunk
             # instead of losing its results.

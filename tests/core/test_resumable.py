@@ -93,11 +93,11 @@ g = Graph.from_edges(edges, vertices=range(n))
 
 # Throttle root processing so the parent's SIGKILL reliably lands
 # mid-run, right around a checkpoint flush.
-real = runner.spawn_subgraph
-def slow(base, root, k):
-    time.sleep(0.05)
-    return real(base, root, k)
-runner.spawn_subgraph = slow
+real = runner.mine_parallel
+def slow(*args, roots, **kwargs):
+    time.sleep(0.05 * len(roots))
+    return real(*args, roots=roots, **kwargs)
+runner.mine_parallel = slow
 
 # One root per chunk: the journal advances root by root.
 runner.run_checkpointed(g, 0.75, 3, work_dir=ckpt, chunk_roots=1)

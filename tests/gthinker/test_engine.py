@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.naive import enumerate_maximal_quasicliques
+from repro.core.options import MiningStats
 from repro.graph.adjacency import Graph
 from repro.gthinker.config import EngineConfig
 from repro.gthinker.engine import mine_parallel
@@ -145,6 +146,40 @@ class TestEdgeCases:
         config = EngineConfig(decompose="timed", tau_time=0.001, time_unit="wall")
         out = mine_parallel(g, 0.75, 3, config)
         assert out.maximal == oracle(g, 0.75, 3)
+
+
+class TestRoots:
+    """`roots` offers only some vertices to spawn: runs over the two
+    halves of a split root set mine the full run's tasks between them."""
+
+    CONFIGS = [
+        pytest.param(EngineConfig(num_machines=2, threads_per_machine=2),
+                     id="serial-2x2"),
+        pytest.param(EngineConfig(backend="cluster", num_procs=2), id="cluster"),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_split_roots_sum_to_one_run(self, config):
+        g = make_random_graph(16, 0.5, seed=8)
+        full = mine_parallel(g, 0.75, 3, config)
+        vertices = sorted(g.vertices())
+        halves = [
+            mine_parallel(g, 0.75, 3, config, roots=vertices[i::2]) for i in (0, 1)
+        ]
+        assert halves[0].candidates | halves[1].candidates == full.candidates
+        stats = MiningStats()
+        for half in halves:
+            assert half.metrics.tasks_spawned > 0
+            stats.merge(half.metrics.mining_stats)
+        assert stats == full.metrics.mining_stats
+        assert sum(h.metrics.tasks_spawned for h in halves) == full.metrics.tasks_spawned
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_no_roots_spawn_nothing(self, config):
+        g = make_random_graph(16, 0.5, seed=8)
+        out = mine_parallel(g, 0.75, 3, config, roots=[])
+        assert out.metrics.tasks_spawned == 0
+        assert out.candidates == set()
 
 
 class TestJobReleasesItsState:

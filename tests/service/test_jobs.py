@@ -39,16 +39,17 @@ def make_manager(tmp_path):
 
 @pytest.fixture
 def slow_roots(monkeypatch):
-    """Throttle root expansion so jobs stay observable mid-run."""
+    """Throttle each chunk by 0.03 s per root so jobs stay observable
+    mid-run."""
     import repro.service.runner as runner_mod
 
-    real = runner_mod.spawn_subgraph
+    real = runner_mod.mine_parallel
 
-    def slow(base, root, k):
-        time.sleep(0.03)
-        return real(base, root, k)
+    def slow(*args, roots, **kwargs):
+        time.sleep(0.03 * len(roots))
+        return real(*args, roots=roots, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "spawn_subgraph", slow)
+    monkeypatch.setattr(runner_mod, "mine_parallel", slow)
 
 
 def wait_for(predicate, timeout=20.0, poll=0.01):

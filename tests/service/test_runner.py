@@ -5,9 +5,20 @@ import pytest
 from repro.core.miner import mine_maximal_quasicliques
 from repro.graph.adjacency import Graph
 from repro.gthinker.config import EngineConfig
+from repro.gthinker.engine import mine_parallel
 from repro.service.runner import run_checkpointed
 
 from conftest import make_random_graph
+
+
+def assert_one_run(out, g, config=None):
+    """The chunks together mine exactly what one mine_parallel call
+    mines: the same candidates, tasks and search-tree counters."""
+    one = mine_parallel(g, 0.75, 3, config)
+    assert out.candidates == one.candidates
+    assert out.metrics.mining_stats == one.metrics.mining_stats
+    assert out.metrics.tasks_spawned == one.metrics.tasks_spawned
+    assert out.metrics.tasks_executed == one.metrics.tasks_executed
 
 
 class TestOracleParity:
@@ -23,6 +34,7 @@ class TestOracleParity:
         assert out.maximal == want
         assert out.roots_done == out.roots_total
         assert out.roots_recovered == 0
+        assert_one_run(out, g)
 
     def test_min_size_one_keeps_isolated_vertices(self, tmp_path):
         g = Graph.from_edges([(0, 1)], vertices=range(3))
@@ -37,7 +49,7 @@ class TestOracleParity:
             g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=4
         )
         assert out.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
-
+        assert_one_run(out, g, config)
 
     def test_simulated_backend(self, tmp_path):
         """Two machines x two threads, on virtual time."""
@@ -47,6 +59,17 @@ class TestOracleParity:
             g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=4
         )
         assert out.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
+        assert_one_run(out, g, config)
+
+    def test_process_backend(self, tmp_path):
+        """Two warm-start worker processes, one fleet per chunk."""
+        g = make_random_graph(14, 0.5, seed=6)
+        config = EngineConfig(backend="process", num_procs=2)
+        out = run_checkpointed(
+            g, 0.75, 3, config, work_dir=str(tmp_path), chunk_roots=5
+        )
+        assert out.maximal == mine_maximal_quasicliques(g, 0.75, 3).maximal
+        assert_one_run(out, g, config)
 
 
 class TestResume:
@@ -82,22 +105,22 @@ class TestResume:
         class Boom(RuntimeError):
             pass
 
-        real = runner_mod.spawn_subgraph
+        real = runner_mod.mine_parallel
         calls = {"n": 0}
 
-        def flaky(base, root, k):
+        def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 3:  # second root of the second chunk
+            if calls["n"] > 1:  # the second chunk
                 raise Boom()
-            return real(base, root, k)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "spawn_subgraph", flaky)
+        monkeypatch.setattr(runner_mod, "mine_parallel", flaky)
         with pytest.raises(Boom):
             run_checkpointed(g, 0.75, 3, work_dir=str(tmp_path), chunk_roots=2)
         journaled = (tmp_path / "roots.journal").read_text().split()
         assert len(journaled) == 2  # the torn chunk was never journaled
 
-        monkeypatch.setattr(runner_mod, "spawn_subgraph", real)
+        monkeypatch.setattr(runner_mod, "mine_parallel", real)
         resumed = run_checkpointed(g, 0.75, 3, work_dir=str(tmp_path), chunk_roots=2)
         assert resumed.completed
         assert resumed.roots_recovered == 2

@@ -76,13 +76,13 @@ class TestJobEndpoints:
     def test_cancel_pending_job(self, live, monkeypatch):
         _, client = live
         import repro.service.runner as runner_mod
-        real = runner_mod.spawn_subgraph
+        real = runner_mod.mine_parallel
 
-        def slow(base, root, k):
-            time.sleep(0.03)
-            return real(base, root, k)
+        def slow(*args, roots, **kwargs):
+            time.sleep(0.03 * len(roots))
+            return real(*args, roots=roots, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "spawn_subgraph", slow)
+        monkeypatch.setattr(runner_mod, "mine_parallel", slow)
         # Fill both worker slots, then queue a third job and cancel it.
         blockers = [client.submit(svc_common.small_job(seed=s, n=16,
                                                        chunk_roots=1)[1])
@@ -139,13 +139,13 @@ class TestResultEndpoints:
     def test_query_before_completion_conflicts(self, live, monkeypatch):
         _, client = live
         import repro.service.runner as runner_mod
-        real = runner_mod.spawn_subgraph
+        real = runner_mod.mine_parallel
 
-        def slow(base, root, k):
-            time.sleep(0.03)
-            return real(base, root, k)
+        def slow(*args, roots, **kwargs):
+            time.sleep(0.03 * len(roots))
+            return real(*args, roots=roots, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "spawn_subgraph", slow)
+        monkeypatch.setattr(runner_mod, "mine_parallel", slow)
         doc = client.submit(svc_common.small_job(seed=9, n=16, chunk_roots=1)[1])
         with pytest.raises(ServiceError) as err:
             client.communities(doc["id"])

@@ -104,6 +104,54 @@ class TestClusterMaster:
         assert summary[0].startswith(head)  # |V| |E| of the input, not its core
 
 
+    def test_master_waits_for_a_late_worker(self, tmp_path):
+        """cluster-master leases nothing until --workers have registered:
+        a second worker that connects after the first could have drained
+        the job alone still gets work, and both exit cleanly."""
+        import threading
+
+        from conftest import make_random_graph
+
+        from repro.gthinker.cluster.cli import master_cli
+        from repro.gthinker.cluster.worker import ClusterWorker
+
+        graph = make_random_graph(40, 0.25, seed=29)
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+        port_file = tmp_path / "master.port"
+        status: dict = {}
+        master = threading.Thread(target=lambda: status.setdefault("exit", master_cli([
+            str(graph_path), "--gamma", "0.75", "--min-size", "3",
+            "--port", "0", "--port-file", str(port_file), "--workers", "2",
+            "--timeout", "120", "--quiet",
+        ])), daemon=True)
+        master.start()
+        deadline = time.monotonic() + 30
+        while not port_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        port = int(port_file.read_text())
+        workers = [ClusterWorker("127.0.0.1", port) for _ in range(2)]
+        errors: list = []
+
+        def run(worker):
+            try:
+                worker.run()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(w,), daemon=True)
+                   for w in workers]
+        threads[0].start()
+        time.sleep(1.0)  # far longer than the job takes on one worker
+        threads[1].start()
+        master.join(120)
+        for t in threads:
+            t.join(10)
+        assert not master.is_alive() and not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert status.get("exit") == 0
+        assert all(w.reactor.completed_units > 0 for w in workers)
+
 class TestParser:
     def test_requires_source(self):
         with pytest.raises(SystemExit):
